@@ -29,6 +29,7 @@ from .meta import (
     Observation,
     ablate,
     alpha_mae_curve,
+    best_alpha,
     fit_meta_model,
     loso_cv,
     meta_model_from_dict,
@@ -62,7 +63,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _read(path: str, fmt: str, **kwargs) -> Corpus:
@@ -323,14 +324,9 @@ def _cmd_meta_select_alpha(args) -> None:
     grid = None
     if args.grid:
         grid = tuple(float(part) for part in args.grid.split(","))
-    observations = _observations(args)
-    curve = alpha_mae_curve(observations, grid)
-    best_alpha, best_mae = curve[0]
-    for a, mae in curve[1:]:
-        if mae < best_mae:
-            best_alpha, best_mae = a, mae
+    curve = alpha_mae_curve(_observations(args), grid)
     obj = {
-        "selected_alpha": best_alpha,
+        "selected_alpha": best_alpha(curve),
         "curve": [[a, m] for a, m in curve],
     }
     _write_or_print(_json_text(obj), args.out)

@@ -19,20 +19,24 @@ reference study's reported signs and magnitudes (see the ledgered
 comparison in the reproduction report).
 
 Generalization is estimated with leave-one-span-type-out cross
-validation: each fold holds out every observation of one span type,
-refits the standardization and the regression on the rest, and scores
-the held-out rows in F1 space after undoing the padded logit.
+validation: each fold holds out every observation of one span type and
+scores the least squares prediction from the rest in F1 space. Every
+design column is an affine map of a raw predictor beside an intercept,
+so a fold's own standardization would predict the same; one QR
+``X = QR`` of the full design therefore gives each held-out group ``g``
+in closed form as ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 from scipy import special, stats
 
 from .metrics import SpanTypeProfile
@@ -61,6 +65,7 @@ __all__ = [
     "loso_cv",
     "ablate",
     "alpha_mae_curve",
+    "best_alpha",
     "select_alpha",
     "predict",
     "meta_model_to_dict",
@@ -259,41 +264,23 @@ def build_design_matrix(
         name for name in MAIN_COLUMNS if name in PREDICTOR_SETS[predictor_set]
     )
     raw = raw_predictors(observations)
-    idx = [MAIN_COLUMNS.index(name) for name in mains_used]
-    sub = raw[:, idx] if idx else np.empty((len(observations), 0))
-    means = sub.mean(axis=0) if idx else np.empty(0)
-    sds = sub.std(axis=0) if idx else np.empty(0)
-    for j, name in enumerate(mains_used):
-        if sds[j] == 0.0:
+    mains = raw[:, [MAIN_COLUMNS.index(name) for name in mains_used]]
+    interactions_used = INTERACTION_COLUMNS if predictor_set == "full" else ()
+    prods = _raw_interactions(raw) if interactions_used else np.empty((len(raw), 0))
+    main_sds, prod_sds = mains.std(axis=0), prods.std(axis=0)
+    for name, sd in zip(mains_used + interactions_used, [*main_sds, *prod_sds]):
+        if sd == 0.0:
             raise ValueError(f"zero-variance predictor column: {name}")
-    z = (sub - means) / sds if idx else sub
-
-    cols = [np.ones(len(observations)), *z.T]
-    names = [INTERCEPT, *mains_used]
-    if predictor_set == "full":
-        prods = _raw_interactions(raw)
-        pmeans = prods.mean(axis=0)
-        psds = prods.std(axis=0)
-        for j, name in enumerate(INTERACTION_COLUMNS):
-            if psds[j] == 0.0:
-                raise ValueError(f"zero-variance predictor column: {name}")
-        zp = (prods - pmeans) / psds
-        cols.extend(zp.T)
-        names.extend(INTERACTION_COLUMNS)
-    else:
-        pmeans = np.empty(0)
-        psds = np.empty(0)
-
-    return DesignMatrix(
-        column_names=tuple(names),
+    design = DesignMatrix(
+        column_names=(INTERCEPT, *mains_used, *interactions_used),
         predictor_set=predictor_set,
         mains_used=mains_used,
-        main_means=means,
-        main_sds=sds,
-        interaction_means=pmeans,
-        interaction_sds=psds,
-        matrix=np.column_stack(cols),
+        main_means=mains.mean(axis=0),
+        main_sds=main_sds,
+        interaction_means=prods.mean(axis=0),
+        interaction_sds=prod_sds,
     )
+    return replace(design, matrix=design.transform(observations))
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +324,31 @@ def _check_xy(design: DesignMatrix, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _factor(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivoted QR ``X[:, piv] = QR``; raises unless X is tall and full rank."""
+    X = design.matrix
+    n, k = X.shape
+    if n <= k:
+        raise ValueError(f"need more observations ({n}) than columns ({k})")
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = diag.max() * max(n, k) * np.finfo(float).eps
+    rank = int((diag > tol).sum())
+    if rank < k:
+        dependent = sorted(design.column_names[j] for j in piv[rank:])
+        raise ValueError(
+            "design matrix is rank deficient; dependent columns: "
+            + ", ".join(dependent)
+        )
+    return Q, R, piv
+
+
 def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """Ordinary least squares with classical inference statistics.
 
-    Standard errors come from ``sigma2 * inv(X'X)`` with
+    One pivoted QR ``X[:, piv] = QR`` gives the coefficients from
+    ``R b = Q'y`` and the standard errors from ``sigma2 * inv(X'X)``,
+    which is ``sigma2 * inv(R) inv(R)'`` in pivoted order, with
     ``sigma2 = RSS / (n - k)``; p-values are two-sided t tests on n - k
     degrees of freedom, and the significance flag applies the
     Bonferroni-corrected threshold p < 0.002.
@@ -351,30 +359,16 @@ def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """
     _check_alpha(alpha)
     X, y = _check_xy(design, y)
+    Q, R, piv = _factor(design)
     n, k = X.shape
-    if n <= k:
-        raise ValueError(f"need more observations ({n}) than columns ({k})")
-
-    import scipy.linalg as sla
-
-    _, R, piv = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag.max() * max(n, k) * np.finfo(float).eps
-    rank = int((diag > tol).sum())
-    if rank < k:
-        dependent = sorted(design.column_names[j] for j in piv[rank:])
-        raise ValueError(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(dependent)
-        )
-
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    beta = np.empty(k)
+    beta[piv] = sla.solve_triangular(R, Q.T @ y)
     resid = y - X @ beta
-    rss = float(resid @ resid)
     dof = n - k
-    sigma2 = rss / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    se = np.sqrt(np.diag(cov))
+    sigma2 = float(resid @ resid) / dof
+    r_inv = sla.solve_triangular(R, np.eye(k))
+    se = np.empty(k)
+    se[piv] = np.sqrt(sigma2 * (r_inv * r_inv).sum(axis=1))
     t = beta / se
     p = 2.0 * stats.t.sf(np.abs(t), dof)
     return MetaModel(
@@ -481,14 +475,12 @@ class CrossValidationResult:
     r2: float | None
 
 
-def _group_order(observations: Sequence[Observation]) -> list[str]:
-    seen: set[str] = set()
-    order: list[str] = []
-    for o in observations:
-        if o.span_type_id not in seen:
-            seen.add(o.span_type_id)
-            order.append(o.span_type_id)
-    return order
+def _groups(observations: Sequence[Observation]) -> dict[str, np.ndarray]:
+    """Row indices of each span type, in order of first appearance."""
+    rows: dict[str, list[int]] = {}
+    for i, o in enumerate(observations):
+        rows.setdefault(o.span_type_id, []).append(i)
+    return {type_id: np.array(idx) for type_id, idx in rows.items()}
 
 
 def loso_cv(
@@ -498,45 +490,55 @@ def loso_cv(
 ) -> CrossValidationResult:
     """Leave-one-span-type-out cross validation.
 
-    For each span type, every observation of that type is held out, the
-    design standardization and regression are refitted on the remaining
-    types, and the held-out rows are predicted and mapped back to F1.
-    MAE and r2 are computed on the pooled held-out predictions. The
-    ``empty`` predictor set predicts the training fold's mean F1 and has
-    no defined r2.
+    Each span type's rows ``g`` are held out in turn, predicted by least
+    squares on the other types and mapped back to F1; MAE and r2 pool the
+    held-out predictions. No fold is refitted: the design columns are
+    affine maps of raw predictors beside an intercept, so a fold's own
+    standardization would predict the same, and one QR ``X = QR`` of the
+    full design gives ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
+    The ``empty`` predictor set predicts the training fold's mean F1 and
+    has no defined r2.
+
+    Raises:
+        ValueError: naming the held-out span type when its fold has no
+            more training rows than columns, or when ``1 - max eig(Q_g Q_g')``,
+            zero exactly if the training rows are rank deficient, is
+            within ``max(n, k)`` machine epsilons of zero.
     """
     _check_alpha(alpha)
-    if predictor_set not in PREDICTOR_SETS:
-        raise ValueError(
-            f"predictor set must be one of {sorted(PREDICTOR_SETS)}, "
-            f"got {predictor_set!r}"
-        )
     observations = list(observations)
-    order = _group_order(observations)
-    if len(order) < 2:
+    groups = _groups(observations)
+    if len(groups) < 2:
         raise ValueError(
             "leave-one-span-type-out needs at least two span types, "
-            f"got {len(order)}"
+            f"got {len(groups)}"
         )
     actual = np.array([o.f1 for o in observations])
     preds = np.empty(len(observations))
-    for type_id in order:
-        test_idx = [i for i, o in enumerate(observations) if o.span_type_id == type_id]
-        train = [o for o in observations if o.span_type_id != type_id]
-        if predictor_set == "empty":
-            preds[test_idx] = float(np.mean([o.f1 for o in train]))
-            continue
-        design = build_design_matrix(train, predictor_set)
-        y = padded_logit(np.array([o.f1 for o in train]), alpha)
-        model = fit_ols(design, y, alpha)
-        x_test = design.transform([observations[i] for i in test_idx])
-        preds[test_idx] = inverse_padded_logit(x_test @ model.coefficients, alpha)
-    mae = float(np.mean(np.abs(preds - actual)))
     if predictor_set == "empty":
-        r2 = None
+        for idx in groups.values():
+            preds[idx] = float(np.mean(np.delete(actual, idx)))
     else:
-        ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-        r2 = None if ss_tot == 0.0 else 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
+        design = build_design_matrix(observations, predictor_set)
+        y = padded_logit(actual, alpha)
+        Q, _, _ = _factor(design)
+        n, k = Q.shape
+        resid = y - Q @ (Q.T @ y)
+        tol = max(n, k) * np.finfo(float).eps
+        for type_id, idx in groups.items():
+            fold = f"fold holding out span type {type_id!r}"
+            if n - len(idx) <= k:
+                raise ValueError(f"{fold}: needs more training rows than columns ({k})")
+            h = Q[idx] @ Q[idx].T
+            if 1.0 - np.linalg.eigvalsh(h)[-1] <= tol:
+                raise ValueError(f"{fold}: training rows are rank deficient")
+            held_out = y[idx] - np.linalg.solve(np.eye(len(idx)) - h, resid[idx])
+            preds[idx] = inverse_padded_logit(held_out, alpha)
+    mae = float(np.mean(np.abs(preds - actual)))
+    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+    r2 = None
+    if predictor_set != "empty" and ss_tot != 0.0:
+        r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
     return CrossValidationResult(
         predictor_set=predictor_set,
         alpha=alpha,
@@ -551,10 +553,7 @@ def ablate(
     observations: Sequence[Observation], alpha: float = DEFAULT_ALPHA
 ) -> dict[str, CrossValidationResult]:
     """Cross-validate every named predictor set, strongest first."""
-    return {
-        name: loso_cv(observations, alpha, name)
-        for name in ("full", "no_interactions", "arch_only", "task_only", "empty")
-    }
+    return {name: loso_cv(observations, alpha, name) for name in PREDICTOR_SETS}
 
 
 def alpha_mae_curve(
@@ -571,16 +570,16 @@ def alpha_mae_curve(
     return [(a, loso_cv(observations, a, predictor_set).mae) for a in grid]
 
 
+def best_alpha(curve: Sequence[tuple[float, float]]) -> float:
+    """Padding value of the smallest MAE on a curve; ties go to the first."""
+    return min(curve, key=lambda point: point[1])[0]
+
+
 def select_alpha(
     observations: Sequence[Observation], grid: Sequence[float] | None = None
 ) -> float:
-    """Grid value minimizing cross-validated MAE; ties go to the smallest."""
-    curve = alpha_mae_curve(observations, grid)
-    best_alpha, best_mae = curve[0]
-    for a, mae in curve[1:]:
-        if mae < best_mae:
-            best_alpha, best_mae = a, mae
-    return best_alpha
+    """Grid value minimizing cross-validated MAE; ties go to the first."""
+    return best_alpha(alpha_mae_curve(observations, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -629,55 +628,101 @@ def meta_model_to_dict(model: MetaModel) -> dict:
     }
 
 
+def _column_map(values, names: Sequence[str], what: str) -> Mapping:
+    """``values`` if it is a map holding every one of ``names``."""
+    if not isinstance(values, Mapping):
+        raise ValueError(f"meta-model {what} must be a map")
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise ValueError(f"meta-model {what} lacks {', '.join(missing)}")
+    return values
+
+
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"meta-model {what} must be finite numbers") from e
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"meta-model {what} must be finite numbers")
+    return out
+
+
 def meta_model_from_dict(payload: Mapping) -> MetaModel:
     """Rebuild a model saved by :func:`meta_model_to_dict`.
 
     The design matrix rows are not stored, so the result supports
     prediction but not refitting.
+
+    Raises:
+        ValueError: if a required key is missing, if ``columns`` is not
+            the intercept, mains and interactions of the predictor set in
+            catalogue order, or if a per-column map lacks a column.
     """
-    columns = tuple(payload["columns"])
-    std = payload["standardization"]
+    required = ("alpha", "predictor_set", "columns", "coefficients", "standardization")
+    _column_map(payload, required, "file")
+    alpha = payload["alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValueError(f"meta-model alpha must be a number, got {alpha!r}")
+    _check_alpha(alpha)
+    predictor_set = payload["predictor_set"]
+    if not isinstance(predictor_set, str) or predictor_set not in PREDICTOR_SETS:
+        raise ValueError(f"meta-model has unknown predictor set {predictor_set!r}")
+    mains_used = tuple(n for n in MAIN_COLUMNS if n in PREDICTOR_SETS[predictor_set])
+    interactions = INTERACTION_COLUMNS if predictor_set == "full" else ()
+    columns = (INTERCEPT, *mains_used, *interactions)
+    if not isinstance(payload["columns"], list) or tuple(payload["columns"]) != columns:
+        raise ValueError(
+            f"meta-model columns must be the {predictor_set!r} catalogue: "
+            "intercept, then main effects, then interactions"
+        )
+    std = _column_map(
+        payload["standardization"], ("mains", "interactions"), "standardization"
+    )
     # key order in the payload is not trustworthy (JSON writers may sort),
-    # so recover the design's column order from the canonical catalogs
-    mains_used = tuple(n for n in MAIN_COLUMNS if n in std["mains"])
-    if len(mains_used) != len(std["mains"]):
-        unknown = sorted(set(std["mains"]) - set(MAIN_COLUMNS))
-        raise ValueError(f"unknown main-effect columns: {', '.join(unknown)}")
-    interactions = tuple(n for n in INTERACTION_COLUMNS if n in std["interactions"])
-    if len(interactions) != len(std["interactions"]):
-        unknown = sorted(set(std["interactions"]) - set(INTERACTION_COLUMNS))
-        raise ValueError(f"unknown interaction columns: {', '.join(unknown)}")
+    # so the moments are read in the canonical catalogue order
+    moments = {}
+    for part, label, names in (
+        ("mains", "main-effect", mains_used),
+        ("interactions", "interaction", interactions),
+    ):
+        given = _column_map(std[part], names, f"standardization of {part}")
+        unknown = sorted(set(given) - set(names))
+        if unknown:
+            raise ValueError(f"unknown {label} columns: {', '.join(unknown)}")
+        pairs = []
+        for name in names:
+            entry = _column_map(given[name], ("mean", "sd"), f"moments of {name}")
+            pairs.append((entry["mean"], entry["sd"]))
+        moments[part] = _floats(pairs, f"standardization of {part}").reshape(-1, 2)
+        if np.any(moments[part][:, 1] <= 0.0):
+            raise ValueError(f"meta-model standardization of {part} needs sd > 0")
     design = DesignMatrix(
         column_names=columns,
-        predictor_set=payload["predictor_set"],
+        predictor_set=predictor_set,
         mains_used=mains_used,
-        main_means=np.array([std["mains"][m]["mean"] for m in mains_used]),
-        main_sds=np.array([std["mains"][m]["sd"] for m in mains_used]),
-        interaction_means=np.array(
-            [std["interactions"][n]["mean"] for n in interactions]
-        ),
-        interaction_sds=np.array(
-            [std["interactions"][n]["sd"] for n in interactions]
-        ),
+        main_means=moments["mains"][:, 0],
+        main_sds=moments["mains"][:, 1],
+        interaction_means=moments["interactions"][:, 0],
+        interaction_sds=moments["interactions"][:, 1],
         matrix=None,
     )
 
     def arr(key: str) -> np.ndarray | None:
-        if payload.get(key) is None:
+        if key != "coefficients" and payload.get(key) is None:
             return None
-        return np.array([payload[key][name] for name in columns])
+        values = _column_map(payload[key], columns, key)
+        return _floats([values[name] for name in columns], key)
 
-    sig = payload.get("significant")
+    sig = arr("significant")
     return MetaModel(
-        alpha=float(payload["alpha"]),
+        alpha=float(alpha),
         design=design,
         coefficients=arr("coefficients"),
         standard_errors=arr("standard_errors"),
         t_statistics=arr("t_statistics"),
         p_values=arr("p_values"),
-        significant=(
-            None if sig is None else np.array([bool(sig[name]) for name in columns])
-        ),
+        significant=None if sig is None else sig.astype(bool),
         residual_df=payload.get("residual_df"),
         sigma2=payload.get("sigma2"),
     )

@@ -95,6 +95,13 @@ class SpanTypeProfile:
     boundary_distinctiveness: float
 
     def __post_init__(self) -> None:
+        measurements = (
+            self.span_length,
+            self.span_distinctiveness,
+            self.boundary_distinctiveness,
+        )
+        if not all(math.isfinite(v) for v in measurements):
+            raise ValueError("span length and distinctiveness values must be finite")
         if self.frequency < 1:
             raise ValueError("profile requires at least one span occurrence")
         if self.span_length < 1.0 - 1e-9:

@@ -22,6 +22,7 @@ from .meta import (
     CrossValidationResult,
     ablate,
     alpha_mae_curve,
+    best_alpha,
     fit_meta_model,
 )
 from .metrics import DatasetMetrics, dataset_profile
@@ -297,10 +298,6 @@ def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
     )
 
     curve = alpha_mae_curve(observations, DEFAULT_ALPHA_GRID)
-    best_alpha, best_mae = curve[0]
-    for a, mae in curve[1:]:
-        if mae < best_mae:
-            best_alpha, best_mae = a, mae
 
     report = ReproductionReport(
         table1=tuple(table1),
@@ -314,6 +311,6 @@ def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
         bert_largest_positive_main=bert_largest,
         alpha_grid=tuple(a for a, _ in curve),
         alpha_mae=tuple(m for _, m in curve),
-        selected_alpha=best_alpha,
+        selected_alpha=best_alpha(curve),
     )
     return ReproductionRun(report, cv_results["full"])

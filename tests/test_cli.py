@@ -644,6 +644,48 @@ class TestMeta:
         assert code == 0
         assert from_file == pytest.approx(json.loads(out)["f1"], rel=1e-12)
 
+    @pytest.mark.parametrize("flag,value", [("--length", "inf"), ("--sd", "nan")])
+    def test_predict_non_finite_flag_fails(self, flag, value, capsys):
+        argv = ["meta", "predict", "--freq", "50", "--length", "2", "--sd", "1",
+                "--bd", "1"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_predict_model_without_columns_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "meta.json"
+        assert run_cli(["meta", "fit", "--out", str(model_path)], capsys)[0] == 0
+        payload = json.loads(model_path.read_text("utf-8"))
+        del payload["columns"]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["meta", "predict", "--model", str(model_path), "--freq", "50",
+                "--length", "2", "--sd", "1", "--bd", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "lacks columns" in err
+        assert "Traceback" not in err
+
+    def test_cv_rank_deficient_fold_fails(self, tmp_path, capsys):
+        # type3 alone varies in boundary distinctiveness
+        obs = [
+            o if o.span_type_id == "type3" else Observation(
+                o.span_type_id, o.arch, SpanTypeProfile(
+                    o.span_type_id, o.profile.frequency, o.profile.span_length,
+                    o.profile.span_distinctiveness, 0.5,
+                ), o.f1,
+            )
+            for o in _synth_obs()
+        ]
+        path = tmp_path / "obs.csv"
+        observations_to_csv(obs, path)
+        code, out, err = run_cli(["meta", "cv", "--obs", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "'type3'" in err and "rank deficient" in err
+
     def test_select_alpha_matches_library(self, files, capsys):
         code, out, _ = run_cli(
             ["meta", "select-alpha", "--obs", files["obs"], "--grid", "0.1,0.3"],

@@ -428,6 +428,32 @@ class TestFitAndPredict:
         with pytest.raises(ValueError, match="unknown main-effect columns: bogus"):
             meta_model_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda d: d.pop("columns"), "lacks columns"),
+            (lambda d: d["columns"].reverse(), "catalogue"),
+            (lambda d: d.update(predictor_set="arch_only"), "catalogue"),
+            (lambda d: d["coefficients"].pop("bert"), "coefficients lacks bert"),
+            (lambda d: d["p_values"].pop("intercept"), "p_values lacks intercept"),
+            (lambda d: d["standardization"]["mains"].pop("crf"), "lacks crf"),
+            (lambda d: d["standardization"]["mains"]["crf"].pop("sd"), "lacks sd"),
+            (lambda d: d["coefficients"].update(bert="big"), "must be finite numbers"),
+            (lambda d: d["coefficients"].update(bert=None), "must be finite numbers"),
+            (
+                lambda d: d["standardization"]["mains"]["crf"].update(sd=0.0),
+                "sd > 0",
+            ),
+            (lambda d: d.update(alpha=None), "alpha must be a number"),
+        ],
+    )
+    def test_malformed_payload_is_rejected(self, corrupt, message):
+        obs = synth_observations(np.random.default_rng(23))
+        payload = json.loads(json.dumps(meta_model_to_dict(fit_meta_model(obs))))
+        corrupt(payload)
+        with pytest.raises(ValueError, match=message):
+            meta_model_from_dict(payload)
+
     def test_deserialized_model_cannot_be_refitted(self):
         obs = synth_observations(np.random.default_rng(22))
         model = fit_meta_model(obs)
@@ -441,7 +467,7 @@ class TestLosoCv:
         # folds drop one type, so enough types must remain for the task
         # mains to stay linearly independent
         obs = synth_observations(np.random.default_rng(23), n_types=7)
-        for predictor_set in ("no_interactions", "arch_only"):
+        for predictor_set in ("full", "no_interactions", "arch_only", "task_only"):
             result = loso_cv(obs, predictor_set=predictor_set)
             for type_id in {o.span_type_id for o in obs}:
                 train = [o for o in obs if o.span_type_id != type_id]
@@ -454,6 +480,26 @@ class TestLosoCv:
                 x_test = design.transform([obs[i] for i in test_idx])
                 expected = inverse_padded_logit(x_test @ beta)
                 assert np.max(np.abs(result.predictions[test_idx] - expected)) < 1e-9
+
+    @pytest.mark.parametrize("predictor_set", ["full", "no_interactions", "task_only"])
+    def test_fold_rank_deficient_only_when_held_out_is_named(self, predictor_set):
+        # every type but s3 shares one boundary distinctiveness, so the
+        # full design is fine but dropping s3 makes boundary_dist constant
+        obs = [
+            o if o.span_type_id == "s3" else dataclasses.replace(
+                o, profile=dataclasses.replace(o.profile, boundary_distinctiveness=0.5)
+            )
+            for o in synth_observations(np.random.default_rng(40), n_types=7)
+        ]
+        fit_meta_model(obs, predictor_set=predictor_set)
+        with pytest.raises(ValueError, match="span type 's3'.*rank deficient"):
+            loso_cv(obs, predictor_set=predictor_set)
+
+    def test_fold_with_too_few_training_rows_is_named(self):
+        obs = synth_observations(np.random.default_rng(41), n_types=2)
+        obs = obs[:12] + obs[12:15]  # s1 keeps three of its twelve rows
+        with pytest.raises(ValueError, match="span type 's0'.*more training rows"):
+            loso_cv(obs, predictor_set="arch_only")
 
     def test_summary_statistics_match_pooled_predictions(self):
         obs = synth_observations(np.random.default_rng(24), n_types=7)
@@ -552,4 +598,16 @@ class TestObservationCsv:
             "u,0,0,0,0,not_a_number,2.0,0.5,0.5,55.0\n"
         )
         with pytest.raises(ValueError, match="line 3"):
+            observations_from_csv(path)
+
+    @pytest.mark.parametrize("column", ["length", "sd", "bd"])
+    def test_non_finite_measurement_rejected(self, tmp_path, column):
+        values = {"length": "2.0", "sd": "0.5", "bd": "0.5"}
+        values[column] = "nan"
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\n"
+            f"t,0,0,0,0,10,{values['length']},{values['sd']},{values['bd']},55.0\n"
+        )
+        with pytest.raises(ValueError, match="line 2.*finite"):
             observations_from_csv(path)

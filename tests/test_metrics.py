@@ -185,6 +185,9 @@ class TestSpanTypeProfile:
             SpanTypeProfile("t", 1, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="non-negative"):
             SpanTypeProfile("t", 1, 1.0, -0.1, 0.0)
+        for values in [(math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (1.0, 0.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                SpanTypeProfile("t", 1, *values)
 
 
 class TestDatasetProfile:
