@@ -33,12 +33,13 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy import special, stats
 
+from ._numbers import finite_floats
 from .metrics import SpanTypeProfile
 
 __all__ = [
@@ -483,6 +484,64 @@ def _groups(observations: Sequence[Observation]) -> dict[str, np.ndarray]:
     return {type_id: np.array(idx) for type_id, idx in rows.items()}
 
 
+def _loso(
+    observations: list[Observation], predictor_set: str
+) -> Callable[[float], CrossValidationResult]:
+    """Leave-one-span-type-out CV of one design, at any padding value.
+
+    The design, its QR and every fold check are built here once, since
+    none depends on the padding value; the returned function only maps
+    the F1 scores to that value's scale and solves each fold.
+    """
+    groups = _groups(observations)
+    if len(groups) < 2:
+        raise ValueError(
+            "leave-one-span-type-out needs at least two span types, "
+            f"got {len(groups)}"
+        )
+    actual = np.array([o.f1 for o in observations])
+    folds: dict[str, np.ndarray] = {}
+    if predictor_set != "empty":
+        Q, _, _ = _factor(build_design_matrix(observations, predictor_set))
+        n, k = Q.shape
+        tol = max(n, k) * np.finfo(float).eps
+        for type_id, idx in groups.items():
+            fold = f"fold holding out span type {type_id!r}"
+            if n - len(idx) <= k:
+                raise ValueError(f"{fold}: needs more training rows than columns ({k})")
+            h = Q[idx] @ Q[idx].T
+            if 1.0 - np.linalg.eigvalsh(h)[-1] <= tol:
+                raise ValueError(f"{fold}: training rows are rank deficient")
+            folds[type_id] = np.eye(len(idx)) - h
+
+    def cross_validate(alpha: float) -> CrossValidationResult:
+        preds = np.empty(len(observations))
+        if predictor_set == "empty":
+            for idx in groups.values():
+                preds[idx] = float(np.mean(np.delete(actual, idx)))
+        else:
+            y = padded_logit(actual, alpha)
+            resid = y - Q @ (Q.T @ y)
+            for type_id, idx in groups.items():
+                held_out = y[idx] - np.linalg.solve(folds[type_id], resid[idx])
+                preds[idx] = inverse_padded_logit(held_out, alpha)
+        mae = float(np.mean(np.abs(preds - actual)))
+        ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+        r2 = None
+        if predictor_set != "empty" and ss_tot != 0.0:
+            r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
+        return CrossValidationResult(
+            predictor_set=predictor_set,
+            alpha=alpha,
+            predictions=preds,
+            actual=actual,
+            mae=mae,
+            r2=r2,
+        )
+
+    return cross_validate
+
+
 def loso_cv(
     observations: Sequence[Observation],
     alpha: float = DEFAULT_ALPHA,
@@ -506,47 +565,7 @@ def loso_cv(
             within ``max(n, k)`` machine epsilons of zero.
     """
     _check_alpha(alpha)
-    observations = list(observations)
-    groups = _groups(observations)
-    if len(groups) < 2:
-        raise ValueError(
-            "leave-one-span-type-out needs at least two span types, "
-            f"got {len(groups)}"
-        )
-    actual = np.array([o.f1 for o in observations])
-    preds = np.empty(len(observations))
-    if predictor_set == "empty":
-        for idx in groups.values():
-            preds[idx] = float(np.mean(np.delete(actual, idx)))
-    else:
-        design = build_design_matrix(observations, predictor_set)
-        y = padded_logit(actual, alpha)
-        Q, _, _ = _factor(design)
-        n, k = Q.shape
-        resid = y - Q @ (Q.T @ y)
-        tol = max(n, k) * np.finfo(float).eps
-        for type_id, idx in groups.items():
-            fold = f"fold holding out span type {type_id!r}"
-            if n - len(idx) <= k:
-                raise ValueError(f"{fold}: needs more training rows than columns ({k})")
-            h = Q[idx] @ Q[idx].T
-            if 1.0 - np.linalg.eigvalsh(h)[-1] <= tol:
-                raise ValueError(f"{fold}: training rows are rank deficient")
-            held_out = y[idx] - np.linalg.solve(np.eye(len(idx)) - h, resid[idx])
-            preds[idx] = inverse_padded_logit(held_out, alpha)
-    mae = float(np.mean(np.abs(preds - actual)))
-    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-    r2 = None
-    if predictor_set != "empty" and ss_tot != 0.0:
-        r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
-    return CrossValidationResult(
-        predictor_set=predictor_set,
-        alpha=alpha,
-        predictions=preds,
-        actual=actual,
-        mae=mae,
-        r2=r2,
-    )
+    return _loso(list(observations), predictor_set)(alpha)
 
 
 def ablate(
@@ -567,7 +586,8 @@ def alpha_mae_curve(
         raise ValueError("alpha grid is empty")
     for a in grid:
         _check_alpha(a)
-    return [(a, loso_cv(observations, a, predictor_set).mae) for a in grid]
+    cross_validate = _loso(list(observations), predictor_set)
+    return [(a, cross_validate(a).mae) for a in grid]
 
 
 def best_alpha(curve: Sequence[tuple[float, float]]) -> float:
@@ -638,16 +658,6 @@ def _column_map(values, names: Sequence[str], what: str) -> Mapping:
     return values
 
 
-def _floats(values, what: str) -> np.ndarray:
-    try:
-        out = np.array(values, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"meta-model {what} must be finite numbers") from e
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"meta-model {what} must be finite numbers")
-    return out
-
-
 def meta_model_from_dict(payload: Mapping) -> MetaModel:
     """Rebuild a model saved by :func:`meta_model_to_dict`.
 
@@ -693,10 +703,11 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
         pairs = []
         for name in names:
             entry = _column_map(given[name], ("mean", "sd"), f"moments of {name}")
-            pairs.append((entry["mean"], entry["sd"]))
-        moments[part] = _floats(pairs, f"standardization of {part}").reshape(-1, 2)
+            pairs.extend((entry["mean"], entry["sd"]))
+        what = f"meta-model standardization of {part}"
+        moments[part] = finite_floats(pairs, what).reshape(-1, 2)
         if np.any(moments[part][:, 1] <= 0.0):
-            raise ValueError(f"meta-model standardization of {part} needs sd > 0")
+            raise ValueError(f"{what} needs sd > 0")
     design = DesignMatrix(
         column_names=columns,
         predictor_set=predictor_set,
@@ -708,13 +719,19 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
         matrix=None,
     )
 
-    def arr(key: str) -> np.ndarray | None:
+    def column_values(key: str) -> list | None:
         if key != "coefficients" and payload.get(key) is None:
             return None
         values = _column_map(payload[key], columns, key)
-        return _floats([values[name] for name in columns], key)
+        return [values[name] for name in columns]
 
-    sig = arr("significant")
+    def arr(key: str) -> np.ndarray | None:
+        values = column_values(key)
+        return None if values is None else finite_floats(values, f"meta-model {key}")
+
+    sig = column_values("significant")
+    if sig is not None and not all(isinstance(v, bool) for v in sig):
+        raise ValueError("meta-model significant flags must be true or false")
     return MetaModel(
         alpha=float(alpha),
         design=design,
@@ -722,7 +739,7 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
         standard_errors=arr("standard_errors"),
         t_statistics=arr("t_statistics"),
         p_values=arr("p_values"),
-        significant=None if sig is None else sig.astype(bool),
+        significant=None if sig is None else np.array(sig),
         residual_df=payload.get("residual_df"),
         sigma2=payload.get("sigma2"),
     )

@@ -231,12 +231,19 @@ def boundary_distinctiveness(corpus: Corpus, type_id: str) -> float:
 
 def profile_span_type(corpus: Corpus, type_id: str) -> SpanTypeProfile:
     """All four measurements for one span type."""
+    frequency = span_frequency(corpus, type_id)
+    span_length = geometric_mean_length(corpus, type_id)
+    unigrams = corpus_unigram_distribution(corpus)
     return SpanTypeProfile(
         type_id=type_id,
-        frequency=span_frequency(corpus, type_id),
-        span_length=geometric_mean_length(corpus, type_id),
-        span_distinctiveness=span_distinctiveness(corpus, type_id),
-        boundary_distinctiveness=boundary_distinctiveness(corpus, type_id),
+        frequency=frequency,
+        span_length=span_length,
+        span_distinctiveness=kl_divergence(
+            span_token_distribution(corpus, type_id), unigrams
+        ),
+        boundary_distinctiveness=kl_divergence(
+            boundary_token_distribution(corpus, type_id), unigrams
+        ),
     )
 
 

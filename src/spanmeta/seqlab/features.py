@@ -32,8 +32,9 @@ class FeatureIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", dict(self.ids))
-        if sorted(self.ids.values()) != list(range(len(self.ids))):
-            raise ValueError("feature ids must be exactly 0..len-1")
+        ids = list(self.ids.values())
+        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ValueError("feature ids must be exactly the integers 0..len-1")
 
     @property
     def unk_id(self) -> int:

@@ -14,11 +14,12 @@ backpointer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .._numbers import finite_floats
 from ..corpus import BioSequence, Corpus
 from .features import FeatureIndex
 
@@ -38,29 +39,42 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Additive penalty standing in for -inf; keeps logsumexp free of nans.
+# Additive penalty standing in for -inf; keeps every log-space entry finite.
 NEG_INF = -1e30
 
 Encoded = Sequence[Sequence[int]]
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` after shifting by the maximum."""
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def _indicators(encoded: Encoded) -> tuple[np.ndarray, np.ndarray]:
+    """Position and id of every active indicator, in token order."""
+    sizes = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.intp, count=sizes.sum())
+    return np.repeat(np.arange(len(encoded)), sizes), ids
+
+
 def _emissions(weights: np.ndarray, encoded: Encoded) -> np.ndarray:
     """Per-position label scores: summed indicator rows plus the bias row."""
-    out = np.tile(weights[-1], (len(encoded), 1))
-    for t, ids in enumerate(encoded):
-        if ids:
-            out[t] += weights[np.asarray(ids, dtype=np.intp)].sum(axis=0)
-    return out
+    if len(encoded) == 0:
+        raise ValueError("sequence must contain at least one position")
+    positions, ids = _indicators(encoded)
+    out = np.zeros((len(encoded), weights.shape[1]))
+    np.add.at(out, positions, weights[ids])
+    return out + weights[-1]
 
 
-def _label_ids(labels: Sequence[str], seq: Iterable[str]) -> np.ndarray:
-    index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        return np.array([index[lab] for lab in seq], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(
-            f"label {exc.args[0]!r} outside the model alphabet"
-        ) from None
+def _scatter(grad: np.ndarray, resid: np.ndarray, encoded: Encoded) -> None:
+    """Transpose of :func:`_emissions`, added into ``grad``: each position's
+    row of ``resid`` goes to the rows of its indicators and to the bias row."""
+    positions, ids = _indicators(encoded)
+    np.add.at(grad, ids, resid[positions])
+    grad[-1] += resid.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -131,14 +145,9 @@ class LinearChainCrfModel:
         return [self.emission_weights, self.transitions, self.start, self.stop]
 
     def clone(self) -> "LinearChainCrfModel":
+        params = [p.copy() for p in self.parameters()]
         return LinearChainCrfModel(
-            self.feature_index,
-            self.labels,
-            self.emission_weights.copy(),
-            self.transitions.copy(),
-            self.start.copy(),
-            self.stop.copy(),
-            self.masked,
+            self.feature_index, self.labels, *params, self.masked
         )
 
 
@@ -167,36 +176,71 @@ def bio_start_mask(labels: Sequence[str]) -> np.ndarray:
     )
 
 
-def _potentials(model: LinearChainCrfModel) -> tuple[np.ndarray, np.ndarray]:
+def _potentials(model: LinearChainCrfModel) -> tuple[np.ndarray, ...]:
+    """Transition, start and stop scores, BIO penalties added if masked."""
     if model.masked:
         return (
             model.transitions + bio_transition_mask(model.labels),
             model.start + bio_start_mask(model.labels),
+            model.stop,
         )
-    return model.transitions, model.start
+    return model.transitions, model.start, model.stop
 
 
-def _require_nonempty(encoded: Encoded) -> None:
-    if len(encoded) == 0:
-        raise ValueError("sequence must contain at least one position")
+def _chain(model: LinearChainCrfModel, encoded: Encoded) -> tuple[np.ndarray, ...]:
+    """Emissions and potentials of one sequence."""
+    return (_emissions(model.emission_weights, encoded), *_potentials(model))
+
+
+def _forward_backward(em, trans, start, stop) -> tuple[np.ndarray, np.ndarray, float]:
+    """Log forward and backward messages of one chain, and its log partition.
+
+    ``alpha[t, j]`` sums the prefixes ending in label j at position t;
+    ``beta[t, i]`` sums the continuations after label i at t, stop included.
+    """
+    alpha = np.empty_like(em)
+    beta = np.empty_like(em)
+    alpha[0] = start + em[0]
+    for t in range(1, len(em)):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + em[t]
+    beta[-1] = stop
+    for t in range(len(em) - 2, -1, -1):
+        beta[t] = _logsumexp(trans + (em[t + 1] + beta[t + 1]), axis=1)
+    return alpha, beta, float(_logsumexp(alpha[-1] + stop))
+
+
+def _path_score(em, trans, start, stop, ids) -> float:
+    """Score of the label-id path ``ids`` through one chain."""
+    return float(
+        start[ids[0]]
+        + stop[ids[-1]]
+        + em[np.arange(len(ids)), ids].sum()
+        + trans[ids[:-1], ids[1:]].sum()
+    )
+
+
+def _gold_ids(labels: Sequence[str], gold: Iterable[str], n: int) -> np.ndarray:
+    """Label ids of the gold labels of a sequence of ``n`` positions."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    try:
+        ids = np.array([index[lab] for lab in gold], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(
+            f"label {exc.args[0]!r} outside the model alphabet"
+        ) from None
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} gold labels for {n} positions")
+    return ids
 
 
 def crf_log_partition(model: LinearChainCrfModel, encoded: Encoded) -> float:
     """Log of the sum over all label sequences of exp(sequence score)."""
-    _require_nonempty(encoded)
-    em = _emissions(model.emission_weights, encoded)
-    trans, start = _potentials(model)
-    alpha = start + em[0]
-    for t in range(1, len(encoded)):
-        alpha = logsumexp(alpha[:, None] + trans, axis=0) + em[t]
-    return float(logsumexp(alpha + model.stop))
+    return _forward_backward(*_chain(model, encoded))[2]
 
 
 def crf_viterbi(model: LinearChainCrfModel, encoded: Encoded) -> BioSequence:
     """Highest-scoring label sequence under the model."""
-    _require_nonempty(encoded)
-    em = _emissions(model.emission_weights, encoded)
-    trans, start = _potentials(model)
+    em, trans, start, stop = _chain(model, encoded)
     n, n_labels = em.shape
     delta = start + em[0]
     back = np.zeros((n, n_labels), dtype=np.intp)
@@ -204,7 +248,7 @@ def crf_viterbi(model: LinearChainCrfModel, encoded: Encoded) -> BioSequence:
         scores = delta[:, None] + trans
         back[t] = np.argmax(scores, axis=0)  # first max = lowest prior id
         delta = scores[back[t], np.arange(n_labels)] + em[t]
-    path = [int(np.argmax(delta + model.stop))]
+    path = [int(np.argmax(delta + stop))]
     for t in range(n - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
     path.reverse()
@@ -217,19 +261,8 @@ def sequence_score(
     labels: BioSequence | Sequence[str],
 ) -> float:
     """Unnormalized log score of one labeling of one sequence."""
-    _require_nonempty(encoded)
-    ids = _label_ids(model.labels, labels)
-    if len(ids) != len(encoded):
-        raise ValueError(
-            f"{len(ids)} labels for {len(encoded)} positions"
-        )
-    em = _emissions(model.emission_weights, encoded)
-    trans, start = _potentials(model)
-    score = start[ids[0]] + model.stop[ids[-1]]
-    score += em[np.arange(len(ids)), ids].sum()
-    if len(ids) > 1:
-        score += trans[ids[:-1], ids[1:]].sum()
-    return float(score)
+    scaffold = _chain(model, encoded)
+    return _path_score(*scaffold, _gold_ids(model.labels, labels, len(encoded)))
 
 
 Batch = Sequence[tuple[Encoded, "BioSequence | Sequence[str]"]]
@@ -245,58 +278,25 @@ def crf_nll_gradient(
     model (forward-backward marginals) minus observed gold counts, in
     the same order as ``model.parameters()``.
     """
-    weights = model.emission_weights
-    d_em = np.zeros_like(weights)
-    d_trans = np.zeros_like(model.transitions)
-    d_start = np.zeros_like(model.start)
-    d_stop = np.zeros_like(model.stop)
-    trans, start = _potentials(model)
+    trans, start, stop = _potentials(model)
+    d_em, d_trans, d_start, d_stop = (np.zeros_like(p) for p in model.parameters())
     loss = 0.0
-
     for encoded, gold in batch:
-        _require_nonempty(encoded)
-        ids = _label_ids(model.labels, gold)
-        n = len(encoded)
-        if len(ids) != n:
-            raise ValueError(f"{len(ids)} gold labels for {n} positions")
-        em = _emissions(weights, encoded)
-
-        alpha = np.empty_like(em)
-        beta = np.empty_like(em)
-        alpha[0] = start + em[0]
-        for t in range(1, n):
-            alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + em[t]
-        beta[-1] = model.stop
-        for t in range(n - 2, -1, -1):
-            beta[t] = logsumexp(trans + (em[t + 1] + beta[t + 1])[None, :], axis=1)
-        log_z = float(logsumexp(alpha[-1] + model.stop))
-
-        gold_score = start[ids[0]] + model.stop[ids[-1]]
-        gold_score += em[np.arange(n), ids].sum()
-        if n > 1:
-            gold_score += trans[ids[:-1], ids[1:]].sum()
-        loss += log_z - float(gold_score)
-
-        # node marginals minus gold one-hots, routed through the indicators
+        em = _emissions(model.emission_weights, encoded)
+        ids = _gold_ids(model.labels, gold, len(encoded))
+        alpha, beta, log_z = _forward_backward(em, trans, start, stop)
+        loss += log_z - _path_score(em, trans, start, stop, ids)
+        # node marginals minus gold one-hots; rows 0 and -1 feed start and stop
         resid = np.exp(alpha + beta - log_z)
-        resid[np.arange(n), ids] -= 1.0
-        for t, feats in enumerate(encoded):
-            if feats:
-                np.add.at(d_em, np.asarray(feats, dtype=np.intp), resid[t])
-        d_em[-1] += resid.sum(axis=0)
-
-        for t in range(n - 1):
-            d_trans += np.exp(
-                alpha[t][:, None] + trans + (em[t + 1] + beta[t + 1])[None, :] - log_z
-            )
-        if n > 1:
-            np.add.at(d_trans, (ids[:-1], ids[1:]), -1.0)
-
-        d_start += np.exp(alpha[0] + beta[0] - log_z)
-        d_start[ids[0]] -= 1.0
-        d_stop += np.exp(alpha[-1] + beta[-1] - log_z)
-        d_stop[ids[-1]] -= 1.0
-
+        resid[np.arange(len(ids)), ids] -= 1.0
+        _scatter(d_em, resid, encoded)
+        d_start += resid[0]
+        d_stop += resid[-1]
+        # label-pair marginals minus gold bigram counts, summed over positions
+        after = em[1:] + beta[1:]
+        pairs = np.exp(alpha[:-1, :, None] + trans + after[:, None, :] - log_z)
+        pairs[np.arange(len(ids) - 1), ids[:-1], ids[1:]] -= 1.0
+        d_trans += pairs.sum(axis=0)
     return loss, [d_em, d_trans, d_start, d_stop]
 
 
@@ -304,24 +304,17 @@ def baseline_nll_gradient(
     model: TokenClassifierModel, batch: Batch
 ) -> tuple[float, list[np.ndarray]]:
     """Summed per-token cross-entropy and its gradient over a batch."""
-    weights = model.weights
-    d_w = np.zeros_like(weights)
+    d_w = np.zeros_like(model.weights)
     loss = 0.0
     for encoded, gold in batch:
-        _require_nonempty(encoded)
-        ids = _label_ids(model.labels, gold)
-        n = len(encoded)
-        if len(ids) != n:
-            raise ValueError(f"{len(ids)} gold labels for {n} positions")
-        em = _emissions(weights, encoded)
-        lse = logsumexp(em, axis=1)
-        loss += float(lse.sum() - em[np.arange(n), ids].sum())
+        em = _emissions(model.weights, encoded)
+        ids = _gold_ids(model.labels, gold, len(encoded))
+        lse = _logsumexp(em, axis=1)
+        rows = np.arange(len(ids))
+        loss += float(lse.sum() - em[rows, ids].sum())
         resid = np.exp(em - lse[:, None])
-        resid[np.arange(n), ids] -= 1.0
-        for t, feats in enumerate(encoded):
-            if feats:
-                np.add.at(d_w, np.asarray(feats, dtype=np.intp), resid[t])
-        d_w[-1] += resid.sum(axis=0)
+        resid[rows, ids] -= 1.0
+        _scatter(d_w, resid, encoded)
     return loss, [d_w]
 
 
@@ -352,39 +345,45 @@ def predict(
 # JSON round trip, used by the CLI model files.
 
 
+# Each architecture's parameter blocks, in ``parameters()`` order.
+_PARAMETERS = {
+    "crf": ("emission_weights", "transitions", "start", "stop"),
+    "baseline": ("weights",),
+}
+
+
 def model_to_dict(model: "TokenClassifierModel | LinearChainCrfModel") -> dict:
     obj: dict = {
         "arch": model.arch,
         "labels": list(model.labels),
         "feature_ids": dict(model.feature_index.ids),
     }
+    for key, p in zip(_PARAMETERS[model.arch], model.parameters()):
+        obj[key] = p.tolist()
     if isinstance(model, LinearChainCrfModel):
-        obj["emission_weights"] = model.emission_weights.tolist()
-        obj["transitions"] = model.transitions.tolist()
-        obj["start"] = model.start.tolist()
-        obj["stop"] = model.stop.tolist()
         obj["masked"] = model.masked
-    else:
-        obj["weights"] = model.weights.tolist()
     return obj
 
 
 def model_from_dict(obj: dict) -> "TokenClassifierModel | LinearChainCrfModel":
+    """Rebuild a labeler saved by :func:`model_to_dict`.
+
+    Raises ValueError, naming the field, on any missing or malformed one.
+    """
     arch = obj.get("arch")
-    index = FeatureIndex(obj["feature_ids"])
-    labels = tuple(obj["labels"])
+    if arch not in _PARAMETERS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    labels, ids = obj.get("labels"), obj.get("feature_ids")
+    masked = obj.get("masked", False)
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("model labels must be a list of strings")
+    if len(set(labels)) != len(labels):
+        raise ValueError("model labels must be distinct")
+    if not isinstance(ids, dict):
+        raise ValueError("model feature ids must be a map")
+    if not isinstance(masked, bool):
+        raise ValueError(f"model masked flag must be true or false, got {masked!r}")
+    params = [finite_floats(obj.get(key), f"model {key}") for key in _PARAMETERS[arch]]
     if arch == "crf":
-        return LinearChainCrfModel(
-            index,
-            labels,
-            np.asarray(obj["emission_weights"], dtype=float),
-            np.asarray(obj["transitions"], dtype=float),
-            np.asarray(obj["start"], dtype=float),
-            np.asarray(obj["stop"], dtype=float),
-            bool(obj.get("masked", False)),
-        )
-    if arch == "baseline":
-        return TokenClassifierModel(
-            index, labels, np.asarray(obj["weights"], dtype=float)
-        )
-    raise ValueError(f"unknown architecture {arch!r}")
+        return LinearChainCrfModel(FeatureIndex(ids), tuple(labels), *params, masked)
+    return TokenClassifierModel(FeatureIndex(ids), tuple(labels), *params)

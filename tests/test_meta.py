@@ -440,6 +440,18 @@ class TestFitAndPredict:
             (lambda d: d["standardization"]["mains"]["crf"].pop("sd"), "lacks sd"),
             (lambda d: d["coefficients"].update(bert="big"), "must be finite numbers"),
             (lambda d: d["coefficients"].update(bert=None), "must be finite numbers"),
+            (lambda d: d["coefficients"].update(bert="1.5"), "must be finite numbers"),
+            (lambda d: d["coefficients"].update(bert=True), "must be finite numbers"),
+            (
+                lambda d: d["standardization"]["mains"]["crf"].update(mean="0.5"),
+                "must be finite numbers",
+            ),
+            (
+                lambda d: d["standardization"]["mains"]["crf"].update(sd=False),
+                "must be finite numbers",
+            ),
+            (lambda d: d["p_values"].update(bert="0.01"), "must be finite numbers"),
+            (lambda d: d["significant"].update(bert=1), "true or false"),
             (
                 lambda d: d["standardization"]["mains"]["crf"].update(sd=0.0),
                 "sd > 0",

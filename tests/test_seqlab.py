@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from spanmeta.corpus import BioSequence, Corpus, Document, Span, Token, bio_decode
 from spanmeta.evaluation import EvalCounts, count_matches, f1_report
@@ -29,6 +30,7 @@ from spanmeta.seqlab import (
     token_feature_names,
     train,
 )
+from spanmeta.seqlab import models as models_mod
 from spanmeta.seqlab import training as training_mod
 
 from helpers import brute_force_argmax, brute_force_log_partition, make_doc
@@ -66,6 +68,11 @@ class TestFeatureIndex:
     def test_non_dense_ids_rejected(self):
         with pytest.raises(ValueError, match="0..len-1"):
             FeatureIndex({"a": 0, "b": 2})
+
+    @pytest.mark.parametrize("ids", [{"a": 0.0, "b": 1}, {"a": True}])
+    def test_non_integer_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="integers 0..len-1"):
+            FeatureIndex(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +425,69 @@ class TestGradients:
         with pytest.raises(ValueError, match="at least one position"):
             crf_nll_gradient(model, [([], ())])
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_batch_loss_matches_per_sequence_partition_and_score(self, masked):
+        # documents of several lengths, including an empty feature bag and
+        # an indicator repeated within one token
+        rng = np.random.default_rng(15)
+        labels = ("O", "B-t", "I-t", "B-u", "I-u")
+        for _ in range(10):
+            model = random_crf(rng, n_ids=4, labels=labels, masked=masked)
+            unk = model.feature_index.unk_id
+            batch = []
+            for n in (1, 2, 5, 7):
+                encoded = random_encoded(rng, n, unk)
+                encoded[0] = []
+                encoded[-1] = [1, 1, 3]
+                batch.append((encoded, crf_viterbi(model, encoded)))
+            batch.append(([[0], [2, 2], [4]], ("B-t", "I-t", "O")))
+            expected = sum(
+                crf_log_partition(model, enc) - sequence_score(model, enc, gold)
+                for enc, gold in batch
+            )
+            loss, _ = crf_nll_gradient(model, batch)
+            assert loss == pytest.approx(expected, abs=1e-10)
+
+    def test_repeated_and_empty_bags_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        model = random_crf(rng, n_ids=2)
+        batch = [([[1, 1], [0]], ("B-t", "I-t")), ([[]], ("O",))]
+        _, grads = crf_nll_gradient(model, batch)
+        _fd_check(
+            lambda: crf_nll_gradient(model, batch)[0], model.parameters(), grads
+        )
+        base = random_baseline(rng, n_ids=2)
+        _, grads = baseline_nll_gradient(base, batch)
+        _fd_check(
+            lambda: baseline_nll_gradient(base, batch)[0], base.parameters(), grads
+        )
+
+
+class TestLogSumExp:
+    def test_matches_scipy_on_random_inputs(self):
+        rng = np.random.default_rng(17)
+        for shape in [(1,), (3,), (7, 7), (4, 9)]:
+            a = 30.0 * rng.standard_normal(shape)
+            for axis in [None, *range(len(shape))]:
+                np.testing.assert_allclose(
+                    models_mod._logsumexp(a, axis=axis),
+                    scipy.special.logsumexp(a, axis=axis),
+                    rtol=1e-13,
+                    atol=1e-13,
+                )
+
+    def test_matches_scipy_with_neg_inf_penalties(self):
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((6, 6))
+        a[rng.random((6, 6)) < 0.5] += NEG_INF
+        a[0] = NEG_INF  # a row that is penalized everywhere
+        for axis in (0, 1):
+            got = models_mod._logsumexp(a, axis=axis)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(
+                got, scipy.special.logsumexp(a, axis=axis), rtol=1e-13, atol=1e-13
+            )
+
 
 class TestPredict:
     def _fitted_models(self):
@@ -489,6 +559,30 @@ class TestModelSerialization:
     def test_unknown_arch_rejected(self):
         with pytest.raises(ValueError, match="unknown architecture"):
             model_from_dict({"arch": "transformer", "labels": [], "feature_ids": {}})
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda d: d.pop("stop"), "model stop must be finite numbers"),
+            (lambda d: d.pop("labels"), "labels must be a list of strings"),
+            (lambda d: d.pop("feature_ids"), "feature ids must be a map"),
+            (lambda d: d["start"].__setitem__(0, math.nan), "start must be finite"),
+            (lambda d: d["start"].__setitem__(0, "1"), "start must be finite"),
+            (lambda d: d["start"].__setitem__(0, True), "start must be finite"),
+            (lambda d: d["transitions"][0].pop(), "transitions must be finite"),
+            (lambda d: d.update(masked="no"), "masked flag must be true or false"),
+            (lambda d: d["labels"].__setitem__(2, "O"), "labels must be distinct"),
+            (lambda d: d["labels"].__setitem__(2, 7), "labels must be a list of"),
+            (lambda d: d["feature_ids"].update(f0=0.0), "integers 0..len-1"),
+            (lambda d: d["emission_weights"].pop(), "emission shape"),
+        ],
+    )
+    def test_malformed_model_file_rejected(self, corrupt, message):
+        rng = np.random.default_rng(19)
+        obj = json.loads(json.dumps(model_to_dict(random_crf(rng, masked=True))))
+        corrupt(obj)
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(obj)
 
 
 class TestAdam:
