@@ -20,8 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import Corpus, bio_decode, read_corpus
-from .evaluation import EvalCounts, F1Report, count_matches, f1_report
+from .corpus import Corpus, read_corpus
+from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
 from .meta import (
     DEFAULT_ALPHA,
     PREDICTOR_SETS,
@@ -37,7 +37,7 @@ from .meta import (
     observations_from_csv,
 )
 from .meta import predict as meta_predict
-from .metrics import SpanTypeProfile, dataset_profile, profile_span_type
+from .metrics import DatasetMetrics, SpanTypeProfile, dataset_profile, profile_span_type
 from .reference import export_table, load_embedded, to_observations
 from .report import build_reproduction_report
 from .seqlab import TrainConfig, model_to_dict, train
@@ -66,6 +66,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _write_csv(header: list[str], rows, out: str | None) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_or_print(buf.getvalue(), out)
+
+
 def _read(path: str, fmt: str, **kwargs) -> Corpus:
     return read_corpus(path, format=fmt, **kwargs)
 
@@ -76,70 +84,36 @@ def _read(path: str, fmt: str, **kwargs) -> Corpus:
 
 def _cmd_profile(args) -> None:
     corpus = _read(args.corpus, args.input_format)
-    types = [args.type] if args.type else list(corpus.span_type_inventory)
-    present = {s.type_id for d in corpus for s in d.spans}
-    if args.type and args.type not in present:
-        raise ValueError(f"span type {args.type!r} has no spans in this corpus")
-    profiles = [profile_span_type(corpus, t) for t in types if t in present]
-    if not profiles:
+    # the inventory is derived from the spans, so every type in it has some
+    types = corpus.span_type_inventory
+    if args.type:
+        if args.type not in types:
+            raise ValueError(f"span type {args.type!r} has no spans in this corpus")
+        types = (args.type,)
+    if not types:
         raise ValueError("corpus contains no spans to profile")
+    profiles = [profile_span_type(corpus, t) for t in types]
     aggregate = dataset_profile(profiles) if len(profiles) > 1 else None
+    rows = [
+        (p.type_id, DatasetMetrics._make(getattr(p, f) for f in DatasetMetrics._fields))
+        for p in profiles
+    ]
 
     if args.format == "json":
         obj = {
-            "span_types": [
-                {
-                    "span_type": p.type_id,
-                    "frequency": p.frequency,
-                    "span_length": p.span_length,
-                    "span_distinctiveness": p.span_distinctiveness,
-                    "boundary_distinctiveness": p.boundary_distinctiveness,
-                }
-                for p in profiles
-            ],
-            "dataset": None
-            if aggregate is None
-            else {
-                "frequency": aggregate.frequency,
-                "span_length": aggregate.span_length,
-                "span_distinctiveness": aggregate.span_distinctiveness,
-                "boundary_distinctiveness": aggregate.boundary_distinctiveness,
-            },
+            "span_types": [{"span_type": t, **m._asdict()} for t, m in rows],
+            "dataset": None if aggregate is None else aggregate._asdict(),
         }
         _write_or_print(_json_text(obj), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "span_type",
-                "frequency",
-                "span_length",
-                "span_distinctiveness",
-                "boundary_distinctiveness",
-            ]
-        )
-        for p in profiles:
-            writer.writerow(
-                [
-                    p.type_id,
-                    p.frequency,
-                    f"{p.span_length:.6f}",
-                    f"{p.span_distinctiveness:.6f}",
-                    f"{p.boundary_distinctiveness:.6f}",
-                ]
-            )
         if aggregate is not None:
-            writer.writerow(
-                [
-                    "ALL",
-                    f"{aggregate.frequency:.6f}",
-                    f"{aggregate.span_length:.6f}",
-                    f"{aggregate.span_distinctiveness:.6f}",
-                    f"{aggregate.boundary_distinctiveness:.6f}",
-                ]
-            )
-        _write_or_print(buf.getvalue(), args.out)
+            rows.append(("ALL", aggregate))
+        # span counts are written as integers, everything else to 6 places
+        _write_csv(
+            ["span_type", *DatasetMetrics._fields],
+            [[t, *(v if isinstance(v, int) else f"{v:.6f}" for v in m)] for t, m in rows],
+            args.out,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +206,9 @@ def _pair_documents(gold: Corpus, pred: Corpus):
 
 
 def _report_to_json(report: F1Report) -> dict:
-    def cell(prf):
-        return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1}
-
     return {
-        "per_type": {t: cell(prf) for t, prf in sorted(report.per_type.items())},
-        "micro": cell(report.micro),
+        "per_type": {t: prf._asdict() for t, prf in sorted(report.per_type.items())},
+        "micro": report.micro._asdict(),
     }
 
 
@@ -248,20 +219,28 @@ def _cmd_eval(args) -> None:
     counts = EvalCounts()
     for g, p in _pair_documents(gold, pred):
         counts = counts + count_matches(g.spans, p.spans)
-    types = args.types if args.types else list(gold.span_type_inventory)
+    if args.types:
+        types = list(dict.fromkeys(args.types))
+        left = counts.total(set(counts.per_type) - set(types))
+        if left.tp + left.fp + left.fn:
+            print(
+                f"spanmeta: warning: --types leaves {left.tp + left.fp} predicted "
+                f"and {left.tp + left.fn} gold span(s) unscored",
+                file=sys.stderr,
+            )
+    else:
+        # predicted types the gold file lacks are scored too, as false positives
+        types = list(dict.fromkeys(gold.span_type_inventory + pred.span_type_inventory))
     report = f1_report(counts, types=types)
     if args.format == "json":
         _write_or_print(_json_text(_report_to_json(report)), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["span_type", "precision", "recall", "f1"])
-        for t in types:
-            prf = report.per_type[t]
-            writer.writerow([t, f"{prf.precision:.4f}", f"{prf.recall:.4f}", f"{prf.f1:.4f}"])
-        m = report.micro
-        writer.writerow(["micro", f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f1:.4f}"])
-        _write_or_print(buf.getvalue(), args.out)
+        rows = [*report.per_type.items(), ("micro", report.micro)]
+        _write_csv(
+            ["span_type", *PRF._fields],
+            [[t, *(f"{v:.4f}" for v in prf)] for t, prf in rows],
+            args.out,
+        )
 
 
 # ---------------------------------------------------------------------------

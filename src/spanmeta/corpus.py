@@ -60,7 +60,8 @@ class CorpusFormatError(ValueError):
 class Token:
     """A single token: a surface form plus a bag of named features.
 
-    The surface must be non-empty; the feature bag may be empty.
+    The surface must be non-empty, and so must every feature name; the
+    feature bag may be empty.
     """
 
     surface: str
@@ -69,10 +70,14 @@ class Token:
     def __post_init__(self) -> None:
         if not isinstance(self.surface, str) or not self.surface:
             raise ValueError("token surface must be a non-empty string")
+        message = "feature names must be non-empty strings"
         if not isinstance(self.features, frozenset):
-            object.__setattr__(self, "features", frozenset(self.features))
-        if any(not f for f in self.features):
-            raise ValueError("feature names must be non-empty")
+            try:
+                object.__setattr__(self, "features", frozenset(self.features))
+            except TypeError:  # an unhashable entry, such as a list
+                raise ValueError(message) from None
+        if any(not isinstance(f, str) or not f for f in self.features):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -382,9 +387,9 @@ def _document_from_obj(obj: object, drop_misaligned: bool) -> tuple[Document, in
         if not isinstance(tk, dict) or not isinstance(tk.get("surface"), str):
             raise ValueError(f"document {doc_id!r}: malformed token entry")
         feats = tk.get("features", [])
-        if not isinstance(feats, list) or any(not isinstance(f, str) for f in feats):
+        if not isinstance(feats, list):
             raise ValueError(f"document {doc_id!r}: malformed feature list")
-        tokens.append(Token(tk["surface"], frozenset(feats)))
+        tokens.append(Token(tk["surface"], feats))
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise ValueError(f"document {doc_id!r}: non-list 'spans'")

@@ -667,7 +667,8 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
     Raises:
         ValueError: if a required key is missing, if ``columns`` is not
             the intercept, mains and interactions of the predictor set in
-            catalogue order, or if a per-column map lacks a column.
+            catalogue order, if a per-column map lacks a column, or if
+            ``residual_df`` or ``sigma2`` is neither null nor in range.
     """
     required = ("alpha", "predictor_set", "columns", "coefficients", "standardization")
     _column_map(payload, required, "file")
@@ -732,6 +733,15 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
     sig = column_values("significant")
     if sig is not None and not all(isinstance(v, bool) for v in sig):
         raise ValueError("meta-model significant flags must be true or false")
+    residual_df = payload.get("residual_df")
+    if residual_df is not None and (type(residual_df) is not int or residual_df < 1):
+        raise ValueError("meta-model residual_df must be null or a positive integer")
+    sigma2 = payload.get("sigma2")
+    if sigma2 is not None:
+        value = finite_floats(sigma2, "meta-model sigma2")
+        if value.ndim or value < 0.0:
+            raise ValueError("meta-model sigma2 must be null or a number >= 0")
+        sigma2 = float(value)
     return MetaModel(
         alpha=float(alpha),
         design=design,
@@ -740,8 +750,8 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
         t_statistics=arr("t_statistics"),
         p_values=arr("p_values"),
         significant=None if sig is None else np.array(sig),
-        residual_df=payload.get("residual_df"),
-        sigma2=payload.get("sigma2"),
+        residual_df=residual_df,
+        sigma2=sigma2,
     )
 
 

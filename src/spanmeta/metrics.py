@@ -76,7 +76,10 @@ class UnigramDistribution:
 
 
 class DatasetMetrics(NamedTuple):
-    """Frequency-weighted dataset-level aggregate of per-type metrics."""
+    """Frequency-weighted dataset-level aggregate of per-type metrics.
+
+    The fields are the four measurements, named as in ``SpanTypeProfile``.
+    """
 
     frequency: float
     span_length: float
@@ -258,15 +261,7 @@ def dataset_profile(profiles: Iterable[SpanTypeProfile]) -> DatasetMetrics:
     if not rows:
         raise ValueError("no profiles to aggregate")
     total = float(sum(p.frequency for p in rows))
-    return DatasetMetrics(
-        frequency=sum(p.frequency * p.frequency for p in rows) / total,
-        span_length=sum(p.frequency * p.span_length for p in rows) / total,
-        span_distinctiveness=sum(
-            p.frequency * p.span_distinctiveness for p in rows
-        )
-        / total,
-        boundary_distinctiveness=sum(
-            p.frequency * p.boundary_distinctiveness for p in rows
-        )
-        / total,
+    return DatasetMetrics._make(
+        sum(p.frequency * getattr(p, name) for p in rows) / total
+        for name in DatasetMetrics._fields
     )

@@ -11,7 +11,7 @@ fixtures; the published numbers it checks against live in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +51,9 @@ __all__ = [
 FREQ_TOL = 1.0
 METRIC_TOL = 0.01
 CORRELATION_TOL = 0.03
+_TABLE1_TOL = DatasetMetrics._make(
+    FREQ_TOL if name == "frequency" else METRIC_TOL for name in DatasetMetrics._fields
+)
 
 
 @dataclass(frozen=True)
@@ -119,55 +122,10 @@ class ReproductionReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "table1": [
-                {
-                    "dataset": c.dataset,
-                    "computed": list(c.computed),
-                    "reference": list(c.reference),
-                    "within_tolerance": c.within_tolerance,
-                }
-                for c in self.table1
-            ],
-            "correlation": {
-                "computed": self.correlation.computed,
-                "reference": self.correlation.reference,
-                "within_tolerance": self.correlation.within_tolerance,
-            },
-            "cv": [
-                {
-                    "predictor_set": r.predictor_set,
-                    "mae": r.mae,
-                    "r2": r.r2,
-                    "reference_mae": r.reference_mae,
-                    "reference_r2": r.reference_r2,
-                }
-                for r in self.cv
-            ],
-            "cv_ordering_holds": self.cv_ordering_holds,
-            "coefficients": [
-                {
-                    "name": r.name,
-                    "coefficient": r.coefficient,
-                    "standard_error": r.standard_error,
-                    "t_statistic": r.t_statistic,
-                    "p_value": r.p_value,
-                    "significant": r.significant,
-                    "expected_sign": r.expected_sign,
-                    "sign_agrees": r.sign_agrees,
-                }
-                for r in self.coefficients
-            ],
-            "all_signs_agree": self.all_signs_agree,
-            "bert_largest_positive_main": self.bert_largest_positive_main,
-            "alpha_grid": list(self.alpha_grid),
-            "alpha_mae": list(self.alpha_mae),
-            "selected_alpha": self.selected_alpha,
-            "all_checks_pass": self.all_checks_pass,
-        }
+        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         def mark(ok: bool) -> str:
@@ -247,13 +205,7 @@ def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
     for ds, ref in REFERENCE_DATASET_METRICS.items():
         rows = [p for p in tables.profiles if dataset_of(p.type_id) == ds]
         agg = dataset_profile(rows)
-        ok = (
-            abs(agg.frequency - ref.frequency) <= FREQ_TOL
-            and abs(agg.span_length - ref.span_length) <= METRIC_TOL
-            and abs(agg.span_distinctiveness - ref.span_distinctiveness) <= METRIC_TOL
-            and abs(agg.boundary_distinctiveness - ref.boundary_distinctiveness)
-            <= METRIC_TOL
-        )
+        ok = all(abs(a - b) <= tol for a, b, tol in zip(agg, ref, _TABLE1_TOL))
         table1.append(DatasetCheck(ds, agg, ref, ok))
 
     log_freq = np.log([p.frequency for p in tables.profiles])

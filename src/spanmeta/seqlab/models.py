@@ -14,6 +14,7 @@ backpointer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -176,14 +177,20 @@ def bio_start_mask(labels: Sequence[str]) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=8)
+def _bio_masks(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Both BIO masks of a label alphabet, built once and read-only."""
+    masks = bio_transition_mask(labels), bio_start_mask(labels)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _potentials(model: LinearChainCrfModel) -> tuple[np.ndarray, ...]:
     """Transition, start and stop scores, BIO penalties added if masked."""
     if model.masked:
-        return (
-            model.transitions + bio_transition_mask(model.labels),
-            model.start + bio_start_mask(model.labels),
-            model.stop,
-        )
+        trans_mask, start_mask = _bio_masks(model.labels)
+        return model.transitions + trans_mask, model.start + start_mask, model.stop
     return model.transitions, model.start, model.stop
 
 

@@ -158,8 +158,10 @@ def train(
 ) -> TrainResult:
     """Fit one architecture and return the best dev checkpoint plus a log.
 
-    With no dev corpus, a fraction of the training documents is held out
-    for the early-stopping signal. ``max_epochs`` of 0 returns the
+    A dev corpus may use any of the training span types, in any order;
+    its F1 is scored over the training inventory. With no dev corpus, a
+    fraction of the training documents is held out for the
+    early-stopping signal. ``max_epochs`` of 0 returns the
     zero-weight initial model with an empty log.
     """
     if arch not in ARCHITECTURES:
@@ -171,8 +173,12 @@ def train(
     rng = np.random.default_rng(config.seed)
     inventory = tuple(train_corpus.span_type_inventory)
     if dev_corpus is not None:
-        if tuple(dev_corpus.span_type_inventory) != inventory:
-            raise ValueError("train and dev corpora must share a span-type inventory")
+        unknown = [t for t in dev_corpus.span_type_inventory if t not in inventory]
+        if unknown:
+            raise ValueError(
+                "train and dev corpora must share a span-type inventory; "
+                f"the training corpus has no {', '.join(map(repr, unknown))}"
+            )
         train_docs = list(train_corpus.documents)
         dev_docs = list(dev_corpus.documents)
     else:

@@ -8,6 +8,7 @@ mistakes as SystemExit(1).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -36,6 +37,7 @@ from spanmeta import (
 )
 from spanmeta.cli import main
 from spanmeta.meta import observations_to_csv
+from spanmeta.report import build_reproduction_report
 from spanmeta.seqlab.models import model_from_dict
 
 from helpers import make_doc
@@ -153,6 +155,28 @@ def files(tmp_path_factory):
     paths["pred"] = root / "pred.jsonl"
     write_corpus(gold, paths["gold"])
     write_corpus(pred, paths["pred"])
+
+    pl_docs = (
+        make_doc("a0", ["per", "son", "in", "paris"], [Span("p", 0, 2), Span("l", 3, 4)]),
+        make_doc("a1", ["paris", "per", "son"], [Span("l", 0, 1), Span("p", 1, 3)]),
+    )
+    paths["train_pl"] = root / "train_pl.jsonl"
+    write_corpus(Corpus(pl_docs, ("p", "l")), paths["train_pl"])
+    # the same type set, first seen in the opposite order
+    paths["dev_lp"] = root / "dev_lp.jsonl"
+    write_corpus(Corpus(pl_docs[1:], ("l", "p"), partition="dev"), paths["dev_lp"])
+    # a type the training file never uses
+    extra = make_doc("x0", ["per", "son", "on", "monday"], [Span("p", 0, 2), Span("d", 3, 4)])
+    paths["dev_extra"] = root / "dev_extra.jsonl"
+    write_corpus(Corpus((extra,), ("p", "d"), partition="dev"), paths["dev_extra"])
+
+    # one correct span plus one of a type the gold file never uses
+    words = ["u", "v", "w"]
+    paths["gold_one"] = root / "gold_one.jsonl"
+    write_corpus(Corpus((make_doc("s0", words, [Span("p", 0, 1)]),), ("p",)), paths["gold_one"])
+    spurious = make_doc("s0", words, [Span("p", 0, 1), Span("Q", 2, 3)])
+    paths["pred_spurious"] = root / "pred_spurious.jsonl"
+    write_corpus(Corpus((spurious,), ("p", "Q")), paths["pred_spurious"])
 
     shorter = Corpus((make_doc("e0", ["u", "v"]), make_doc("e1", ["u", "v", "w"])), ())
     paths["pred_short"] = root / "pred_short.jsonl"
@@ -441,6 +465,19 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_dev_types_in_another_order_are_accepted(self, files, capsys):
+        argv = ["train", "--arch", "crf", "--train", files["train_pl"], "--max-epochs", "1"]
+        code, out, err = run_cli(argv + ["--dev", files["dev_lp"]], capsys)
+        assert code == 0, err
+        assert json.loads(out)["labels"] == ["O", "B-p", "I-p", "B-l", "I-l"]
+
+    def test_dev_type_missing_from_training_fails(self, files, capsys):
+        argv = ["train", "--arch", "crf", "--train", files["train_pl"], "--max-epochs", "1"]
+        code, _, err = run_cli(argv + ["--dev", files["dev_extra"]], capsys)
+        assert code == 1
+        assert "share a span-type inventory" in err
+        assert "'d'" in err
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -488,6 +525,41 @@ class TestEval:
         assert code == 0
         payload = json.loads(out)
         assert list(payload["per_type"]) == ["p"]
+
+    def test_types_flag_reports_unscored_spans(self, files, capsys):
+        code, _, err = run_cli(
+            ["eval", "--gold", files["gold"], "--pred", files["pred"], "--types", "p"],
+            capsys,
+        )
+        assert code == 0
+        # q: two predicted spans and one gold span fall outside --types p
+        assert "--types leaves 2 predicted and 1 gold span(s) unscored" in err
+
+    def test_types_flag_covering_every_span_is_silent(self, files, capsys):
+        argv = ["eval", "--gold", files["gold"], "--pred", files["pred"]]
+        code, _, err = run_cli(argv + ["--types", "q", "p"], capsys)
+        assert code == 0
+        assert err == ""
+
+    def test_predicted_type_missing_from_gold_is_a_false_positive(self, files, capsys):
+        argv = ["eval", "--gold", files["gold_one"], "--pred", files["pred_spurious"]]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        _valid(payload, "eval.schema.json")
+        assert payload["micro"] == {
+            "precision": 50.0,
+            "recall": 100.0,
+            "f1": pytest.approx(200 / 3),
+        }
+        assert payload["per_type"]["Q"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "p,100.0000,100.0000,100.0000",
+            "Q,0.0000,0.0000,0.0000",
+            "micro,50.0000,100.0000,66.6667",
+        ]
 
     def test_stray_continuation_in_pred_tsv_is_tolerated(self, files, capsys):
         code, out, _ = run_cli(
@@ -757,6 +829,11 @@ class TestReproduce:
         assert report["all_checks_pass"] is True
         svg = (out_dir / "scatter.svg").read_text(encoding="utf-8")
         assert svg.count("<circle") == 432
+
+    def test_report_json_rejects_nan(self):
+        report = build_reproduction_report().report
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dataclasses.replace(report, selected_alpha=float("nan")).to_json()
 
     def test_report_bytes_are_stable(self, tmp_path, capsys):
         first = tmp_path / "one"

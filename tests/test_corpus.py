@@ -32,6 +32,11 @@ class TestDataModel:
         with pytest.raises(ValueError):
             Token("a", frozenset({""}))
 
+    @pytest.mark.parametrize("feature", [1, None, b"f", ["f"]])
+    def test_token_rejects_non_string_feature(self, feature):
+        with pytest.raises(ValueError, match="non-empty strings"):
+            Token("a", ["f", feature])
+
     def test_token_features_coerced_to_frozenset(self):
         assert Token("a", ["f2", "f1"]).features == frozenset({"f1", "f2"})
 
@@ -234,6 +239,24 @@ class TestReadErrors:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "tokens": [], "spans": []}\n{oops\n')
         with pytest.raises(CorpusFormatError, match="line 2"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "features,message",
+        [
+            ('"f"', "malformed feature list"),
+            ('["f", 3]', "non-empty strings"),
+            ('[""]', "non-empty strings"),
+            ('[["f"]]', "non-empty strings"),
+        ],
+    )
+    def test_malformed_features_report_line(self, tmp_path, features, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "tokens": [], "spans": []}\n'
+            f'{{"id": "b", "tokens": [{{"surface": "x", "features": {features}}}]}}\n'
+        )
+        with pytest.raises(CorpusFormatError, match=f"line 2: .*{message}"):
             read_corpus(path)
 
     def test_span_past_end_reports_document(self, tmp_path):

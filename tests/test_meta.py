@@ -421,6 +421,13 @@ class TestFitAndPredict:
                 predict(model, o.arch, o.profile), abs=1e-12
             )
 
+    def test_fit_statistics_may_be_null_or_zero(self):
+        obs = synth_observations(np.random.default_rng(23))
+        payload = json.loads(json.dumps(meta_model_to_dict(fit_meta_model(obs))))
+        for df, sigma2 in ((None, None), (1, 0), (7, 0.25)):
+            back = meta_model_from_dict({**payload, "residual_df": df, "sigma2": sigma2})
+            assert (back.residual_df, back.sigma2) == (df, sigma2)
+
     def test_unknown_standardization_column_is_rejected(self):
         obs = synth_observations(np.random.default_rng(23))
         payload = meta_model_to_dict(fit_meta_model(obs))
@@ -457,6 +464,15 @@ class TestFitAndPredict:
                 "sd > 0",
             ),
             (lambda d: d.update(alpha=None), "alpha must be a number"),
+            (lambda d: d.update(residual_df=-3.5), "residual_df must be"),
+            (lambda d: d.update(residual_df=0), "residual_df must be"),
+            (lambda d: d.update(residual_df=12.0), "residual_df must be"),
+            (lambda d: d.update(residual_df="12"), "residual_df must be"),
+            (lambda d: d.update(residual_df=True), "residual_df must be"),
+            (lambda d: d.update(sigma2="abc"), "sigma2 must be finite numbers"),
+            (lambda d: d.update(sigma2=True), "sigma2 must be finite numbers"),
+            (lambda d: d.update(sigma2=[1.0]), "sigma2 must be null or a number"),
+            (lambda d: d.update(sigma2=-0.5), "sigma2 must be null or a number"),
         ],
     )
     def test_malformed_payload_is_rejected(self, corrupt, message):

@@ -299,6 +299,27 @@ class TestViterbi:
             seq = crf_viterbi(model, encoded)
             bio_decode(seq, mode="strict")  # must not raise
 
+    def test_masks_are_built_once_per_alphabet(self, monkeypatch):
+        calls = []
+
+        def counting_mask(labels):
+            calls.append(tuple(labels))
+            return bio_transition_mask(labels)
+
+        monkeypatch.setattr(models_mod, "bio_transition_mask", counting_mask)
+        models_mod._bio_masks.cache_clear()
+        rng = np.random.default_rng(8)
+        labels = ("O", "B-v", "I-v", "B-w", "I-w")
+        model = random_crf(rng, labels=labels, masked=True, scale=3.0)
+        for n in (1, 4, 6):
+            encoded = random_encoded(rng, n, model.feature_index.unk_id)
+            bio_decode(crf_viterbi(model, encoded), mode="strict")
+        assert calls == [labels]
+        trans_mask, start_mask = models_mod._bio_masks(labels)
+        assert not trans_mask.flags.writeable and not start_mask.flags.writeable
+        assert np.array_equal(trans_mask, bio_transition_mask(labels))
+        models_mod._bio_masks.cache_clear()
+
     def test_viterbi_beats_random_labelings(self):
         rng = np.random.default_rng(6)
         model = random_crf(rng)
@@ -676,6 +697,18 @@ class TestTraining:
         dev_c = Corpus(train_c.documents, ("p", "extra"), partition="dev")
         with pytest.raises(ValueError, match="share a span-type inventory"):
             train("crf", train_c, dev_c)
+
+    def test_dev_inventory_may_be_reordered_or_partial(self):
+        docs = (
+            make_doc("a", ["per", "son", "in", "rome"], [Span("p", 0, 2), Span("l", 3, 4)]),
+            make_doc("b", ["rome", "per", "son"], [Span("l", 0, 1), Span("p", 1, 3)]),
+        )
+        train_c = Corpus(docs, ("p", "l"))
+        only_l = (make_doc("c", ["rome"], [Span("l", 0, 1)]),)
+        for inventory, dev_docs in ((("l", "p"), docs), (("l",), only_l)):
+            dev_c = Corpus(dev_docs, inventory, partition="dev")
+            result = train("crf", train_c, dev_c, TrainConfig(max_epochs=1))
+            assert result.model.labels == ("O", "B-p", "I-p", "B-l", "I-l")
 
     def test_zero_epochs_returns_zero_weights_and_empty_log(self):
         train_c, dev_c = _toy_corpora(3, 1)
