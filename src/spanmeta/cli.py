@@ -37,7 +37,13 @@ from .meta import (
     observations_from_csv,
 )
 from .meta import predict as meta_predict
-from .metrics import DatasetMetrics, SpanTypeProfile, dataset_profile, profile_span_type
+from .metrics import (
+    DatasetMetrics,
+    SpanTypeProfile,
+    corpus_unigram_distribution,
+    dataset_profile,
+    profile_span_type,
+)
 from .reference import export_table, load_embedded, to_observations
 from .report import build_reproduction_report
 from .seqlab import TrainConfig, model_to_dict, train
@@ -92,7 +98,8 @@ def _cmd_profile(args) -> None:
         types = (args.type,)
     if not types:
         raise ValueError("corpus contains no spans to profile")
-    profiles = [profile_span_type(corpus, t) for t in types]
+    unigrams = corpus_unigram_distribution(corpus)
+    profiles = [profile_span_type(corpus, t, unigrams) for t in types]
     aggregate = dataset_profile(profiles) if len(profiles) > 1 else None
     rows = [
         (p.type_id, DatasetMetrics._make(getattr(p, f) for f in DatasetMetrics._fields))

@@ -232,11 +232,18 @@ def boundary_distinctiveness(corpus: Corpus, type_id: str) -> float:
     )
 
 
-def profile_span_type(corpus: Corpus, type_id: str) -> SpanTypeProfile:
-    """All four measurements for one span type."""
+def profile_span_type(
+    corpus: Corpus, type_id: str, unigrams: UnigramDistribution | None = None
+) -> SpanTypeProfile:
+    """All four measurements for one span type.
+
+    ``unigrams``, when given, must be ``corpus_unigram_distribution(corpus)``;
+    passing it lets a caller profiling many types build it once.
+    """
     frequency = span_frequency(corpus, type_id)
     span_length = geometric_mean_length(corpus, type_id)
-    unigrams = corpus_unigram_distribution(corpus)
+    if unigrams is None:
+        unigrams = corpus_unigram_distribution(corpus)
     return SpanTypeProfile(
         type_id=type_id,
         frequency=frequency,

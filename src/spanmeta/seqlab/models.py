@@ -4,7 +4,23 @@ Both models score a token as the sum of the weight rows of its active
 indicators plus a bias row, giving one score per BIO label. The softmax
 baseline treats positions independently; the CRF adds label-bigram
 transition scores plus start/stop scores and normalizes over whole
-sequences. All sequence computations run in log space.
+sequences.
+
+A batch of sequences is laid end to end as one run of tokens, so its
+emissions gather, and its gradients scatter, with one ``np.add.at``.
+The CRF's forward-backward runs once per batch, over a padded
+(T, B, L) grid whose rows hold the sequences longest first: the Python
+loop runs over the positions of the longest sequence, and padded cells
+are never computed or read. Each step is rescaled rather than taken in
+log space. The messages are shifted by their row maximum and
+exponentiated once, then multiplied in one BLAS product by
+``E = exp(transitions - column maxima)``, whose entries lie in [0, 1].
+The label-pair marginals are summed the same way, as
+``E * (A.T @ diag(w) @ B)``, with no (T, L, L) pair tensor.
+A row whose rescaled sum falls below ``_TINY`` (where underflow would
+lose it), or a cell whose pair scale ``w`` exceeds ``1 / _TINY``, is
+recomputed in log space inside the same step, so results stay exact for
+any finite weights.
 
 Label ids follow the order of the model's ``labels`` tuple. Argmax ties
 resolve toward the lower label id everywhere, including each Viterbi
@@ -16,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +59,10 @@ __all__ = [
 # Additive penalty standing in for -inf; keeps every log-space entry finite.
 NEG_INF = -1e30
 
+# Rescaled sums at or above this keep full relative precision (it is far
+# above the subnormal range); smaller ones are recomputed in log space.
+_TINY = 1e-300
+
 Encoded = Sequence[Sequence[int]]
 
 
@@ -60,21 +80,45 @@ def _indicators(encoded: Encoded) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(encoded)), sizes), ids
 
 
-def _emissions(weights: np.ndarray, encoded: Encoded) -> np.ndarray:
-    """Per-position label scores: summed indicator rows plus the bias row."""
-    if len(encoded) == 0:
+class _Tokens(NamedTuple):
+    """A batch of sequences laid end to end as one run of tokens."""
+
+    heads: np.ndarray  # first token of each sequence
+    lengths: np.ndarray  # tokens in each sequence
+    positions: np.ndarray  # token of every active indicator
+    ids: np.ndarray  # id of every active indicator
+
+    @property
+    def tails(self) -> np.ndarray:
+        return self.heads + self.lengths - 1
+
+    @property
+    def links(self) -> np.ndarray:
+        """Every token followed by another token of its sequence."""
+        inner = np.ones(self.lengths.sum(), dtype=bool)
+        inner[self.tails] = False
+        return np.flatnonzero(inner)
+
+
+def _flatten(docs: Sequence[Encoded]) -> _Tokens:
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+    if not lengths.all():
         raise ValueError("sequence must contain at least one position")
-    positions, ids = _indicators(encoded)
-    out = np.zeros((len(encoded), weights.shape[1]))
-    np.add.at(out, positions, weights[ids])
+    heads = np.cumsum(lengths) - lengths
+    return _Tokens(heads, lengths, *_indicators(list(chain.from_iterable(docs))))
+
+
+def _emissions(weights: np.ndarray, tokens: _Tokens) -> np.ndarray:
+    """Per-token label scores: summed indicator rows plus the bias row."""
+    out = np.zeros((tokens.lengths.sum(), weights.shape[1]))
+    np.add.at(out, tokens.positions, weights[tokens.ids])
     return out + weights[-1]
 
 
-def _scatter(grad: np.ndarray, resid: np.ndarray, encoded: Encoded) -> None:
-    """Transpose of :func:`_emissions`, added into ``grad``: each position's
+def _scatter(grad: np.ndarray, resid: np.ndarray, tokens: _Tokens) -> None:
+    """Transpose of :func:`_emissions`, added into ``grad``: each token's
     row of ``resid`` goes to the rows of its indicators and to the bias row."""
-    positions, ids = _indicators(encoded)
-    np.add.at(grad, ids, resid[positions])
+    np.add.at(grad, tokens.ids, resid[tokens.positions])
     grad[-1] += resid.sum(axis=0)
 
 
@@ -194,60 +238,140 @@ def _potentials(model: LinearChainCrfModel) -> tuple[np.ndarray, ...]:
     return model.transitions, model.start, model.stop
 
 
-def _chain(model: LinearChainCrfModel, encoded: Encoded) -> tuple[np.ndarray, ...]:
-    """Emissions and potentials of one sequence."""
-    return (_emissions(model.emission_weights, encoded), *_potentials(model))
+def _chain(model: LinearChainCrfModel, docs: Sequence[Encoded]) -> tuple:
+    """Token layout and emissions of a batch, and the model's potentials."""
+    tokens = _flatten(docs)
+    return tokens, _emissions(model.emission_weights, tokens), *_potentials(model)
 
 
-def _forward_backward(em, trans, start, stop) -> tuple[np.ndarray, np.ndarray, float]:
-    """Log forward and backward messages of one chain, and its log partition.
+class _Rescaled(NamedTuple):
+    """Label-pair scores ``log`` [from, to] and ``scale = exp(log - shift)``,
+    where ``shift`` holds the column maxima, so every entry of ``scale``
+    lies in [0, 1]."""
 
-    ``alpha[t, j]`` sums the prefixes ending in label j at position t;
-    ``beta[t, i]`` sums the continuations after label i at t, stop included.
+    log: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
+
+
+def _rescale(log: np.ndarray) -> _Rescaled:
+    shift = log.max(axis=0)
+    return _Rescaled(log, np.exp(log - shift), shift)
+
+
+def _step(msg: np.ndarray, scores: _Rescaled) -> np.ndarray:
+    """``log sum_i exp(msg[b, i] + scores.log[i, j])`` for every row b.
+
+    One exp over ``msg`` and one BLAS product; a row with a rescaled sum
+    below ``_TINY`` is recomputed in log space.
     """
-    alpha = np.empty_like(em)
-    beta = np.empty_like(em)
-    alpha[0] = start + em[0]
-    for t in range(1, len(em)):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + em[t]
-    beta[-1] = stop
-    for t in range(len(em) - 2, -1, -1):
-        beta[t] = _logsumexp(trans + (em[t + 1] + beta[t + 1]), axis=1)
-    return alpha, beta, float(_logsumexp(alpha[-1] + stop))
+    top = msg.max(axis=1, keepdims=True)
+    sums = np.exp(msg - top) @ scores.scale
+    out = top + scores.shift + np.log(np.maximum(sums, _TINY))
+    low = (sums < _TINY).any(axis=1)
+    if low.any():
+        out[low] = _logsumexp(msg[low, :, None] + scores.log, axis=1)
+    return out
 
 
-def _path_score(em, trans, start, stop, ids) -> float:
-    """Score of the label-id path ``ids`` through one chain."""
+def _forward_backward(
+    em: np.ndarray, tokens: _Tokens, trans: _Rescaled, start, stop
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log forward and backward messages of every token of a batch, and the
+    log partition of every sequence.
+
+    ``alpha[k, j]`` sums the prefixes ending in label j at token k;
+    ``beta[k, i]`` sums the continuations after label i at k, stop included.
+    """
+    n_seq, n_labels = len(tokens.lengths), em.shape[1]
+    # grid row of each sequence, longest first; an empty batch keeps one column
+    row = np.empty_like(tokens.lengths)
+    row[np.argsort(-tokens.lengths, kind="stable")] = np.arange(n_seq)
+    width = tokens.lengths.max(initial=1)
+    live = np.count_nonzero(tokens.lengths[:, None] > np.arange(width), axis=0)
+    seq = np.repeat(np.arange(n_seq), tokens.lengths)
+    slots = (np.arange(len(em)) - tokens.heads[seq]) * n_seq + row[seq]
+
+    grid = np.zeros((width * n_seq, n_labels))
+    grid[slots] = em
+    grid = grid.reshape(width, n_seq, n_labels)
+    alpha = np.zeros_like(grid)
+    beta = np.zeros_like(grid) + stop  # the value at every last token
+    back = _rescale(trans.log.T)
+    alpha[0] = start + grid[0]
+    for t in range(1, width):
+        k = live[t]
+        alpha[t, :k] = grid[t, :k] + _step(alpha[t - 1, :k], trans)
+    for t in range(width - 2, -1, -1):
+        k = live[t + 1]
+        beta[t, :k] = _step(grid[t + 1, :k] + beta[t + 1, :k], back)
+
+    alpha = alpha.reshape(-1, n_labels)[slots]
+    beta = beta.reshape(-1, n_labels)[slots]
+    return alpha, beta, _logsumexp(alpha[tokens.tails] + stop, axis=1)
+
+
+def _pair_marginals(
+    prev: np.ndarray, after: np.ndarray, log_z: np.ndarray, trans: _Rescaled
+) -> np.ndarray:
+    """``sum_k exp(prev[k, i] + trans.log[i, j] + after[k, j] - log_z[k])``.
+
+    Computed as ``E * (A.T @ diag(w) @ B)`` with ``A`` and ``B`` the
+    max-shifted exponentials of ``prev`` and of ``after + trans.shift``;
+    rows k whose scale ``w`` would exceed ``1 / _TINY`` are summed in log
+    space instead.
+    """
+    shifted = after + trans.shift
+    top_a = prev.max(axis=1, keepdims=True)
+    top_b = shifted.max(axis=1, keepdims=True)
+    log_w = top_a[:, 0] + top_b[:, 0] - log_z
+    big = log_w > -np.log(_TINY)
+    w = np.exp(np.where(big, -np.inf, log_w))
+    left = np.exp(prev - top_a) * w[:, None]
+    out = trans.scale * (left.T @ np.exp(shifted - top_b))
+    if big.any():
+        cells = prev[big, :, None] + trans.log + after[big, None, :]
+        out += np.exp(_logsumexp(cells - log_z[big, None, None], axis=0))
+    return out
+
+
+def _path_score(em, trans, start, stop, ids, tokens: _Tokens) -> float:
+    """Summed score of the label-id paths ``ids`` through a batch of chains."""
+    prev = tokens.links
     return float(
-        start[ids[0]]
-        + stop[ids[-1]]
+        start[ids[tokens.heads]].sum()
+        + stop[ids[tokens.tails]].sum()
         + em[np.arange(len(ids)), ids].sum()
-        + trans[ids[:-1], ids[1:]].sum()
+        + trans[ids[prev], ids[prev + 1]].sum()
     )
 
 
-def _gold_ids(labels: Sequence[str], gold: Iterable[str], n: int) -> np.ndarray:
-    """Label ids of the gold labels of a sequence of ``n`` positions."""
+def _gold_ids(labels: Sequence[str], batch: "Batch") -> np.ndarray:
+    """Label ids of the gold labels of every sequence of a batch, in token order."""
     index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        ids = np.array([index[lab] for lab in gold], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(
-            f"label {exc.args[0]!r} outside the model alphabet"
-        ) from None
-    if len(ids) != n:
-        raise ValueError(f"{len(ids)} gold labels for {n} positions")
-    return ids
+    ids: list[int] = []
+    for encoded, gold in batch:
+        try:
+            seq = [index[lab] for lab in gold]
+        except KeyError as exc:
+            raise ValueError(
+                f"label {exc.args[0]!r} outside the model alphabet"
+            ) from None
+        if len(seq) != len(encoded):
+            raise ValueError(f"{len(seq)} gold labels for {len(encoded)} positions")
+        ids += seq
+    return np.array(ids, dtype=np.intp)
 
 
 def crf_log_partition(model: LinearChainCrfModel, encoded: Encoded) -> float:
     """Log of the sum over all label sequences of exp(sequence score)."""
-    return _forward_backward(*_chain(model, encoded))[2]
+    tokens, em, trans, start, stop = _chain(model, [encoded])
+    return float(_forward_backward(em, tokens, _rescale(trans), start, stop)[2][0])
 
 
 def crf_viterbi(model: LinearChainCrfModel, encoded: Encoded) -> BioSequence:
     """Highest-scoring label sequence under the model."""
-    em, trans, start, stop = _chain(model, encoded)
+    _, em, trans, start, stop = _chain(model, [encoded])
     n, n_labels = em.shape
     delta = start + em[0]
     back = np.zeros((n, n_labels), dtype=np.intp)
@@ -268,8 +392,9 @@ def sequence_score(
     labels: BioSequence | Sequence[str],
 ) -> float:
     """Unnormalized log score of one labeling of one sequence."""
-    scaffold = _chain(model, encoded)
-    return _path_score(*scaffold, _gold_ids(model.labels, labels, len(encoded)))
+    tokens, em, trans, start, stop = _chain(model, [encoded])
+    ids = _gold_ids(model.labels, [(encoded, labels)])
+    return _path_score(em, trans, start, stop, ids, tokens)
 
 
 Batch = Sequence[tuple[Encoded, "BioSequence | Sequence[str]"]]
@@ -285,25 +410,26 @@ def crf_nll_gradient(
     model (forward-backward marginals) minus observed gold counts, in
     the same order as ``model.parameters()``.
     """
-    trans, start, stop = _potentials(model)
-    d_em, d_trans, d_start, d_stop = (np.zeros_like(p) for p in model.parameters())
-    loss = 0.0
-    for encoded, gold in batch:
-        em = _emissions(model.emission_weights, encoded)
-        ids = _gold_ids(model.labels, gold, len(encoded))
-        alpha, beta, log_z = _forward_backward(em, trans, start, stop)
-        loss += log_z - _path_score(em, trans, start, stop, ids)
-        # node marginals minus gold one-hots; rows 0 and -1 feed start and stop
-        resid = np.exp(alpha + beta - log_z)
-        resid[np.arange(len(ids)), ids] -= 1.0
-        _scatter(d_em, resid, encoded)
-        d_start += resid[0]
-        d_stop += resid[-1]
-        # label-pair marginals minus gold bigram counts, summed over positions
-        after = em[1:] + beta[1:]
-        pairs = np.exp(alpha[:-1, :, None] + trans + after[:, None, :] - log_z)
-        pairs[np.arange(len(ids) - 1), ids[:-1], ids[1:]] -= 1.0
-        d_trans += pairs.sum(axis=0)
+    tokens, em, trans, start, stop = _chain(model, [encoded for encoded, _ in batch])
+    ids = _gold_ids(model.labels, batch)
+    rescaled = _rescale(trans)
+    alpha, beta, log_z = _forward_backward(em, tokens, rescaled, start, stop)
+    loss = float(log_z.sum()) - _path_score(em, trans, start, stop, ids, tokens)
+    # node marginals minus gold one-hots; first and last tokens feed start and stop
+    token_z = np.repeat(log_z, tokens.lengths)
+    resid = np.exp(alpha + beta - token_z[:, None])
+    resid[np.arange(len(ids)), ids] -= 1.0
+    d_em = np.zeros_like(model.emission_weights)
+    _scatter(d_em, resid, tokens)
+    # label-pair marginals minus gold bigram counts, summed over positions
+    prev = tokens.links
+    after = em[prev + 1] + beta[prev + 1]
+    d_trans = _pair_marginals(alpha[prev], after, token_z[prev], rescaled)
+    n_labels = len(model.labels)
+    gold = np.bincount(ids[prev] * n_labels + ids[prev + 1], minlength=n_labels**2)
+    d_trans -= gold.reshape(n_labels, n_labels)
+    d_start = resid[tokens.heads].sum(axis=0)
+    d_stop = resid[tokens.tails].sum(axis=0)
     return loss, [d_em, d_trans, d_start, d_stop]
 
 
@@ -311,17 +437,16 @@ def baseline_nll_gradient(
     model: TokenClassifierModel, batch: Batch
 ) -> tuple[float, list[np.ndarray]]:
     """Summed per-token cross-entropy and its gradient over a batch."""
+    tokens = _flatten([encoded for encoded, _ in batch])
+    em = _emissions(model.weights, tokens)
+    ids = _gold_ids(model.labels, batch)
+    lse = _logsumexp(em, axis=1)
+    rows = np.arange(len(ids))
+    loss = float(lse.sum() - em[rows, ids].sum())
+    resid = np.exp(em - lse[:, None])
+    resid[rows, ids] -= 1.0
     d_w = np.zeros_like(model.weights)
-    loss = 0.0
-    for encoded, gold in batch:
-        em = _emissions(model.weights, encoded)
-        ids = _gold_ids(model.labels, gold, len(encoded))
-        lse = _logsumexp(em, axis=1)
-        rows = np.arange(len(ids))
-        loss += float(lse.sum() - em[rows, ids].sum())
-        resid = np.exp(em - lse[:, None])
-        resid[rows, ids] -= 1.0
-        _scatter(d_w, resid, encoded)
+    _scatter(d_w, resid, tokens)
     return loss, [d_w]
 
 
@@ -342,7 +467,7 @@ def predict(
         elif isinstance(model, LinearChainCrfModel):
             out.append(crf_viterbi(model, encoded))
         else:
-            em = _emissions(model.weights, encoded)
+            em = _emissions(model.weights, _flatten([encoded]))
             picks = np.argmax(em, axis=1)  # first max = lowest label id
             out.append(BioSequence(tuple(model.labels[i] for i in picks)))
     return out

@@ -22,6 +22,7 @@ from .features import FeatureIndex
 from .models import (
     LinearChainCrfModel,
     TokenClassifierModel,
+    _indicators,
     baseline_nll_gradient,
     crf_nll_gradient,
     predict,
@@ -46,13 +47,16 @@ class TrainConfig:
     dev_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # chained comparisons, so that NaN fails as well as infinity
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("adam epsilon must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.feature_dropout_prob < 1:
             raise ValueError("feature dropout probability must lie in [0, 1)")
         if not 0 < self.ema_decay < 1:
@@ -133,13 +137,17 @@ def _init_model(
 def _dropout(
     encoded: list[list[int]], prob: float, rng: np.random.Generator
 ) -> list[list[int]]:
+    """Drop each indicator of a document with probability ``prob``.
+
+    One draw per indicator, in token order, from a single ``rng.random``
+    call: the same stream a call per token would consume.
+    """
     if prob == 0.0:
         return encoded
-    out = []
-    for feats in encoded:
-        keep = rng.random(len(feats)) >= prob
-        out.append([f for f, k in zip(feats, keep) if k])
-    return out
+    positions, ids = _indicators(encoded)
+    keep = rng.random(len(ids)) >= prob
+    sizes = np.bincount(positions[keep], minlength=len(encoded))
+    return [bag.tolist() for bag in np.split(ids[keep], np.cumsum(sizes)[:-1])]
 
 
 def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:

@@ -288,6 +288,22 @@ class TestProfile:
         agg = dataset_profile([p0, profile_span_type(corpus, "t1")])
         assert payload["dataset"]["frequency"] == pytest.approx(agg.frequency, rel=1e-12)
 
+    def test_unigram_table_built_once_per_run(self, files, capsys, monkeypatch):
+        from spanmeta import cli, metrics
+
+        calls = []
+        exact = metrics.corpus_unigram_distribution
+
+        def counting(corpus):
+            calls.append(corpus)
+            return exact(corpus)
+
+        monkeypatch.setattr(metrics, "corpus_unigram_distribution", counting)
+        monkeypatch.setattr(cli, "corpus_unigram_distribution", counting)
+        code, _, _ = run_cli(["profile", files["two_types"]], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_single_type_has_null_aggregate(self, files, capsys):
         code, out, _ = run_cli(["profile", files["one_type"]], capsys)
         assert code == 0
@@ -458,6 +474,20 @@ class TestTrain:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("option", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_step_size_fails_before_training(
+        self, files, tmp_path, capsys, option, value
+    ):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        out = tmp_path / "model.json"
+        argv = ["train", "--arch", "crf", "--train", files["train"], "--config", str(cfg)]
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert option in err
+        assert not out.exists()
 
     def test_missing_corpus_is_io_error(self, capsys):
         code, _, err = run_cli(

@@ -89,6 +89,7 @@ class TestHandCases:
         assert p.span_length == geometric_mean_length(c, "t")
         assert p.span_distinctiveness == span_distinctiveness(c, "t")
         assert p.boundary_distinctiveness == boundary_distinctiveness(c, "t")
+        assert profile_span_type(c, "t", corpus_unigram_distribution(c)) == p
 
 
 class TestErrors:

@@ -484,6 +484,128 @@ class TestGradients:
         )
 
 
+def _random_bio(rng, labels, n):
+    """``n`` random labels, each stray continuation turned into a begin."""
+    out = []
+    for i in rng.integers(0, len(labels), size=n):
+        lab = labels[i]
+        if lab.startswith("I-") and (not out or out[-1][2:] != lab[2:]):
+            lab = "B-" + lab[2:]
+        out.append(lab)
+    return out
+
+
+def _log_space_nll(model, encoded, gold):
+    """Loss, gradient blocks and log partition of one sequence, by the
+    per-position log-space recursion with the full pair tensor at each step."""
+    lse = scipy.special.logsumexp
+    trans, start, stop = model.transitions, model.start, model.stop
+    if model.masked:
+        trans = trans + bio_transition_mask(model.labels)
+        start = start + bio_start_mask(model.labels)
+    em = np.array([_manual_emission(model, bag) for bag in encoded])
+    n = len(em)
+    alpha = [start + em[0]]
+    for t in range(1, n):
+        alpha.append(lse(alpha[-1][:, None] + trans, axis=0) + em[t])
+    beta = [stop]
+    for t in range(n - 1, 0, -1):
+        beta.insert(0, lse(trans + em[t] + beta[0], axis=1))
+    log_z = lse(alpha[-1] + stop)
+    ids = [model.labels.index(lab) for lab in gold]
+    score = start[ids[0]] + stop[ids[-1]] + sum(em[t, i] for t, i in enumerate(ids))
+    score += sum(trans[a, b] for a, b in zip(ids, ids[1:]))
+    grads = [np.zeros_like(p) for p in model.parameters()]
+    d_em, d_trans, d_start, d_stop = grads
+    for t in range(n):
+        node = np.exp(alpha[t] + beta[t] - log_z)
+        node[ids[t]] -= 1.0
+        for f in list(encoded[t]) + [-1]:
+            d_em[f] += node
+        if t == 0:
+            d_start += node
+        if t == n - 1:
+            d_stop += node
+        if t > 0:
+            pair = np.exp(alpha[t - 1][:, None] + trans + em[t] + beta[t] - log_z)
+            pair[ids[t - 1], ids[t]] -= 1.0
+            d_trans += pair
+    return log_z - score, grads, log_z
+
+
+class TestBatchedKernel:
+    LABELS = ("O", "B-t", "I-t", "B-u", "I-u")
+
+    def _batch(self, rng, model):
+        # lengths out of order, so grid rows differ from batch order; the
+        # first bag of each sequence is empty and the last repeats an id
+        batch = []
+        for n in (5, 1, 25, 2):
+            encoded = random_encoded(rng, n, model.feature_index.unk_id)
+            encoded[0] = []
+            encoded[-1] = [2, 2, 0]
+            batch.append((encoded, _random_bio(rng, self.LABELS, n)))
+        return batch
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ragged_batch_equals_sum_of_single_sequences(self, masked):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            model = random_crf(rng, n_ids=4, labels=self.LABELS, masked=masked)
+            batch = self._batch(rng, model)
+            loss, grads = crf_nll_gradient(model, batch)
+            parts = [crf_nll_gradient(model, [example]) for example in batch]
+            assert loss == pytest.approx(sum(p[0] for p in parts), rel=0, abs=1e-10)
+            for k, g in enumerate(grads):
+                np.testing.assert_allclose(
+                    g, sum(p[1][k] for p in parts), rtol=0, atol=1e-10
+                )
+            base = TokenClassifierModel(
+                model.feature_index, model.labels, model.emission_weights
+            )
+            b_loss, b_grads = baseline_nll_gradient(base, batch)
+            b_parts = [baseline_nll_gradient(base, [example]) for example in batch]
+            assert b_loss == pytest.approx(sum(p[0] for p in b_parts), rel=0, abs=1e-10)
+            np.testing.assert_allclose(
+                b_grads[0], sum(p[1][0] for p in b_parts), rtol=0, atol=1e-10
+            )
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_extreme_weights_match_log_space_reference(self, masked, monkeypatch):
+        # at scale 1e3 the rescaled sums underflow and pair scales overflow,
+        # so only the log-space guard inside the kernel can get these right
+        guards = []
+        exact = models_mod._logsumexp
+
+        def spy(a, axis=None):
+            if a.ndim == 3:
+                guards.append(axis)
+            return exact(a, axis)
+
+        monkeypatch.setattr(models_mod, "_logsumexp", spy)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            model = random_crf(rng, n_ids=4, labels=self.LABELS, masked=masked, scale=1e3)
+            batch = self._batch(rng, model)
+            refs = [_log_space_nll(model, encoded, gold) for encoded, gold in batch]
+            loss, grads = crf_nll_gradient(model, batch)
+            assert math.isfinite(loss)
+            assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-9)
+            for k, g in enumerate(grads):
+                expected = sum(r[1][k] for r in refs)
+                assert np.all(np.isfinite(g))
+                np.testing.assert_allclose(
+                    g, expected, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(expected).max())
+                )
+            for (encoded, _), ref in zip(batch, refs):
+                log_z = crf_log_partition(model, encoded)
+                assert math.isfinite(log_z)
+                assert log_z == pytest.approx(ref[2], rel=1e-9)
+        # both guards ran: the forward-backward step's (summing over axis 1)
+        # and the label-pair sum's (over axis 0)
+        assert {0, 1} <= set(guards)
+
+
 class TestLogSumExp:
     def test_matches_scipy_on_random_inputs(self):
         rng = np.random.default_rng(17)
@@ -635,8 +757,12 @@ class TestTrainConfig:
         "kwargs",
         [
             {"learning_rate": 0.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
             {"betas": (1.0, 0.999)},
             {"eps": 0.0},
+            {"eps": math.nan},
+            {"eps": math.inf},
             {"feature_dropout_prob": 1.0},
             {"ema_decay": 0.0},
             {"batch_size": 0},
@@ -803,6 +929,21 @@ class TestDropout:
     def test_zero_prob_is_identity(self):
         encoded = [[1, 2], [3]]
         assert training_mod._dropout(encoded, 0.0, np.random.default_rng(0)) == encoded
+
+    def test_matches_one_draw_per_token(self):
+        encoded = [[3, 1, 4], [], [1, 5, 9, 2], [6], [5, 5]] * 4
+
+        def per_token(rng):
+            return [
+                [f for f, k in zip(bag, rng.random(len(bag)) >= 0.5) if k]
+                for bag in encoded
+            ]
+
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(3):
+            assert training_mod._dropout(encoded, 0.5, rng) == per_token(ref_rng)
+        # the generator is left where the per-token draws leave it
+        assert rng.random() == ref_rng.random()
 
     def test_resampled_per_call(self):
         rng = np.random.default_rng(14)
