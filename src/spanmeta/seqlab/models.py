@@ -346,7 +346,7 @@ def _path_score(em, trans, start, stop, ids, tokens: _Tokens) -> float:
     )
 
 
-def _gold_ids(labels: Sequence[str], batch: "Batch") -> np.ndarray:
+def _gold_ids(labels: Sequence[str], batch: Batch) -> np.ndarray:
     """Label ids of the gold labels of every sequence of a batch, in token order."""
     index = {lab: i for i, lab in enumerate(labels)}
     ids: list[int] = []
