@@ -227,7 +227,7 @@ def _cmd_eval(args) -> None:
     for g, p in _pair_documents(gold, pred):
         counts = counts + count_matches(g.spans, p.spans)
     if args.types:
-        types = list(dict.fromkeys(args.types))
+        types = args.types
         left = counts.total(set(counts.per_type) - set(types))
         if left.tp + left.fp + left.fn:
             print(
@@ -237,7 +237,7 @@ def _cmd_eval(args) -> None:
             )
     else:
         # predicted types the gold file lacks are scored too, as false positives
-        types = list(dict.fromkeys(gold.span_type_inventory + pred.span_type_inventory))
+        types = gold.span_type_inventory + pred.span_type_inventory
     report = f1_report(counts, types=types)
     if args.format == "json":
         _write_or_print(_json_text(_report_to_json(report)), args.out)
@@ -308,8 +308,13 @@ def _cmd_meta_predict(args) -> None:
 
 def _cmd_meta_select_alpha(args) -> None:
     grid = None
-    if args.grid:
-        grid = tuple(float(part) for part in args.grid.split(","))
+    if args.grid is not None:
+        try:
+            grid = tuple(float(part) for part in args.grid.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--grid must be comma-separated numbers, got {args.grid!r}"
+            ) from None
     curve = alpha_mae_curve(_observations(args), grid)
     obj = {
         "selected_alpha": best_alpha(curve),

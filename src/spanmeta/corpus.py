@@ -357,7 +357,7 @@ def _to_jsonl(corpus: Corpus) -> str:
 def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]:
     docs: list[Document] = []
     dropped = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -452,7 +452,7 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> tuple[list[Document], int]:
         docs.append(Document(f"doc-{len(docs)}", tokens, tuple(spans)))
         rows = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             flush()
             continue

@@ -109,9 +109,10 @@ def f1_report(counts: EvalCounts, types: Sequence[str] | None = None) -> F1Repor
     Args:
         counts: match counts, typically summed over documents.
         types: restrict the report to these types; types without counts
-            report zeros. Defaults to every type present in ``counts``.
+            report zeros and a repeated type counts once. Defaults to
+            every type present in ``counts``.
     """
-    keys = sorted(counts.per_type) if types is None else list(types)
+    keys = sorted(counts.per_type) if types is None else list(dict.fromkeys(types))
     per_type = {t: _prf(counts.per_type.get(t, TypeCounts())) for t in keys}
     return F1Report(per_type=per_type, micro=_prf(counts.total(keys)))
 

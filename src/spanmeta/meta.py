@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import special, stats
+from scipy import special
 
 from ._numbers import finite_floats
 from .metrics import SpanTypeProfile
@@ -206,41 +206,38 @@ def raw_predictors(observations: Sequence[Observation]) -> np.ndarray:
 class DesignMatrix:
     """A standardized predictor matrix plus the state needed to reuse it.
 
-    The stored means and standard deviations let held-out observations be
-    mapped through exactly the transformation fitted on training rows,
-    which is what cross validation requires.
+    ``means`` and ``sds`` hold one entry per non-intercept column, in
+    column order. They let held-out observations be mapped through
+    exactly the transformation fitted on training rows, which is what
+    cross validation requires.
     """
 
-    column_names: tuple[str, ...]
     predictor_set: str
-    mains_used: tuple[str, ...]
-    main_means: np.ndarray
-    main_sds: np.ndarray
-    interaction_means: np.ndarray
-    interaction_sds: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
     matrix: np.ndarray | None = None
 
     @property
-    def has_interactions(self) -> bool:
-        return self.predictor_set == "full"
+    def column_names(self) -> tuple[str, ...]:
+        return (INTERCEPT, *PREDICTOR_SETS[self.predictor_set])
 
     def transform(self, observations: Sequence[Observation]) -> np.ndarray:
         """Build rows for new observations with the stored statistics."""
-        raw = raw_predictors(observations)
-        idx = [MAIN_COLUMNS.index(name) for name in self.mains_used]
-        z = (raw[:, idx] - self.main_means) / self.main_sds
-        cols = [np.ones(len(raw)), *z.T]
-        if self.has_interactions:
-            prods = _raw_interactions(raw)
-            zp = (prods - self.interaction_means) / self.interaction_sds
-            cols.extend(zp.T)
-        return np.column_stack(cols)
+        z = (_raw_columns(observations, self.predictor_set) - self.means) / self.sds
+        return np.column_stack([np.ones(len(z)), *z.T])
 
 
-def _raw_interactions(raw: np.ndarray) -> np.ndarray:
-    """Pairwise products of the raw mains, one column per interaction."""
-    col = {name: raw[:, j] for j, name in enumerate(MAIN_COLUMNS)}
-    return np.column_stack([col[a] * col[b] for a, b in INTERACTION_PAIRS])
+def _raw_columns(observations: Sequence[Observation], predictor_set: str) -> np.ndarray:
+    """Raw values of a predictor set's columns, selected from the catalogue.
+
+    The catalogue is the eight raw mains followed by their pairwise
+    products, one column per interaction.
+    """
+    raw = raw_predictors(observations)
+    col = dict(zip(MAIN_COLUMNS, raw.T))
+    catalogue = np.column_stack([raw, *(col[a] * col[b] for a, b in INTERACTION_PAIRS)])
+    full = PREDICTOR_SETS["full"]
+    return catalogue[:, [full.index(name) for name in PREDICTOR_SETS[predictor_set]]]
 
 
 def build_design_matrix(
@@ -261,26 +258,12 @@ def build_design_matrix(
     observations = list(observations)
     if len(observations) < 2:
         raise ValueError("need at least two observations")
-    mains_used = tuple(
-        name for name in MAIN_COLUMNS if name in PREDICTOR_SETS[predictor_set]
-    )
-    raw = raw_predictors(observations)
-    mains = raw[:, [MAIN_COLUMNS.index(name) for name in mains_used]]
-    interactions_used = INTERACTION_COLUMNS if predictor_set == "full" else ()
-    prods = _raw_interactions(raw) if interactions_used else np.empty((len(raw), 0))
-    main_sds, prod_sds = mains.std(axis=0), prods.std(axis=0)
-    for name, sd in zip(mains_used + interactions_used, [*main_sds, *prod_sds]):
+    raw = _raw_columns(observations, predictor_set)
+    sds = raw.std(axis=0)
+    for name, sd in zip(PREDICTOR_SETS[predictor_set], sds):
         if sd == 0.0:
             raise ValueError(f"zero-variance predictor column: {name}")
-    design = DesignMatrix(
-        column_names=(INTERCEPT, *mains_used, *interactions_used),
-        predictor_set=predictor_set,
-        mains_used=mains_used,
-        main_means=mains.mean(axis=0),
-        main_sds=main_sds,
-        interaction_means=prods.mean(axis=0),
-        interaction_sds=prod_sds,
-    )
+    design = DesignMatrix(predictor_set, raw.mean(axis=0), sds)
     return replace(design, matrix=design.transform(observations))
 
 
@@ -371,7 +354,7 @@ def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     se = np.empty(k)
     se[piv] = np.sqrt(sigma2 * (r_inv * r_inv).sum(axis=1))
     t = beta / se
-    p = 2.0 * stats.t.sf(np.abs(t), dof)
+    p = 2.0 * special.stdtr(dof, -np.abs(t))
     return MetaModel(
         alpha=alpha,
         design=design,
@@ -606,15 +589,25 @@ def select_alpha(
 # Serialization and observation CSV I/O
 
 
+def _moment_parts(names: Sequence[str]) -> dict[str, list[str]]:
+    """A model file's two standardization maps and the columns in each."""
+    return {
+        "mains": [name for name in names if name in MAIN_COLUMNS],
+        "interactions": [name for name in names if name in INTERACTION_COLUMNS],
+    }
+
+
 def meta_model_to_dict(model: MetaModel) -> dict:
     """JSON-ready representation, including the standardization state."""
     d = model.design
 
-    def named(values) -> dict[str, float] | None:
-        if values is None:
-            return None
-        return {name: float(v) for name, v in zip(model.column_names, values)}
+    def named(values: np.ndarray | None) -> dict | None:
+        return None if values is None else dict(zip(model.column_names, values.tolist()))
 
+    moments = {
+        name: {"mean": m, "sd": s}
+        for name, m, s in zip(d.column_names[1:], d.means.tolist(), d.sds.tolist())
+    }
     return {
         "alpha": model.alpha,
         "predictor_set": d.predictor_set,
@@ -623,27 +616,12 @@ def meta_model_to_dict(model: MetaModel) -> dict:
         "standard_errors": named(model.standard_errors),
         "t_statistics": named(model.t_statistics),
         "p_values": named(model.p_values),
-        "significant": (
-            None
-            if model.significant is None
-            else {
-                name: bool(v)
-                for name, v in zip(model.column_names, model.significant)
-            }
-        ),
+        "significant": named(model.significant),
         "residual_df": model.residual_df,
         "sigma2": model.sigma2,
         "standardization": {
-            "mains": {
-                name: {"mean": float(m), "sd": float(s)}
-                for name, m, s in zip(d.mains_used, d.main_means, d.main_sds)
-            },
-            "interactions": {
-                name: {"mean": float(m), "sd": float(s)}
-                for name, m, s in zip(
-                    INTERACTION_COLUMNS, d.interaction_means, d.interaction_sds
-                )
-            },
+            part: {name: moments[name] for name in names}
+            for part, names in _moment_parts(d.column_names[1:]).items()
         },
     }
 
@@ -679,9 +657,7 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
     predictor_set = payload["predictor_set"]
     if not isinstance(predictor_set, str) or predictor_set not in PREDICTOR_SETS:
         raise ValueError(f"meta-model has unknown predictor set {predictor_set!r}")
-    mains_used = tuple(n for n in MAIN_COLUMNS if n in PREDICTOR_SETS[predictor_set])
-    interactions = INTERACTION_COLUMNS if predictor_set == "full" else ()
-    columns = (INTERCEPT, *mains_used, *interactions)
+    columns = (INTERCEPT, *PREDICTOR_SETS[predictor_set])
     if not isinstance(payload["columns"], list) or tuple(payload["columns"]) != columns:
         raise ValueError(
             f"meta-model columns must be the {predictor_set!r} catalogue: "
@@ -692,10 +668,9 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
     )
     # key order in the payload is not trustworthy (JSON writers may sort),
     # so the moments are read in the canonical catalogue order
-    moments = {}
-    for part, label, names in (
-        ("mains", "main-effect", mains_used),
-        ("interactions", "interaction", interactions),
+    moments = []
+    for (part, names), label in zip(
+        _moment_parts(columns[1:]).items(), ("main-effect", "interaction")
     ):
         given = _column_map(std[part], names, f"standardization of {part}")
         unknown = sorted(set(given) - set(names))
@@ -706,19 +681,11 @@ def meta_model_from_dict(payload: Mapping) -> MetaModel:
             entry = _column_map(given[name], ("mean", "sd"), f"moments of {name}")
             pairs.extend((entry["mean"], entry["sd"]))
         what = f"meta-model standardization of {part}"
-        moments[part] = finite_floats(pairs, what).reshape(-1, 2)
-        if np.any(moments[part][:, 1] <= 0.0):
+        moments.append(finite_floats(pairs, what).reshape(-1, 2))
+        if np.any(moments[-1][:, 1] <= 0.0):
             raise ValueError(f"{what} needs sd > 0")
-    design = DesignMatrix(
-        column_names=columns,
-        predictor_set=predictor_set,
-        mains_used=mains_used,
-        main_means=moments["mains"][:, 0],
-        main_sds=moments["mains"][:, 1],
-        interaction_means=moments["interactions"][:, 0],
-        interaction_sds=moments["interactions"][:, 1],
-        matrix=None,
-    )
+    means, sds = np.concatenate(moments).T
+    design = DesignMatrix(predictor_set, means, sds)
 
     def column_values(key: str) -> list | None:
         if key != "coefficients" and payload.get(key) is None:

@@ -13,6 +13,10 @@ __all__ = ["scatter_svg"]
 
 _SIZE = 480
 _MARGIN = 52
+#: Shared range of both axes, their tick values and the point radius.
+_LIMITS = (0.0, 100.0)
+_TICKS = (0, 20, 40, 60, 80, 100)
+_RADIUS = 3.0
 
 
 def _fmt(v: float) -> str:
@@ -26,17 +30,14 @@ def scatter_svg(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    limits: tuple[float, float] = (0.0, 100.0),
-    ticks: Sequence[float] = (0, 20, 40, 60, 80, 100),
-    identity_line: bool = True,
-    radius: float = 3.0,
 ) -> str:
-    """Square scatter plot of paired values on a shared axis range."""
+    """Square scatter plot of paired values over 0-100 on both axes.
+
+    A dashed identity line marks where the two values agree.
+    """
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x values vs {len(y)} y values")
-    lo, hi = limits
-    if hi <= lo:
-        raise ValueError("axis limits must be increasing")
+    lo, hi = _LIMITS
     span = hi - lo
     inner = _SIZE - 2 * _MARGIN
 
@@ -63,7 +64,7 @@ def scatter_svg(
     y0, y1 = sy(lo), sy(hi)
     parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" {axis}/>')
     parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" {axis}/>')
-    for t in ticks:
+    for t in _TICKS:
         px, py = sx(t), sy(t)
         parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" y2="{_fmt(y0 + 5)}" {axis}/>')
         parts.append(
@@ -87,15 +88,14 @@ def scatter_svg(
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 {cx} {cy:.0f})">{escape(y_label)}</text>'
         )
-    if identity_line:
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(sy(lo))}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(sy(hi))}" stroke="#888888" stroke-width="1" '
-            'stroke-dasharray="5,4"/>'
-        )
+    parts.append(
+        f'<line x1="{_fmt(x0)}" y1="{_fmt(sy(lo))}" x2="{_fmt(x1)}" '
+        f'y2="{_fmt(sy(hi))}" stroke="#888888" stroke-width="1" '
+        'stroke-dasharray="5,4"/>'
+    )
     for xv, yv in zip(x, y):
         parts.append(
-            f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="{radius:g}" '
+            f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="{_RADIUS:g}" '
             'fill="#1f6fb2" fill-opacity="0.45" stroke="none"/>'
         )
     parts.append("</svg>")

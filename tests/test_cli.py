@@ -812,6 +812,14 @@ class TestMeta:
         assert payload["selected_alpha"] == 0.25
         assert len(payload["curve"]) == 1
 
+    @pytest.mark.parametrize("grid", ["", "0.1,,0.2", "low"])
+    def test_grid_that_is_not_numbers_fails(self, files, capsys, grid):
+        code, out, err = run_cli(
+            ["meta", "select-alpha", "--obs", files["obs"], "--grid", grid], capsys
+        )
+        assert (code, out) == (1, "")
+        assert f"--grid must be comma-separated numbers, got {grid!r}" in err
+
     def test_bad_grid_value_fails(self, files, capsys):
         code, _, err = run_cli(
             ["meta", "select-alpha", "--obs", files["obs"], "--grid", "0.7"], capsys

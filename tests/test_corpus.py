@@ -200,6 +200,19 @@ class TestFileRoundTrips:
         write_corpus(read_corpus(p1, format=fmt), p2, format=fmt)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_unicode_line_breaks_inside_names_round_trip(self, tmp_path, fmt):
+        # str.splitlines also breaks at these; in a corpus file only "\n" does
+        breaks = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+        tokens = tuple(Token(f"a{c}b", frozenset({f"f{c}", "cap"})) for c in breaks)
+        docs = (Document("doc", tokens, (Span("t", 1, 3),)), make_doc("x", ["y"]))
+        p1, p2 = tmp_path / "a", tmp_path / "b"
+        write_corpus(Corpus(docs, ("t",)), p1, format=fmt)
+        loaded = read_corpus(p1, format=fmt)
+        assert [(d.tokens, d.spans) for d in loaded] == [(d.tokens, d.spans) for d in docs]
+        write_corpus(loaded, p2, format=fmt)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_jsonl_ids_preserved_tsv_ids_positional(self, tmp_path):
         path = tmp_path / "c"
         write_corpus(_sample_corpus(), path, format="jsonl")

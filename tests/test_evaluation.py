@@ -97,6 +97,14 @@ class TestF1Report:
         assert "b" not in rep.per_type
         assert rep.micro.f1 == 100.0
 
+    def test_repeated_type_counts_once(self):
+        # one correct A span and one spurious B span
+        counts = EvalCounts({"A": TypeCounts(1, 0, 0), "B": TypeCounts(0, 1, 0)})
+        once = f1_report(counts, types=["A", "B"])
+        repeated = f1_report(counts, types=["A", "A", "B"])
+        assert repeated == once
+        assert once.micro.f1 == pytest.approx(200.0 / 3.0)
+
     def test_precision_recall_formulas(self):
         rep = f1_report(EvalCounts({"t": TypeCounts(3, 1, 2)}))
         prf = rep.per_type["t"]

@@ -5,6 +5,9 @@ cross-validation protocol."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -28,10 +31,10 @@ from spanmeta import (
 from spanmeta.meta import (
     ARCH_MAINS,
     DEFAULT_ALPHA_GRID,
-    DesignMatrix,
     FULL_COLUMNS,
     INTERACTION_COLUMNS,
     MAIN_COLUMNS,
+    PREDICTOR_SETS,
     ablate,
     alpha_mae_curve,
     meta_model_from_dict,
@@ -290,20 +293,14 @@ class TestOls:
         assert np.max(np.abs(design.matrix.T @ resid)) < 1e-8
 
     def test_rank_deficiency_names_dependent_columns(self):
-        base = np.random.default_rng(11).standard_normal((20, 2))
-        design = DesignMatrix(
-            column_names=("intercept", "a", "a_copy"),
-            predictor_set="no_interactions",
-            mains_used=(),
-            main_means=np.empty(0),
-            main_sds=np.empty(0),
-            interaction_means=np.empty(0),
-            interaction_sds=np.empty(0),
-            matrix=np.column_stack([np.ones(20), base[:, 0], base[:, 0]]),
-        )
+        obs = synth_observations(np.random.default_rng(11))
+        design = build_design_matrix(obs, "no_interactions")
+        X = design.matrix.copy()
+        names = design.column_names
+        X[:, names.index("lstm")] = X[:, names.index("crf")]
         with pytest.raises(ValueError, match="rank deficient") as err:
-            fit_ols(design, np.zeros(20))
-        assert "a" in str(err.value)
+            fit_ols(dataclasses.replace(design, matrix=X), np.zeros(len(obs)))
+        assert str(err.value).split(": ")[-1] in ("crf", "lstm")
 
     def test_needs_more_rows_than_columns(self):
         obs = synth_observations(np.random.default_rng(12))
@@ -396,18 +393,24 @@ class TestFitAndPredict:
         fitted_b = inverse_padded_logit(b.design.matrix @ b.coefficients, b.alpha)
         assert np.max(np.abs(fitted_a - fitted_b)) < 1e-6
 
-    def test_serialization_round_trip_predicts_identically(self):
+    @pytest.mark.parametrize("predictor_set", list(PREDICTOR_SETS))
+    def test_serialization_round_trip_predicts_identically(self, predictor_set):
         obs = synth_observations(np.random.default_rng(21))
-        model = fit_meta_model(obs)
+        model = fit_meta_model(obs, predictor_set=predictor_set)
         payload = json.loads(json.dumps(meta_model_to_dict(model)))
+        std = payload["standardization"]
+        assert set(std["mains"]) <= set(MAIN_COLUMNS)
+        assert set(std["interactions"]) <= set(INTERACTION_COLUMNS)
+        names = PREDICTOR_SETS[predictor_set]
+        assert [*std["mains"], *std["interactions"]] == list(names)
         back = meta_model_from_dict(payload)
-        assert back.column_names == model.column_names
+        assert back.column_names == model.column_names == ("intercept", *names)
         assert back.alpha == model.alpha
         assert back.residual_df == model.residual_df
+        assert np.array_equal(back.design.means, model.design.means)
+        assert np.array_equal(back.design.sds, model.design.sds)
         for o in obs[:10]:
-            assert predict(back, o.arch, o.profile) == pytest.approx(
-                predict(model, o.arch, o.profile), abs=1e-12
-            )
+            assert predict(back, o.arch, o.profile) == predict(model, o.arch, o.profile)
 
     def test_round_trip_survives_sorted_json_keys(self):
         # writers are free to reorder object keys, so the standardization
@@ -639,3 +642,13 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError, match="line 2.*finite"):
             observations_from_csv(path)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would be most of the import time of every command
+    code = "import sys, spanmeta, spanmeta.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
