@@ -149,7 +149,7 @@ def _train_config(args) -> TrainConfig:
     if args.config:
         defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
         text = Path(args.config).read_text(encoding="utf-8")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -4,7 +4,9 @@ The data model is deliberately small. A ``Document`` is an ordered tuple of
 ``Token`` objects plus a tuple of non-overlapping, token-indexed ``Span``
 annotations, and a ``Corpus`` bundles documents with a span-type inventory
 and a partition tag. Everything is immutable after construction, so corpora
-can be shared freely between threads.
+can be shared freely between threads. ``read_corpus`` builds and checks
+each distinct token once: equal tokens of one read share one immutable
+``Token`` object.
 
 Two interchange formats are supported:
 
@@ -354,9 +356,23 @@ def _to_jsonl(corpus: Corpus) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
+    """The token with this surface and these features, built and checked
+    on first sight; later sightings in the same read reuse that object."""
+    key = (surface, *features)
+    try:
+        token = seen.get(key)
+    except TypeError:  # an unhashable entry, such as a list: Token rejects it
+        return Token(surface, features)
+    if token is None:
+        token = seen[key] = Token(surface, features)
+    return token
+
+
 def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]:
     docs: list[Document] = []
     dropped = 0
+    seen: dict[tuple, Token] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -365,7 +381,7 @@ def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]
         except json.JSONDecodeError as e:
             raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
         try:
-            doc, n_bad = _document_from_obj(obj, drop_misaligned)
+            doc, n_bad = _document_from_obj(obj, drop_misaligned, seen)
         except (KeyError, TypeError, ValueError) as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
         docs.append(doc)
@@ -373,7 +389,9 @@ def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]
     return docs, dropped
 
 
-def _document_from_obj(obj: object, drop_misaligned: bool) -> tuple[Document, int]:
+def _document_from_obj(
+    obj: object, drop_misaligned: bool, seen: dict[tuple, Token]
+) -> tuple[Document, int]:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object per line")
     doc_id = obj.get("id")
@@ -389,7 +407,7 @@ def _document_from_obj(obj: object, drop_misaligned: bool) -> tuple[Document, in
         feats = tk.get("features", [])
         if not isinstance(feats, list):
             raise ValueError(f"document {doc_id!r}: malformed feature list")
-        tokens.append(Token(tk["surface"], feats))
+        tokens.append(_token(seen, tk["surface"], feats))
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise ValueError(f"document {doc_id!r}: non-list 'spans'")
@@ -436,6 +454,7 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> tuple[list[Document], int]:
     docs: list[Document] = []
     rows: list[tuple[Token, str]] = []
     first_row_line = 0
+    seen: dict[tuple, Token] = {}
 
     def flush() -> None:
         nonlocal rows
@@ -468,7 +487,7 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> tuple[list[Document], int]:
         if not rows:
             first_row_line = lineno
         try:
-            token = Token(surface, frozenset(cols[2:]))
+            token = _token(seen, surface, cols[2:])
         except ValueError as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from None
         rows.append((token, label))

@@ -26,9 +26,17 @@ def token_feature_names(token: Token) -> list[str]:
 
 @dataclass(frozen=True)
 class FeatureIndex:
-    """Injective map from indicator name to dense id, frozen after fitting."""
+    """Injective map from indicator name to dense id, frozen after fitting.
+
+    ``encode_document`` caches the encoded bag of each distinct token and
+    hands out the cached list every time that token recurs, so the bags it
+    returns are shared and must not be mutated.
+    """
 
     ids: Mapping[str, int] = field(default_factory=dict)
+    _bags: dict[Token, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", dict(self.ids))
@@ -61,4 +69,5 @@ class FeatureIndex:
         return [self.ids.get(name, unk) for name in token_feature_names(token)]
 
     def encode_document(self, doc: Document) -> list[list[int]]:
-        return [self.encode(t) for t in doc.tokens]
+        bags = self._bags  # no bag is empty: each holds its surface indicator
+        return [bags.get(t) or bags.setdefault(t, self.encode(t)) for t in doc.tokens]

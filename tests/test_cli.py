@@ -456,6 +456,16 @@ class TestTrain:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
+    def test_unicode_line_break_stays_inside_a_comment(self, files, tmp_path, capsys, brk):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"# old value{brk}seed = 3\n# retired{brk}warmup = 5\nmax_epochs = 1\n")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        common = ["train", "--arch", "baseline", "--train", files["train"]]
+        assert run_cli(common + ["--config", str(cfg), "--out", str(a)], capsys)[0] == 0
+        assert run_cli(common + ["--max-epochs", "1", "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_config_key_fails_with_location(self, files, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("seed = 1\nwarmup = 5\n")

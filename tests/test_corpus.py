@@ -344,6 +344,101 @@ class TestReadErrors:
         assert len(read_corpus(path)) == 0
 
 
+def _jsonl_line(doc_id, tokens, spans=()):
+    return json.dumps(
+        {
+            "id": doc_id,
+            "tokens": [{"surface": s, "features": f} for s, f in tokens],
+            "spans": [{"type": t, "start": a, "end": b} for t, a, b in spans],
+        }
+    )
+
+
+def _tsv_row(surface, features, label="O"):
+    return "\t".join([surface, label, *features])
+
+
+class TestInterning:
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_equal_tokens_of_one_read_are_one_object(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        docs = (
+            Document("a", (Token("x", frozenset({"f", "g"})), Token("y"), Token("x"))),
+            Document("b", (Token("y"), Token("x", frozenset({"g", "f"})), Token("x"))),
+        )
+        write_corpus(Corpus(docs, ()), path, format=fmt)
+        first, second = read_corpus(path, format=fmt), read_corpus(path, format=fmt)
+        a, b = first.documents
+        assert a.tokens[0] is b.tokens[1]  # x with {f, g}
+        assert a.tokens[1] is b.tokens[0]  # y
+        assert a.tokens[2] is b.tokens[2]  # x with no features
+        assert a.tokens[0] is not a.tokens[2]
+        assert first.documents[0].tokens[0] is not second.documents[0].tokens[0]
+        assert [d.tokens for d in first] == [d.tokens for d in docs]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_feature_order_does_not_matter(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        orders = (["b", "a"], ["a", "b"], ["a", "b", "a"])
+        if fmt == "jsonl":
+            path.write_text(_jsonl_line("d", [("x", f) for f in orders]) + "\n")
+        else:
+            path.write_text("".join(_tsv_row("x", f) + "\n" for f in orders))
+        tokens = read_corpus(path, format=fmt).documents[0].tokens
+        assert tokens[0] == tokens[1] == tokens[2] == Token("x", frozenset("ab"))
+        assert len({hash(t) for t in tokens}) == 1
+
+    @pytest.mark.parametrize(
+        "bad", [["f", ""], ["f", 3], [""], ["f", None]], ids=["empty", "int", "only", "null"]
+    )
+    def test_jsonl_malformed_repeat_reports_its_own_line(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            _jsonl_line("a", [("x", ["f"]), ("y", [])]) + "\n"
+            + _jsonl_line("b", [("y", []), ("x", ["f"])]) + "\n"
+            + _jsonl_line("c", [("x", ["f"]), ("x", bad)]) + "\n"
+        )  # fmt: skip
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path)
+        assert str(info.value) == "line 3: feature names must be non-empty strings"
+
+    @pytest.mark.parametrize("bad", [["f", ""], [""]], ids=["trailing_tab", "empty"])
+    def test_tsv_malformed_repeat_reports_its_own_line(self, tmp_path, bad):
+        path = tmp_path / "c.tsv"
+        rows = [_tsv_row("x", ["f"]), _tsv_row("x", ["f"]), "", _tsv_row("x", bad)]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path, format="conll_tsv")
+        assert str(info.value) == "line 4: feature names must be non-empty strings"
+
+    @pytest.mark.parametrize("entry", [["f"], {"f": 1}], ids=["list", "object"])
+    def test_unhashable_feature_entry_reports_its_line(self, tmp_path, entry):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            _jsonl_line("a", [("x", ["f"])]) + "\n"
+            + _jsonl_line("b", [("x", ["f"]), ("x", ["f", entry])]) + "\n"
+        )  # fmt: skip
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path)
+        assert str(info.value) == "line 2: feature names must be non-empty strings"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_drop_misaligned_counts_every_document(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        tokens = [("x", ["f"]), ("y", []), ("x", ["f"])]
+        path.write_text(
+            _jsonl_line("a", tokens, [("t", 0, 1), ("t", 2, 9)]) + "\n"
+            + _jsonl_line("b", tokens, [("t", 3, 4), ("t", 1, 1)]) + "\n"
+            + _jsonl_line("c", tokens, [("t", 1, 3)]) + "\n"
+        )  # fmt: skip
+        with caplog.at_level("WARNING"):
+            loaded = read_corpus(path, drop_misaligned=True)
+        assert [d.spans for d in loaded] == [(Span("t", 0, 1),), (), (Span("t", 1, 3),)]
+        assert [r.getMessage().split(" misaligned")[0] for r in caplog.records] == [
+            "dropped 3"
+        ]
+
+
 class TestBioSequence:
     def test_len_and_iter(self):
         seq = BioSequence(("O", "B-t"))

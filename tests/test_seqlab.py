@@ -3,12 +3,22 @@ and protocol-level checks on the training loop."""
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
-from spanmeta.corpus import BioSequence, Corpus, Document, Span, Token, bio_decode
+from spanmeta.corpus import (
+    BioSequence,
+    Corpus,
+    Document,
+    Span,
+    Token,
+    bio_decode,
+    read_corpus,
+)
 from spanmeta.evaluation import EvalCounts, count_matches, f1_report
 from spanmeta.seqlab import (
     Adam,
@@ -65,6 +75,30 @@ class TestFeatureIndex:
         doc = make_doc("e", ["b", "q"])
         assert index.encode_document(doc) == [[1], [index.unk_id]]
 
+    def test_encode_document_matches_per_token_encode(self):
+        # repeated tokens, tokens unseen at fit time and an empty bag, read
+        # back interned; the same documents again as distinct equal objects
+        docs = _memo_corpus().documents
+        index = FeatureIndex.fit(docs[:1])
+        fresh = [Document(d.id, tuple(Token(t.surface, t.features) for t in d.tokens))
+                 for d in docs]  # fmt: skip
+        for doc in (*docs, *fresh, *docs):
+            assert index.encode_document(doc) == [index.encode(t) for t in doc.tokens]
+        assert index.unk_id in index.encode_document(docs[1])[-1]
+
+    def test_encoding_leaves_equality_repr_and_model_file_alone(self):
+        docs = _memo_corpus().documents
+        used, fresh = FeatureIndex.fit(docs), FeatureIndex.fit(docs)
+        for doc in docs:
+            used.encode_document(doc)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        weights = np.zeros((fresh.num_features + 1, 3))
+        labels = ("O", "B-t", "I-t")
+        assert model_to_dict(TokenClassifierModel(used, labels, weights)) == model_to_dict(
+            TokenClassifierModel(fresh, labels, weights)
+        )
+
     def test_non_dense_ids_rejected(self):
         with pytest.raises(ValueError, match="0..len-1"):
             FeatureIndex({"a": 0, "b": 2})
@@ -73,6 +107,23 @@ class TestFeatureIndex:
     def test_non_integer_ids_rejected(self, ids):
         with pytest.raises(ValueError, match="integers 0..len-1"):
             FeatureIndex(ids)
+
+
+def _memo_corpus() -> Corpus:
+    """Two documents with repeated tokens, tokens unseen in the first one,
+    and a token with an empty feature bag, read back from JSON lines."""
+    rows = [
+        [("the", ["low"]), ("red", ["cap", "adj"]), ("the", ["low"]), ("red", ["adj", "cap"])],
+        [("red", ["cap", "adj"]), ("dog", []), ("the", ["low"]), ("dog", ["new"])],
+    ]
+    lines = [
+        json.dumps({"id": f"d{i}", "tokens": [{"surface": s, "features": f} for s, f in row]})
+        for i, row in enumerate(rows)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return read_corpus(path, partition="test")
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +726,29 @@ class TestPredict:
             [seq] = predict(model, corpus)
             assert len(seq) == 2
 
+    @pytest.mark.parametrize("arch", ["baseline", "crf", "crf_masked"])
+    def test_predict_matches_per_token_encoding(self, arch):
+        corpus = _memo_corpus()
+        index = FeatureIndex.fit(corpus.documents[:1])
+        rng = np.random.default_rng(13)
+        labels = ("O", "B-t", "I-t")
+        weights = rng.standard_normal((index.num_features + 1, 3))
+        if arch == "baseline":
+            model = TokenClassifierModel(index, labels, weights)
+        else:
+            transitions, start, stop = rng.standard_normal((3, 3)), *rng.standard_normal((2, 3))
+            model = LinearChainCrfModel(
+                index, labels, weights, transitions, start, stop, arch == "crf_masked"
+            )
+        for _ in range(2):  # the second pass reads every bag from the cache
+            for doc, seq in zip(corpus, predict(model, corpus)):
+                bags = [index.encode(t) for t in doc.tokens]
+                if arch == "baseline":
+                    want = [labels[int(np.argmax(_manual_emission(model, b)))] for b in bags]
+                    assert list(seq) == want
+                else:
+                    assert seq == crf_viterbi(model, bags)
+
     def test_empty_document_predicts_empty_sequence(self):
         _, _, crf, base = self._fitted_models()
         corpus = Corpus((Document("e", ()),), ("t",), partition="test")
@@ -835,6 +909,14 @@ class TestTraining:
             dev_c = Corpus(dev_docs, inventory, partition="dev")
             result = train("crf", train_c, dev_c, TrainConfig(max_epochs=1))
             assert result.model.labels == ("O", "B-p", "I-p", "B-l", "I-l")
+
+    @pytest.mark.parametrize("arch", ["baseline", "crf"])
+    def test_training_leaves_cached_bags_intact(self, arch):
+        train_c, dev_c = _toy_corpora(6, 2)
+        config = TrainConfig(max_epochs=2, batch_size=2, feature_dropout_prob=0.5)
+        index = train(arch, train_c, dev_c, config).model.feature_index
+        for doc in (*train_c, *dev_c):
+            assert index.encode_document(doc) == [index.encode(t) for t in doc.tokens]
 
     def test_zero_epochs_returns_zero_weights_and_empty_log(self):
         train_c, dev_c = _toy_corpora(3, 1)
