@@ -127,21 +127,32 @@ def _cmd_profile(args) -> None:
 # train
 
 
-def _coerce_option(name: str, value: str, default):
+def _coerce_option(value: str, default):
+    """Parse a config-file value as the type of the option's default."""
     if isinstance(default, bool):
         low = value.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"option {name}: expected a boolean, got {value!r}")
+        raise ValueError(f"expected a boolean, got {value!r}")
     if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, tuple):
-        return tuple(float(part) for part in value.split(","))
-    raise ValueError(f"option {name} cannot be set from the config file")
+        kind = "an integer"
+    elif isinstance(default, float):
+        kind = "a number"
+    elif isinstance(default, tuple):
+        kind = f"{len(default)} comma-separated numbers"
+    else:
+        raise ValueError("cannot be set from the config file")
+    try:
+        if not isinstance(default, tuple):
+            return type(default)(value)
+        parts = tuple(float(part) for part in value.split(","))
+        if len(parts) == len(default):
+            return parts
+    except ValueError:
+        pass
+    raise ValueError(f"expected {kind}, got {value!r}")
 
 
 def _train_config(args) -> TrainConfig:
@@ -161,7 +172,10 @@ def _train_config(args) -> TrainConfig:
                 raise ValueError(
                     f"{args.config}:{lineno}: unknown training option {key!r}"
                 )
-            overrides[key] = _coerce_option(key, value.strip(), defaults[key])
+            try:
+                overrides[key] = _coerce_option(value.strip(), defaults[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}:{lineno}: option {key}: {exc}") from None
     if args.seed is not None:  # flag beats config file
         overrides["seed"] = args.seed
     if args.max_epochs is not None:
@@ -477,3 +491,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

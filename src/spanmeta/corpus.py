@@ -274,7 +274,14 @@ def bio_decode(
 
 
 def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
-    """Serialize a corpus to ``path`` in the given format (UTF-8, LF)."""
+    """Serialize a corpus to ``path`` in the given format (UTF-8, LF).
+
+    ``conll_tsv`` keeps neither document ids nor empty documents, and its
+    columns cannot hold a tab, line feed or carriage return, so a document
+    with no tokens, or such a character in a surface, span type or feature
+    name, raises ``ValueError`` naming the document and token position.
+    ``jsonl`` holds all of these.
+    """
     if format == "jsonl":
         text = _to_jsonl(corpus)
     elif format == "conll_tsv":
@@ -440,12 +447,22 @@ def _document_from_obj(
 def _to_conll_tsv(corpus: Corpus) -> str:
     blocks = []
     for doc in corpus.documents:
+        if not doc.tokens:
+            raise ValueError(
+                f"document {doc.id!r}: conll_tsv cannot hold a document with no tokens"
+            )
         labels = bio_encode(doc, corpus.span_type_inventory)
         rows = []
-        for tok, lab in zip(doc.tokens, labels):
-            cols = [tok.surface, lab]
-            cols.extend(sorted(tok.features))
-            rows.append("\t".join(cols))
+        for position, (tok, lab) in enumerate(zip(doc.tokens, labels)):
+            cols = [tok.surface, lab, *sorted(tok.features)]
+            row = "\t".join(cols)
+            if row.count("\t") != len(cols) - 1 or "\n" in row or "\r" in row:
+                raise ValueError(
+                    f"document {doc.id!r}, token {position}: conll_tsv cannot hold "
+                    "a tab, line feed or carriage return in a surface, label or "
+                    "feature name"
+                )
+            rows.append(row)
         blocks.append("\n".join(rows))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 

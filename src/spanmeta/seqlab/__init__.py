@@ -1,42 +1,8 @@
 """Trainable span labelers: token softmax and linear-chain CRF."""
 
-from .features import FeatureIndex, token_feature_names
-from .models import (
-    NEG_INF,
-    LinearChainCrfModel,
-    TokenClassifierModel,
-    baseline_nll_gradient,
-    bio_start_mask,
-    bio_transition_mask,
-    crf_log_partition,
-    crf_nll_gradient,
-    crf_viterbi,
-    model_from_dict,
-    model_to_dict,
-    predict,
-    sequence_score,
-)
-from .training import Adam, EpochRecord, TrainConfig, TrainResult, train
+from . import features, models, training
+from .features import *  # noqa: F403
+from .models import *  # noqa: F403
+from .training import *  # noqa: F403
 
-__all__ = [
-    "FeatureIndex",
-    "token_feature_names",
-    "NEG_INF",
-    "TokenClassifierModel",
-    "LinearChainCrfModel",
-    "bio_transition_mask",
-    "bio_start_mask",
-    "crf_log_partition",
-    "crf_viterbi",
-    "sequence_score",
-    "crf_nll_gradient",
-    "baseline_nll_gradient",
-    "predict",
-    "model_to_dict",
-    "model_from_dict",
-    "Adam",
-    "EpochRecord",
-    "TrainConfig",
-    "TrainResult",
-    "train",
-]
+__all__ = [*features.__all__, *models.__all__, *training.__all__]

@@ -73,13 +73,6 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _indicators(encoded: Encoded) -> tuple[np.ndarray, np.ndarray]:
-    """Position and id of every active indicator, in token order."""
-    sizes = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.intp, count=sizes.sum())
-    return np.repeat(np.arange(len(encoded)), sizes), ids
-
-
 class _Tokens(NamedTuple):
     """A batch of sequences laid end to end as one run of tokens."""
 
@@ -105,7 +98,10 @@ def _flatten(docs: Sequence[Encoded]) -> _Tokens:
     if not lengths.all():
         raise ValueError("sequence must contain at least one position")
     heads = np.cumsum(lengths) - lengths
-    return _Tokens(heads, lengths, *_indicators(list(chain.from_iterable(docs))))
+    bags = list(chain.from_iterable(docs))
+    sizes = np.fromiter(map(len, bags), dtype=np.intp, count=len(bags))
+    ids = np.fromiter(chain.from_iterable(bags), dtype=np.intp, count=sizes.sum())
+    return _Tokens(heads, lengths, np.repeat(np.arange(len(bags)), sizes), ids)
 
 
 def _emissions(weights: np.ndarray, tokens: _Tokens) -> np.ndarray:
@@ -425,9 +421,9 @@ def crf_nll_gradient(
     prev = tokens.links
     after = em[prev + 1] + beta[prev + 1]
     d_trans = _pair_marginals(alpha[prev], after, token_z[prev], rescaled)
-    n_labels = len(model.labels)
-    gold = np.bincount(ids[prev] * n_labels + ids[prev + 1], minlength=n_labels**2)
-    d_trans -= gold.reshape(n_labels, n_labels)
+    gold = np.zeros_like(d_trans)
+    np.add.at(gold, (ids[prev], ids[prev + 1]), 1.0)
+    d_trans -= gold
     d_start = resid[tokens.heads].sum(axis=0)
     d_stop = resid[tokens.tails].sum(axis=0)
     return loss, [d_em, d_trans, d_start, d_stop]

@@ -12,6 +12,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ from .features import FeatureIndex
 from .models import (
     LinearChainCrfModel,
     TokenClassifierModel,
-    _indicators,
     baseline_nll_gradient,
     crf_nll_gradient,
     predict,
@@ -52,6 +52,10 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
+        if len(self.betas) != 2 or not all(isinstance(b, Real) for b in self.betas):
+            raise ValueError(
+                f"adam betas must be exactly two numbers, got {self.betas!r}"
+            )
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError("adam betas must lie in [0, 1)")
@@ -67,6 +71,8 @@ class TrainConfig:
             raise ValueError("max epochs cannot be negative")
         if not 0 < self.dev_fraction < 1:
             raise ValueError("dev fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class Adam:
@@ -144,10 +150,8 @@ def _dropout(
     """
     if prob == 0.0:
         return encoded
-    positions, ids = _indicators(encoded)
-    keep = rng.random(len(ids)) >= prob
-    sizes = np.bincount(positions[keep], minlength=len(encoded))
-    return [bag.tolist() for bag in np.split(ids[keep], np.cumsum(sizes)[:-1])]
+    keep = iter((rng.random(sum(map(len, encoded))) >= prob).tolist())
+    return [[i for i in bag if next(keep)] for bag in encoded]
 
 
 def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:

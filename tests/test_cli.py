@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -19,10 +22,12 @@ import pytest
 from spanmeta import (
     ArchitectureFeatures,
     Corpus,
+    Document,
     EvalCounts,
     Observation,
     Span,
     SpanTypeProfile,
+    Token,
     alpha_mae_curve,
     count_matches,
     export_table,
@@ -476,14 +481,25 @@ class TestTrain:
         assert code == 1
         assert f"{cfg}:2: unknown training option" in err
 
-    def test_bad_config_value_fails(self, files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line", ["seed = eleven", "betas = 0.9", "batch_size = 2.5"]
+    )
+    def test_bad_config_value_fails(self, files, tmp_path, capsys, line):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("seed = eleven\n")
+        cfg.write_text(f"# options\n{line}\n")
         code, _, err = run_cli(
             ["train", "--arch", "baseline", "--train", files["train"], "--config", str(cfg)],
             capsys,
         )
         assert code == 1
+        option = line.split()[0]
+        assert f"{cfg}:2: option {option}: " in err
+
+    def test_negative_seed_fails_before_reading_corpora(self, capsys):
+        argv = ["train", "--arch", "crf", "--train", "/nonexistent.jsonl", "--seed", "-1"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "seed" in err
 
     @pytest.mark.parametrize("option", ["learning_rate", "eps"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -890,3 +906,60 @@ class TestReproduce:
         assert run_cli(["reproduce", "--out-dir", str(second)], capsys)[0] == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
         assert (first / "scatter.svg").read_bytes() == (second / "scatter.svg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# python -m spanmeta.cli, in a fresh interpreter
+
+
+def _run_module(args, **env):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    return subprocess.run(
+        [sys.executable, "-m", "spanmeta.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+class TestModuleEntry:
+    def test_help_prints_usage(self):
+        done = _run_module(["--help"])
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: spanmeta")
+
+    def test_unknown_command_is_a_usage_error(self):
+        done = _run_module(["transmogrify"])
+        assert done.returncode == 1
+        assert "invalid choice" in done.stderr
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # several features per token and two span types, so any iteration
+        # over a set or a str-keyed hash order would show in the bytes
+        rng = np.random.default_rng(17)
+        docs = []
+        for i in range(30):
+            n = int(rng.integers(4, 9))
+            tokens = []
+            for _ in range(n):
+                w = int(rng.integers(12))
+                features = {f"len={w % 3}", f"suffix={w % 4}", "cap"} if w < 4 else set()
+                tokens.append(Token(f"w{w}", frozenset(features)))
+            spans = [Span("p", 0, 2), Span("l", n - 1, n)]
+            docs.append(Document(f"d{i}", tuple(tokens), tuple(spans)))
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(tuple(docs), ("p", "l")), corpus)
+
+        outputs = []
+        for seed in ("0", "1"):
+            model = tmp_path / f"model{seed}.json"
+            profile = tmp_path / f"profile{seed}.json"
+            for args in (
+                ["train", "--arch", "crf", "--train", str(corpus), "--max-epochs", "1",
+                 "--seed", "5", "--out", str(model)],
+                ["profile", str(corpus), "--out", str(profile)],
+            ):
+                done = _run_module(args, PYTHONHASHSEED=seed)
+                assert done.returncode == 0, done.stderr
+            outputs.append((model.read_bytes(), profile.read_bytes()))
+        assert outputs[0] == outputs[1]

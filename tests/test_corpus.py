@@ -213,6 +213,30 @@ class TestFileRoundTrips:
         write_corpus(loaded, p2, format=fmt)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (Document("d", (Token("x"), Token("y", frozenset({"x\ty"})))), "token 1"),
+            (make_doc("d", ["x", "a\tb"]), "token 1"),
+            (make_doc("d", ["a\rb", "x"]), "token 0"),
+            (make_doc("d", ["x", "y", "a\nb"]), "token 2"),
+            (Document("d", (Token("x", frozenset({"f\r"})),)), "token 0"),
+            (make_doc("d", ["x", "y"], [Span("t\tu", 1, 2)]), "token 1"),
+            (Document("d", ()), "no tokens"),
+        ],
+        ids=["tab-feature", "tab-surface", "cr-surface", "lf-surface", "cr-feature",
+             "tab-type", "empty-doc"],
+    )
+    def test_tsv_writer_refuses_what_tsv_cannot_hold(self, tmp_path, doc, where):
+        inventory = tuple(dict.fromkeys(s.type_id for s in doc.spans))
+        corpus = Corpus((make_doc("a", ["p"]), doc, make_doc("b", ["q"])), inventory)
+        path = tmp_path / "c"
+        with pytest.raises(ValueError, match=f"document 'd'.*{where}"):
+            write_corpus(corpus, path, format="conll_tsv")
+        assert not path.exists()
+        write_corpus(corpus, path)
+        assert read_corpus(path, inventory=inventory).documents == corpus.documents
+
     def test_jsonl_ids_preserved_tsv_ids_positional(self, tmp_path):
         path = tmp_path / "c"
         write_corpus(_sample_corpus(), path, format="jsonl")

@@ -46,6 +46,37 @@ from spanmeta.seqlab import training as training_mod
 from helpers import brute_force_argmax, brute_force_log_partition, make_doc
 
 
+def test_public_names_resolve_on_the_package():
+    import spanmeta.seqlab as seqlab
+
+    assert set(seqlab.__all__) == {
+        "FeatureIndex",
+        "token_feature_names",
+        "NEG_INF",
+        "TokenClassifierModel",
+        "LinearChainCrfModel",
+        "bio_transition_mask",
+        "bio_start_mask",
+        "crf_log_partition",
+        "crf_viterbi",
+        "sequence_score",
+        "crf_nll_gradient",
+        "baseline_nll_gradient",
+        "predict",
+        "model_to_dict",
+        "model_from_dict",
+        "Adam",
+        "EpochRecord",
+        "TrainConfig",
+        "TrainResult",
+        "train",
+    }
+    assert len(seqlab.__all__) == len(set(seqlab.__all__))
+    for module in (seqlab.features, seqlab.models, seqlab.training):
+        for name in module.__all__:
+            assert getattr(seqlab, name) is getattr(module, name)
+
+
 class TestFeatureIndex:
     def test_fit_first_appearance_order(self):
         docs = [
@@ -846,6 +877,19 @@ class TestTrainConfig:
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"betas": (0.9,)}, "betas must be exactly two numbers"),
+            ({"betas": (0.9, 0.99, 0.999)}, "betas must be exactly two numbers"),
+            ({"betas": ("0.9", "0.99")}, "betas must be exactly two numbers"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+    )
+    def test_bad_values_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
 
 
