@@ -10,15 +10,7 @@ run = build_reproduction_report()
 out = Path("reproduction_out")
 out.mkdir(exist_ok=True)
 (out / "report.json").write_text(run.report.to_json())
-(out / "scatter.svg").write_text(
-    scatter_svg(
-        run.full_cv.actual,
-        run.full_cv.predictions,
-        title="Held-out prediction of span F1",
-        x_label="actual F1",
-        y_label="predicted F1",
-    )
-)
+(out / "scatter.svg").write_text(scatter_svg(run.full_cv.actual, run.full_cv.predictions))
 
 print(run.report.to_text())
 print(f"wrote {out / 'report.json'} and {out / 'scatter.svg'}")

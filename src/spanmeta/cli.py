@@ -47,6 +47,7 @@ from .metrics import (
 from .reference import export_table, load_embedded, to_observations
 from .report import build_reproduction_report
 from .seqlab import TrainConfig, model_to_dict, train
+from .seqlab.training import ARCHITECTURES
 from .svgplot import scatter_svg
 
 __all__ = ["main", "entry_point"]
@@ -80,16 +81,12 @@ def _write_csv(header: list[str], rows, out: str | None) -> None:
     _write_or_print(buf.getvalue(), out)
 
 
-def _read(path: str, fmt: str, **kwargs) -> Corpus:
-    return read_corpus(path, format=fmt, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # profile
 
 
 def _cmd_profile(args) -> None:
-    corpus = _read(args.corpus, args.input_format)
+    corpus = read_corpus(args.corpus, format=args.input_format)
     # the inventory is derived from the spans, so every type in it has some
     types = corpus.span_type_inventory
     if args.type:
@@ -156,9 +153,9 @@ def _coerce_option(value: str, default):
 
 
 def _train_config(args) -> TrainConfig:
-    overrides: dict[str, object] = {}
+    config = TrainConfig()
     if args.config:
-        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        options = {f.name for f in dataclasses.fields(TrainConfig)}
         text = Path(args.config).read_text(encoding="utf-8")
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
@@ -168,27 +165,28 @@ def _train_config(args) -> TrainConfig:
             key = key.strip()
             if not sep or not key:
                 raise ValueError(f"{args.config}:{lineno}: expected key=value")
-            if key not in defaults:
+            if key not in options:
                 raise ValueError(
                     f"{args.config}:{lineno}: unknown training option {key!r}"
                 )
             try:
-                overrides[key] = _coerce_option(value.strip(), defaults[key])
+                value = _coerce_option(value.strip(), getattr(config, key))
+                config = dataclasses.replace(config, **{key: value})
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: option {key}: {exc}") from None
     if args.seed is not None:  # flag beats config file
-        overrides["seed"] = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if args.max_epochs is not None:
-        overrides["max_epochs"] = args.max_epochs
-    return TrainConfig(**overrides)
+        config = dataclasses.replace(config, max_epochs=args.max_epochs)
+    return config
 
 
 def _cmd_train(args) -> None:
     config = _train_config(args)
-    train_corpus = _read(args.train, args.input_format)
-    dev_corpus = (
-        _read(args.dev, args.input_format, partition="dev") if args.dev else None
-    )
+    train_corpus = read_corpus(args.train, format=args.input_format)
+    dev_corpus = None
+    if args.dev:
+        dev_corpus = read_corpus(args.dev, format=args.input_format, partition="dev")
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
@@ -234,9 +232,9 @@ def _report_to_json(report: F1Report) -> dict:
 
 
 def _cmd_eval(args) -> None:
-    gold = _read(args.gold, args.input_format)
+    gold = read_corpus(args.gold, format=args.input_format)
     # model output may contain stray continuation labels
-    pred = _read(args.pred, args.input_format, decode_mode="lenient")
+    pred = read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
     counts = EvalCounts()
     for g, p in _pair_documents(gold, pred):
         counts = counts + count_matches(g.spans, p.spans)
@@ -305,9 +303,15 @@ def _cmd_meta_ablate(args) -> None:
 
 def _cmd_meta_predict(args) -> None:
     if args.model:
+        # a saved model carries its own padding and was fitted on its own data
+        given = (("--obs", args.obs), ("--alpha", args.alpha))
+        clash = [flag for flag, value in given if value is not None]
+        if clash:
+            raise ValueError(f"--model cannot be combined with {' or '.join(clash)}")
         model = meta_model_from_dict(json.loads(Path(args.model).read_text("utf-8")))
     else:
-        model = fit_meta_model(_observations(args), args.alpha)
+        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+        model = fit_meta_model(_observations(args), alpha)
     arch = ArchitectureFeatures(args.feat, args.crf, args.lstm, args.bert)
     profile = SpanTypeProfile(
         type_id="query",
@@ -350,13 +354,7 @@ def _cmd_reproduce(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(run.report.to_json(), encoding="utf-8")
-    svg = scatter_svg(
-        run.full_cv.actual,
-        run.full_cv.predictions,
-        title="Held-out prediction of span F1",
-        x_label="actual F1",
-        y_label="predicted F1",
-    )
+    svg = scatter_svg(run.full_cv.actual, run.full_cv.predictions)
     (out_dir / "scatter.svg").write_text(svg, encoding="utf-8")
     sys.stdout.write(run.report.to_text())
 
@@ -378,8 +376,12 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output here instead of stdout")
 
 
-def _add_obs_alpha(p: argparse.ArgumentParser) -> None:
+def _add_obs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--obs", help="observations CSV (default: bundled study data)")
+
+
+def _add_obs_alpha(p: argparse.ArgumentParser) -> None:
+    _add_obs(p)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="logit padding")
 
 
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("train", help="fit a labeler on a corpus")
-    p.add_argument("--arch", choices=("baseline", "crf"), required=True)
+    p.add_argument("--arch", choices=ARCHITECTURES, required=True)
     p.add_argument("--train", required=True, help="training corpus file")
     p.add_argument("--dev", help="dev corpus file (default: held-out split)")
     _add_input_format(p)
@@ -442,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = meta_sub.add_parser("predict", help="predict F1 for one configuration")
     _add_obs_alpha(p)
-    p.add_argument("--model", help="fitted model JSON (default: fit on observations)")
+    p.set_defaults(alpha=None)  # so that --model can refuse an explicit --alpha
+    p.add_argument("--model", help="fitted model JSON (default: fit on --obs with --alpha)")
     for flag in ("feat", "crf", "lstm", "bert"):
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--freq", type=int, required=True, help="span count")
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_meta_predict)
 
     p = meta_sub.add_parser("select-alpha", help="pick padding by cross-validated MAE")
-    _add_obs_alpha(p)
+    _add_obs(p)
     p.add_argument("--grid", help="comma-separated padding values to sweep")
     _add_out(p)
     p.set_defaults(func=_cmd_meta_select_alpha)

@@ -368,6 +368,12 @@ def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     )
 
 
+#: Coordinate descent stops once no coefficient moves by more than the
+#: tolerance relative to the largest, or after the sweep cap.
+_ENET_MAX_SWEEPS = 200_000
+_ENET_TOL = 1e-13
+
+
 def _soft_threshold(value: float, threshold: float) -> float:
     if value > threshold:
         return value - threshold
@@ -382,8 +388,6 @@ def fit_elastic_net(
     l1_weight: float,
     l2_weight: float,
     alpha: float = DEFAULT_ALPHA,
-    max_sweeps: int = 200_000,
-    tol: float = 1e-13,
 ) -> MetaModel:
     """Elastic net by cyclic coordinate descent.
 
@@ -404,7 +408,7 @@ def fit_elastic_net(
         raise ValueError("design matrix contains an all-zero column")
     skip_l1 = np.array([name == INTERCEPT for name in design.column_names])
     resid = y.copy()
-    for _ in range(max_sweeps):
+    for _ in range(_ENET_MAX_SWEEPS):
         max_delta = 0.0
         for j in range(k):
             xj = X[:, j]
@@ -416,7 +420,7 @@ def fit_elastic_net(
                 resid += xj * (beta[j] - new)
                 max_delta = max(max_delta, abs(new - beta[j]))
                 beta[j] = new
-        if max_delta <= tol * max(1.0, float(np.abs(beta).max())):
+        if max_delta <= _ENET_TOL * max(1.0, float(np.abs(beta).max())):
             break
     return MetaModel(alpha=alpha, design=design, coefficients=beta)
 
@@ -561,7 +565,6 @@ def ablate(
 def alpha_mae_curve(
     observations: Sequence[Observation],
     grid: Sequence[float] | None = None,
-    predictor_set: str = "full",
 ) -> list[tuple[float, float]]:
     """Full-model cross-validation MAE at each padding value."""
     grid = DEFAULT_ALPHA_GRID if grid is None else tuple(grid)
@@ -569,7 +572,7 @@ def alpha_mae_curve(
         raise ValueError("alpha grid is empty")
     for a in grid:
         _check_alpha(a)
-    cross_validate = _loso(list(observations), predictor_set)
+    cross_validate = _loso(list(observations), "full")
     return [(a, cross_validate(a).mae) for a in grid]
 
 
@@ -578,11 +581,9 @@ def best_alpha(curve: Sequence[tuple[float, float]]) -> float:
     return min(curve, key=lambda point: point[1])[0]
 
 
-def select_alpha(
-    observations: Sequence[Observation], grid: Sequence[float] | None = None
-) -> float:
-    """Grid value minimizing cross-validated MAE; ties go to the first."""
-    return best_alpha(alpha_mae_curve(observations, grid))
+def select_alpha(observations: Sequence[Observation]) -> float:
+    """Default-grid value minimizing cross-validated MAE; ties go to the first."""
+    return best_alpha(alpha_mae_curve(observations))
 
 
 # ---------------------------------------------------------------------------

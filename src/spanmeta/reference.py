@@ -91,8 +91,7 @@ class EmbeddedTables:
     """The reference study's data, validated and joined."""
 
     profiles: tuple[SpanTypeProfile, ...]
-    f1_matrix: np.ndarray  # (36, 12), rows align with profiles, cols with catalog
-    architectures: tuple[tuple[str, ArchitectureFeatures], ...]
+    f1_matrix: np.ndarray  # (36, 12), rows align with profiles, cols with ARCHITECTURES
 
     def profile(self, span_type_id: str) -> SpanTypeProfile:
         for p in self.profiles:
@@ -179,14 +178,14 @@ def load_embedded() -> EmbeddedTables:
     flag_tuples = {a.flags() for _, a in ARCHITECTURES}
     if len(flag_tuples) != 12:
         raise ValueError("architecture catalog contains duplicate flag tuples")
-    return EmbeddedTables(tuple(profiles), matrix, ARCHITECTURES)
+    return EmbeddedTables(tuple(profiles), matrix)
 
 
 def to_observations(tables: EmbeddedTables) -> list[Observation]:
     """Flatten the tables into the 432 (span type, architecture) cells."""
     out = []
     for i, profile in enumerate(tables.profiles):
-        for j, (_, arch) in enumerate(tables.architectures):
+        for j, (_, arch) in enumerate(ARCHITECTURES):
             out.append(
                 Observation(
                     span_type_id=profile.type_id,

@@ -173,8 +173,9 @@ def train(
     A dev corpus may use any of the training span types, in any order;
     its F1 is scored over the training inventory. With no dev corpus, a
     fraction of the training documents is held out for the
-    early-stopping signal. ``max_epochs`` of 0 returns the
-    zero-weight initial model with an empty log.
+    early-stopping signal. Training documents with no tokens are
+    skipped. ``max_epochs`` of 0 returns the zero-weight initial model
+    with an empty log.
     """
     if arch not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {arch!r}")
@@ -204,6 +205,11 @@ def train(
         held = set(rng.permutation(len(docs))[:n_held].tolist())
         dev_docs = [d for i, d in enumerate(docs) if i in held]
         train_docs = [d for i, d in enumerate(docs) if i not in held]
+    # a document with no tokens has nothing to learn from; dropped after the
+    # split, so that it does not change which documents are held out
+    train_docs = [d for d in train_docs if len(d)]
+    if not train_docs:
+        raise ValueError("no training document has any tokens")
 
     labels = bio_labels(inventory)
     index = FeatureIndex.fit(train_docs)

@@ -7,7 +7,6 @@ and elements appear in input order, so regenerated plots diff cleanly.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 __all__ = ["scatter_svg"]
 
@@ -23,15 +22,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def scatter_svg(
-    x: Sequence[float],
-    y: Sequence[float],
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """Square scatter plot of paired values over 0-100 on both axes.
+def scatter_svg(x: Sequence[float], y: Sequence[float]) -> str:
+    """Square scatter plot of actual (x) against predicted (y) F1, both 0-100.
 
     A dashed identity line marks where the two values agree.
     """
@@ -53,11 +45,10 @@ def scatter_svg(
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_SIZE / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
-        )
+    parts.append(
+        f'<text x="{_SIZE / 2:.0f}" y="24" text-anchor="middle" '
+        'font-family="sans-serif" font-size="15">Held-out prediction of span F1</text>'
+    )
 
     axis = 'stroke="black" stroke-width="1"'
     x0, x1 = sx(lo), sx(hi)
@@ -76,18 +67,16 @@ def scatter_svg(
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{_SIZE / 2:.0f}" y="{_SIZE - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
-        )
-    if y_label:
-        cx, cy = 16, _SIZE / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 {cx} {cy:.0f})">{escape(y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="{_SIZE / 2:.0f}" y="{_SIZE - 10}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13">actual F1</text>'
+    )
+    cx, cy = 16, _SIZE / 2
+    parts.append(
+        f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 {cx} {cy:.0f})">predicted F1</text>'
+    )
     parts.append(
         f'<line x1="{_fmt(x0)}" y1="{_fmt(sy(lo))}" x2="{_fmt(x1)}" '
         f'y2="{_fmt(sy(hi))}" stroke="#888888" stroke-width="1" '

@@ -141,6 +141,10 @@ def files(tmp_path_factory):
     write_corpus(_toy_training_corpus(12, "train", 71), paths["train"])
     paths["dev"] = root / "dev.jsonl"
     write_corpus(_toy_training_corpus(4, "dev", 72), paths["dev"])
+    toy = _toy_training_corpus(12, "train", 71)
+    with_empty = (make_doc("empty-0", []), *toy.documents, make_doc("empty-1", []))
+    paths["train_with_empty"] = root / "train_with_empty.jsonl"
+    write_corpus(Corpus(with_empty, toy.span_type_inventory), paths["train_with_empty"])
 
     gold = Corpus(
         (
@@ -482,7 +486,7 @@ class TestTrain:
         assert f"{cfg}:2: unknown training option" in err
 
     @pytest.mark.parametrize(
-        "line", ["seed = eleven", "betas = 0.9", "batch_size = 2.5"]
+        "line", ["seed = eleven", "betas = 0.9", "batch_size = 2.5", "learning_rate = -1"]
     )
     def test_bad_config_value_fails(self, files, tmp_path, capsys, line):
         cfg = tmp_path / "train.cfg"
@@ -520,6 +524,23 @@ class TestTrain:
             ["train", "--arch", "baseline", "--train", "/nonexistent.jsonl"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("arch", ["baseline", "crf"])
+    @pytest.mark.parametrize("dev", [True, False], ids=["dev", "held-out"])
+    def test_documents_without_tokens_are_skipped(self, files, tmp_path, capsys, arch, dev):
+        argv = ["train", "--arch", arch, "--max-epochs", "2", "--seed", "3"]
+        if dev:
+            argv += ["--dev", files["dev"]]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv_a = argv + ["--train", files["train_with_empty"], "--out", str(a)]
+        code, _, err = run_cli(argv_a, capsys)
+        assert code == 0, err
+        assert model_from_dict(json.loads(a.read_text("utf-8"))).labels == ("O", "B-p", "I-p")
+        if dev:
+            # with no held-out split to shift, the empty documents change nothing
+            argv_b = argv + ["--train", files["train"], "--out", str(b)]
+            assert run_cli(argv_b, capsys)[0] == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_dev_types_in_another_order_are_accepted(self, files, capsys):
         argv = ["train", "--arch", "crf", "--train", files["train_pl"], "--max-epochs", "1"]
@@ -782,6 +803,21 @@ class TestMeta:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--obs", "/nonexistent.csv"], ["--alpha", "0.3"], ["--alpha", "0.2"]],
+        ids=["obs", "alpha", "default-alpha"],
+    )
+    def test_predict_model_refuses_obs_and_alpha(self, tmp_path, capsys, extra):
+        model_path = tmp_path / "meta.json"
+        assert run_cli(["meta", "fit", "--out", str(model_path)], capsys)[0] == 0
+        argv = ["meta", "predict", "--model", str(model_path), "--freq", "50",
+                "--length", "2", "--sd", "1", "--bd", "1"]
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, out) == (1, "")
+        assert f"--model cannot be combined with {extra[0]}" in err
+        assert "Traceback" not in err
+
     def test_predict_model_without_columns_fails(self, tmp_path, capsys):
         model_path = tmp_path / "meta.json"
         assert run_cli(["meta", "fit", "--out", str(model_path)], capsys)[0] == 0
@@ -846,6 +882,12 @@ class TestMeta:
         assert (code, out) == (1, "")
         assert f"--grid must be comma-separated numbers, got {grid!r}" in err
 
+    def test_select_alpha_refuses_alpha(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["meta", "select-alpha", "--alpha", "0.3", "--grid", "0.1,0.2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --alpha 0.3" in capsys.readouterr().err
+
     def test_bad_grid_value_fails(self, files, capsys):
         code, _, err = run_cli(
             ["meta", "select-alpha", "--obs", files["obs"], "--grid", "0.7"], capsys
@@ -909,13 +951,13 @@ class TestReproduce:
 
 
 # ---------------------------------------------------------------------------
-# python -m spanmeta.cli, in a fresh interpreter
+# python -m spanmeta and python -m spanmeta.cli, in a fresh interpreter
 
 
-def _run_module(args, **env):
+def _run_module(args, module="spanmeta.cli", **env):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
     return subprocess.run(
-        [sys.executable, "-m", "spanmeta.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -930,6 +972,14 @@ class TestModuleEntry:
 
     def test_unknown_command_is_a_usage_error(self):
         done = _run_module(["transmogrify"])
+        assert done.returncode == 1
+        assert "invalid choice" in done.stderr
+
+    def test_package_runs_the_same_command_line(self):
+        done = _run_module(["--help"], module="spanmeta")
+        assert done.returncode == 0
+        assert done.stdout == _run_module(["--help"]).stdout
+        done = _run_module(["transmogrify"], module="spanmeta")
         assert done.returncode == 1
         assert "invalid choice" in done.stderr
 

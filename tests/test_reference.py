@@ -31,7 +31,6 @@ class TestLoad:
     def test_row_counts_and_shape(self, tables):
         assert len(tables.profiles) == 36
         assert tables.f1_matrix.shape == (36, 12)
-        assert tables.architectures == ARCHITECTURES
 
     def test_dataset_sizes(self, tables):
         for ds, expected in DATASETS.items():

@@ -936,6 +936,35 @@ class TestTraining:
         with pytest.raises(ValueError, match="at least two training documents"):
             train("baseline", c)
 
+    @pytest.mark.parametrize("with_dev", [True, False], ids=["dev", "held-out"])
+    def test_rejects_corpus_whose_documents_have_no_tokens(self, with_dev):
+        empty = Corpus((make_doc("a", []), make_doc("b", [])), ())
+        dev = Corpus((make_doc("c", ["x"]),), (), partition="dev") if with_dev else None
+        with pytest.raises(ValueError, match="no training document has any tokens"):
+            train("crf", empty, dev)
+
+    @pytest.mark.parametrize("arch", ["baseline", "crf"])
+    def test_empty_documents_are_skipped(self, arch):
+        train_c, dev_c = _toy_corpora(6, 2)
+        padded = Corpus(
+            (make_doc("e0", []), *train_c.documents[:3], make_doc("e1", []),
+             *train_c.documents[3:]),
+            train_c.span_type_inventory,
+        )
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=4)
+        a = train(arch, train_c, dev_c, cfg)
+        b = train(arch, padded, dev_c, cfg)
+        assert a.log == b.log
+        for pa, pb in zip(a.model.parameters(), b.model.parameters()):
+            assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("arch", ["baseline", "crf"])
+    def test_empty_documents_are_skipped_after_the_holdout_split(self, arch):
+        train_c, _ = _toy_corpora(9, 1)
+        docs = (*train_c.documents, *(make_doc(f"e{i}", []) for i in range(3)))
+        result = train(arch, Corpus(docs, ("p",)), config=TrainConfig(max_epochs=2))
+        assert len(result.log) >= 1
+
     def test_rejects_inventory_mismatch(self):
         train_c, _ = _toy_corpora(2, 1)
         dev_c = Corpus(train_c.documents, ("p", "extra"), partition="dev")
