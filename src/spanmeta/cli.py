@@ -54,7 +54,18 @@ __all__ = ["main", "entry_point"]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract here is exit 1."""
+    """argparse exits 2 on bad flags; the contract here is exit 1.
+
+    Each parser reports the arguments it does not know itself, so an
+    unknown flag on a subcommand prints that subcommand's usage, not the
+    top-level one (argparse would hand the leftovers up to ``spanmeta``).
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

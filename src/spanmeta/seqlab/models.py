@@ -22,17 +22,28 @@ lose it), or a cell whose pair scale ``w`` exceeds ``1 / _TINY``, is
 recomputed in log space inside the same step, so results stay exact for
 any finite weights.
 
+Viterbi decoding runs on the same grid, with max and argmax in place of
+the scaled sum; max-product cannot underflow, so it needs neither the
+rescaling nor the guard. Each step scores a (rows, next, prev) array, so
+the argmax over previous labels runs along its contiguous last axis, and
+the backtrack moves every row at once. A corpus is decoded in chunks of
+consecutive documents whose padded cells, the (T, rows, L) grid and the
+(rows, L, L) step array, stay within ``_CHUNK_CELLS``; memory does not grow
+with the corpus, and a document too long for the bound is decoded alone.
+The baseline's per-token argmax reads the same chunks.
+
 Label ids follow the order of the model's ``labels`` tuple. Argmax ties
 resolve toward the lower label id everywhere, including each Viterbi
-backpointer.
+backpointer and the choice of the last label, so a batch decodes every
+sequence exactly as it would be decoded alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +73,10 @@ NEG_INF = -1e30
 # Rescaled sums at or above this keep full relative precision (it is far
 # above the subnormal range); smaller ones are recomputed in log space.
 _TINY = 1e-300
+
+# Padded cells one decoding chunk may hold, in its (T, rows, L) grid and
+# its (rows, L, L) step array; a document past it is decoded on its own.
+_CHUNK_CELLS = 1 << 16
 
 Encoded = Sequence[Sequence[int]]
 
@@ -270,6 +285,35 @@ def _step(msg: np.ndarray, scores: _Rescaled) -> np.ndarray:
     return out
 
 
+class _Grid(NamedTuple):
+    """Per-token rows of a batch on a padded (T, B, L) grid.
+
+    Grid row b holds the b-th longest sequence (ties in batch order), so
+    the sequences still running at position t are the rows ``:live[t]``.
+    Padded cells are zero and never read. ``slots`` is the flat (t, b)
+    cell of every token: ``a.reshape(T * B, ...)[slots]`` reads a grid
+    back in token order.
+    """
+
+    cells: np.ndarray
+    live: np.ndarray
+    slots: np.ndarray
+
+
+def _pad(em: np.ndarray, tokens: _Tokens) -> _Grid:
+    """Lay the per-token rows ``em`` of a batch out on its grid."""
+    n_seq, n_labels = len(tokens.lengths), em.shape[1]
+    row = np.empty_like(tokens.lengths)
+    row[np.argsort(-tokens.lengths, kind="stable")] = np.arange(n_seq)
+    width = tokens.lengths.max(initial=1)  # an empty batch keeps one position
+    live = np.count_nonzero(tokens.lengths[:, None] > np.arange(width), axis=0)
+    seq = np.repeat(np.arange(n_seq), tokens.lengths)
+    slots = (np.arange(len(em)) - tokens.heads[seq]) * n_seq + row[seq]
+    cells = np.zeros((width * n_seq, n_labels))
+    cells[slots] = em
+    return _Grid(cells.reshape(width, n_seq, n_labels), live, slots)
+
+
 def _forward_backward(
     em: np.ndarray, tokens: _Tokens, trans: _Rescaled, start, stop
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,32 +323,47 @@ def _forward_backward(
     ``alpha[k, j]`` sums the prefixes ending in label j at token k;
     ``beta[k, i]`` sums the continuations after label i at k, stop included.
     """
-    n_seq, n_labels = len(tokens.lengths), em.shape[1]
-    # grid row of each sequence, longest first; an empty batch keeps one column
-    row = np.empty_like(tokens.lengths)
-    row[np.argsort(-tokens.lengths, kind="stable")] = np.arange(n_seq)
-    width = tokens.lengths.max(initial=1)
-    live = np.count_nonzero(tokens.lengths[:, None] > np.arange(width), axis=0)
-    seq = np.repeat(np.arange(n_seq), tokens.lengths)
-    slots = (np.arange(len(em)) - tokens.heads[seq]) * n_seq + row[seq]
-
-    grid = np.zeros((width * n_seq, n_labels))
-    grid[slots] = em
-    grid = grid.reshape(width, n_seq, n_labels)
+    grid, live, slots = _pad(em, tokens)
     alpha = np.zeros_like(grid)
     beta = np.zeros_like(grid) + stop  # the value at every last token
     back = _rescale(trans.log.T)
     alpha[0] = start + grid[0]
-    for t in range(1, width):
+    for t in range(1, len(live)):
         k = live[t]
         alpha[t, :k] = grid[t, :k] + _step(alpha[t - 1, :k], trans)
-    for t in range(width - 2, -1, -1):
+    for t in range(len(live) - 2, -1, -1):
         k = live[t + 1]
         beta[t, :k] = _step(grid[t + 1, :k] + beta[t + 1, :k], back)
 
-    alpha = alpha.reshape(-1, n_labels)[slots]
-    beta = beta.reshape(-1, n_labels)[slots]
+    alpha = alpha.reshape(-1, em.shape[1])[slots]
+    beta = beta.reshape(-1, em.shape[1])[slots]
     return alpha, beta, _logsumexp(alpha[tokens.tails] + stop, axis=1)
+
+
+def _viterbi(model: LinearChainCrfModel, tokens: _Tokens) -> np.ndarray:
+    """Label ids of the best path through every sequence of a batch, in
+    token order."""
+    em = _emissions(model.emission_weights, tokens)
+    trans, start, stop = _potentials(model)
+    grid, live, slots = _pad(em, tokens)
+    into = np.ascontiguousarray(trans.T)  # [next, prev]
+    delta = start + grid[0]
+    back = np.empty(grid.shape, dtype=np.intp)
+    scores = np.empty((len(delta), *into.shape))  # [row, next, prev]
+    cell = np.arange(delta.size).reshape(delta.shape) * len(into)  # at [row, next, 0]
+    for t in range(1, len(live)):
+        k = live[t]
+        np.add(delta[:k, None, :], into, out=scores[:k])
+        np.argmax(scores[:k], axis=2, out=back[t, :k])  # first max = lowest previous id
+        delta[:k] = scores.reshape(-1)[back[t, :k] + cell[:k]] + grid[t, :k]
+    ids = np.empty(grid.shape[:2], dtype=np.intp)
+    label = np.argmax(delta + stop, axis=1)
+    for t in range(len(live) - 1, 0, -1):
+        k = live[t]
+        ids[t, :k] = label[:k]
+        label[:k] = back[t, np.arange(k), label[:k]]
+    ids[0] = label
+    return ids.reshape(-1)[slots]
 
 
 def _pair_marginals(
@@ -365,21 +424,19 @@ def crf_log_partition(model: LinearChainCrfModel, encoded: Encoded) -> float:
     return float(_forward_backward(em, tokens, _rescale(trans), start, stop)[2][0])
 
 
-def crf_viterbi(model: LinearChainCrfModel, encoded: Encoded) -> BioSequence:
-    """Highest-scoring label sequence under the model."""
-    _, em, trans, start, stop = _chain(model, [encoded])
-    n, n_labels = em.shape
-    delta = start + em[0]
-    back = np.zeros((n, n_labels), dtype=np.intp)
-    for t in range(1, n):
-        scores = delta[:, None] + trans
-        back[t] = np.argmax(scores, axis=0)  # first max = lowest prior id
-        delta = scores[back[t], np.arange(n_labels)] + em[t]
-    path = [int(np.argmax(delta + stop))]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return BioSequence(tuple(model.labels[i] for i in path))
+def crf_viterbi(
+    model: LinearChainCrfModel, encoded: Encoded | Corpus
+) -> BioSequence | list[BioSequence]:
+    """Highest-scoring label sequence under the model.
+
+    Given a ``Corpus`` in place of one encoded sequence, decodes every
+    document in chunks and returns one sequence per document, empty for an
+    empty document.
+    """
+    if isinstance(encoded, Corpus):
+        return _decode(model, encoded, partial(_viterbi, model))
+    ids = _viterbi(model, _flatten([encoded]))
+    return BioSequence(tuple(model.labels[i] for i in ids.tolist()))
 
 
 def sequence_score(
@@ -446,6 +503,40 @@ def baseline_nll_gradient(
     return loss, [d_w]
 
 
+def _chunks(docs: Sequence[Encoded], n_labels: int) -> Iterator[list[int]]:
+    """Indices of the non-empty documents, in runs whose padded cells
+    ``rows * L * max(T, L)`` stay within ``_CHUNK_CELLS``."""
+    chunk: list[int] = []
+    width = n_labels  # max(T, L) over the chunk
+    for i, doc in enumerate(docs):
+        if not doc:
+            continue
+        if chunk and (len(chunk) + 1) * n_labels * max(width, len(doc)) > _CHUNK_CELLS:
+            yield chunk
+            chunk, width = [], n_labels
+        chunk.append(i)
+        width = max(width, len(doc))
+    if chunk:
+        yield chunk
+
+
+def _decode(
+    model: "TokenClassifierModel | LinearChainCrfModel",
+    corpus: Corpus,
+    best: Callable[[_Tokens], np.ndarray],
+) -> list[BioSequence]:
+    """One label sequence per document; ``best`` gives the label ids of
+    every token of a chunk of documents, in token order."""
+    docs = [model.feature_index.encode_document(doc) for doc in corpus]
+    out = [BioSequence(())] * len(docs)
+    for chunk in _chunks(docs, len(model.labels)):
+        tokens = _flatten([docs[i] for i in chunk])
+        labels = [model.labels[i] for i in best(tokens).tolist()]
+        for i, head, n in zip(chunk, tokens.heads.tolist(), tokens.lengths.tolist()):
+            out[i] = BioSequence(tuple(labels[head : head + n]))
+    return out
+
+
 def predict(
     model: "TokenClassifierModel | LinearChainCrfModel", corpus: Corpus
 ) -> list[BioSequence]:
@@ -455,18 +546,14 @@ def predict(
     recovery should use the lenient decode, since unconstrained models
     may emit stray continuation labels.
     """
-    out: list[BioSequence] = []
-    for doc in corpus:
-        encoded = model.feature_index.encode_document(doc)
-        if not encoded:
-            out.append(BioSequence(()))
-        elif isinstance(model, LinearChainCrfModel):
-            out.append(crf_viterbi(model, encoded))
-        else:
-            em = _emissions(model.weights, _flatten([encoded]))
-            picks = np.argmax(em, axis=1)  # first max = lowest label id
-            out.append(BioSequence(tuple(model.labels[i] for i in picks)))
-    return out
+    if isinstance(model, LinearChainCrfModel):
+        return crf_viterbi(model, corpus)
+
+    def best(tokens: _Tokens) -> np.ndarray:
+        em = _emissions(model.weights, tokens)
+        return np.argmax(em, axis=1)  # first max = lowest label id
+
+    return _decode(model, corpus, best)
 
 
 # ---------------------------------------------------------------------------

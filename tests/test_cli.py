@@ -273,6 +273,25 @@ class TestParsing:
             main(["data", "export", "--table", "bogus"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "command, argv, unknown",
+        [
+            ("meta cv", ["meta", "cv", "--bogus", "1"], "--bogus 1"),
+            ("eval", ["eval", "--gold", "g", "--pred", "p", "--bogus", "1"], "--bogus 1"),
+            ("meta", ["meta", "--bogus", "cv"], "--bogus"),
+        ],
+        ids=["meta_cv", "eval", "meta"],
+    )
+    def test_unknown_flag_shows_the_subcommands_usage(self, command, argv, unknown, capsys):
+        # argparse hands a subcommand's leftovers up to the top-level parser,
+        # which would print ``usage: spanmeta [-h] {profile,...}``
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[0].startswith(f"usage: spanmeta {command} [-h]")
+        assert err_lines[-1] == f"spanmeta {command}: error: unrecognized arguments: {unknown}"
+
 
 # ---------------------------------------------------------------------------
 # profile

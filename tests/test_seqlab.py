@@ -1,6 +1,7 @@
 """Labelers: exact oracles for inference, finite differences for gradients,
 and protocol-level checks on the training loop."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -785,6 +786,165 @@ class TestPredict:
         corpus = Corpus((Document("e", ()),), ("t",), partition="test")
         assert predict(crf, corpus) == [BioSequence(())]
         assert predict(base, corpus) == [BioSequence(())]
+
+
+def _ordered_emissions(weights, bags):
+    """Per-token label scores summed in the library's order, from zero
+    through the rows of the token's indicators and then the bias row, so
+    that they agree bit for bit."""
+    em = np.zeros((len(bags), weights.shape[1]))
+    for t, bag in enumerate(bags):
+        for i in bag:
+            em[t] = em[t] + weights[i]
+    return em + weights[-1]
+
+
+def _reference_viterbi(model, bags, lowest_wins=True):
+    """Viterbi over one document, one position at a time on a (prev, next)
+    score table. Every argmax tie goes to the lowest label id, or to the
+    highest with ``lowest_wins`` false."""
+
+    def argmax(a, axis=0):
+        if lowest_wins:
+            return np.argmax(a, axis=axis)
+        return a.shape[axis] - 1 - np.argmax(np.flip(a, axis=axis), axis=axis)
+
+    trans, start, stop = model.transitions, model.start, model.stop
+    if model.masked:
+        trans = trans + bio_transition_mask(model.labels)
+        start = start + bio_start_mask(model.labels)
+    em = _ordered_emissions(model.emission_weights, bags)
+    n, n_labels = em.shape
+    delta = start + em[0]
+    back = np.zeros((n, n_labels), dtype=np.intp)
+    for t in range(1, n):
+        scores = delta[:, None] + trans
+        back[t] = argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(n_labels)] + em[t]
+    path = [int(argmax(delta + stop))]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return BioSequence(tuple(model.labels[i] for i in path))
+
+
+class TestBatchedViterbi:
+    LABELS = ("O", "B-t", "I-t", "B-u", "I-u")
+    CHUNK_CELLS = 400  # two 40-token documents of five labels, or eight of 10
+    LONG = 120  # one document alone is 600 cells, past the bound
+
+    def _corpus(self, rng):
+        """Documents of 1..40 tokens in shuffled order, an empty one after
+        every fifth and at both ends, and one past the chunk bound; some
+        surfaces are unseen by the index and some tokens carry features."""
+        lengths = [*range(1, 41), self.LONG, *range(1, 21)]
+        rng.shuffle(lengths)
+        docs = [Document("e-first", ())]
+        for i, n in enumerate(lengths):
+            features = [rng.choice(["cap", "num"], int(rng.integers(3)), replace=False)
+                        for _ in range(n)]  # fmt: skip
+            tokens = tuple(Token(f"w{int(rng.integers(8))}", f.tolist()) for f in features)
+            docs.append(Document(f"d{i}", tokens))
+            if i % 5 == 4:
+                docs.append(Document(f"e{i}", ()))
+        docs.append(Document("e-last", ()))
+        corpus = Corpus(tuple(docs), ("t", "u"), partition="test")
+        return corpus, FeatureIndex.fit([make_doc("seen", [f"w{i}" for i in range(6)])])
+
+    def _model(self, rng, index, kind):
+        L = len(self.LABELS)
+        shapes = [(index.num_features + 1, L), (L, L), (L,), (L,)]
+        if kind.startswith("ties"):
+            # small integers: sums are exact, so equal scores really tie
+            params = [rng.integers(-1, 2, size=s).astype(float) for s in shapes]
+        else:
+            params = [rng.standard_normal(s) for s in shapes]
+        return LinearChainCrfModel(index, self.LABELS, *params, kind.endswith("masked"))
+
+    def _spy_chunks(self, monkeypatch):
+        monkeypatch.setattr(models_mod, "_CHUNK_CELLS", self.CHUNK_CELLS)
+        chunks = []
+        kernel = models_mod._viterbi
+
+        def spy(model, tokens):
+            chunks.append(tokens.lengths.tolist())
+            return kernel(model, tokens)
+
+        monkeypatch.setattr(models_mod, "_viterbi", spy)
+        return chunks
+
+    @pytest.mark.parametrize("kind", ["unmasked", "masked", "ties", "ties_masked"])
+    def test_corpus_decode_matches_per_document_reference(self, kind, monkeypatch):
+        rng = np.random.default_rng(40)
+        corpus, index = self._corpus(rng)
+        model = self._model(rng, index, kind)
+        chunks = self._spy_chunks(monkeypatch)
+        bags = [[index.encode(t) for t in doc.tokens] for doc in corpus]
+        want = [_reference_viterbi(model, b) if b else BioSequence(()) for b in bags]
+        assert crf_viterbi(model, corpus) == want
+        assert predict(model, corpus) == want
+        # every non-empty document in one chunk, in corpus order, each chunk
+        # within the bound unless it is the long document alone
+        lengths = [len(b) for b in bags if b]
+        assert sum(chunks, []) == lengths + lengths
+        assert len(chunks) > 4
+        L = len(self.LABELS)
+        for chunk in chunks:
+            cells = len(chunk) * L * max(max(chunk), L)
+            assert cells <= self.CHUNK_CELLS or chunk == [self.LONG]
+        assert [self.LONG] in chunks
+        if kind.startswith("ties"):
+            flipped = [_reference_viterbi(model, b, lowest_wins=False) for b in bags if b]
+            assert flipped != [seq for seq in want if seq]
+
+    def test_ties_go_to_the_lowest_label_id(self):
+        index = _index(1)
+        L = 3
+        zero = LinearChainCrfModel(
+            index, ("O", "B-t", "I-t"), np.zeros((index.num_features + 1, L)),
+            np.zeros((L, L)), np.zeros(L), np.zeros(L),
+        )  # fmt: skip
+        # the last label is forced; every backpointer before it is a tie
+        stop_last = dataclasses.replace(zero, stop=np.array([0.0, 0.0, 1.0]))
+        corpus = Corpus(
+            (make_doc("a", ["x"]), make_doc("b", ["x", "y", "z"])), ("t",), partition="test"
+        )
+        assert [s.labels for s in crf_viterbi(zero, corpus)] == [("O",), ("O", "O", "O")]
+        assert [s.labels for s in crf_viterbi(stop_last, corpus)] == [
+            ("I-t",),
+            ("O", "O", "I-t"),
+        ]
+
+    def test_baseline_predict_matches_per_token_reference(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        corpus, index = self._corpus(rng)
+        monkeypatch.setattr(models_mod, "_CHUNK_CELLS", self.CHUNK_CELLS)
+        weights = rng.integers(-1, 2, size=(index.num_features + 1, len(self.LABELS)))
+        model = TokenClassifierModel(index, self.LABELS, weights.astype(float))
+        for doc, seq in zip(corpus, predict(model, corpus)):
+            em = _ordered_emissions(model.weights, [index.encode(t) for t in doc.tokens])
+            assert seq.labels == tuple(self.LABELS[i] for i in np.argmax(em, axis=1))
+
+    def test_predict_decodes_the_corpus_through_crf_viterbi_once(self, monkeypatch):
+        # the benchmark times the CRF decode as calls to seqlab.crf_viterbi
+        rng = np.random.default_rng(42)
+        corpus, index = self._corpus(rng)
+        crf = self._model(rng, index, "masked")
+        base = TokenClassifierModel(index, self.LABELS, crf.emission_weights)
+        calls = []
+        decode = models_mod.crf_viterbi
+
+        def counting(model, encoded):
+            calls.append((model, encoded))
+            return decode(model, encoded)
+
+        monkeypatch.setattr(models_mod, "crf_viterbi", counting)
+        for _ in range(2):
+            assert len(predict(crf, corpus)) == len(corpus.documents)
+        assert len(calls) == 2
+        assert all(model is crf and arg is corpus for model, arg in calls)
+        predict(base, corpus)
+        assert len(calls) == 2
 
 
 class TestModelSerialization:
