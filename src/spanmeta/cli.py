@@ -6,6 +6,11 @@ Subcommands wrap the library one-to-one and stay deliberately thin:
 export`` dumps the bundled tables, and ``reproduce`` reruns the whole
 embedded-data analysis and writes report.json plus scatter.svg.
 
+Only the corpus, evaluation and metrics modules are imported here; each
+handler imports the rest of what it uses when it runs, so ``eval`` and
+``profile`` load no numpy and ``train`` no scipy. The parser's choices
+and defaults come from ``_options``, which imports nothing numerical.
+
 Exit codes: 0 on success, 1 on any validation problem (bad flags, bad
 file contents, bad values), 2 on I/O failure.
 """
@@ -20,23 +25,9 @@ import json
 import sys
 from pathlib import Path
 
+from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, read_corpus
 from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
-from .meta import (
-    DEFAULT_ALPHA,
-    PREDICTOR_SETS,
-    ArchitectureFeatures,
-    Observation,
-    ablate,
-    alpha_mae_curve,
-    best_alpha,
-    fit_meta_model,
-    loso_cv,
-    meta_model_from_dict,
-    meta_model_to_dict,
-    observations_from_csv,
-)
-from .meta import predict as meta_predict
 from .metrics import (
     DatasetMetrics,
     SpanTypeProfile,
@@ -44,11 +35,6 @@ from .metrics import (
     dataset_profile,
     profile_span_type,
 )
-from .reference import export_table, load_embedded, to_observations
-from .report import build_reproduction_report
-from .seqlab import TrainConfig, model_to_dict, train
-from .seqlab.training import ARCHITECTURES
-from .svgplot import scatter_svg
 
 __all__ = ["main", "entry_point"]
 
@@ -163,7 +149,9 @@ def _coerce_option(value: str, default):
     raise ValueError(f"expected {kind}, got {value!r}")
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args):
+    from .seqlab import TrainConfig
+
     config = TrainConfig()
     if args.config:
         options = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -193,6 +181,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> None:
+    from .seqlab import model_to_dict, train
+
     config = _train_config(args)
     train_corpus = read_corpus(args.train, format=args.input_format)
     dev_corpus = None
@@ -277,9 +267,13 @@ def _cmd_eval(args) -> None:
 # meta
 
 
-def _observations(args) -> list[Observation]:
+def _observations(args):
     if args.obs:
+        from .meta import observations_from_csv
+
         return observations_from_csv(args.obs)
+    from .reference import load_embedded, to_observations
+
     return to_observations(load_embedded())
 
 
@@ -294,16 +288,22 @@ def _cv_to_dict(result) -> dict:
 
 
 def _cmd_meta_fit(args) -> None:
+    from .meta import fit_meta_model, meta_model_to_dict
+
     model = fit_meta_model(_observations(args), args.alpha, args.set)
     _write_or_print(_json_text(meta_model_to_dict(model)), args.out)
 
 
 def _cmd_meta_cv(args) -> None:
+    from .meta import loso_cv
+
     result = loso_cv(_observations(args), args.alpha, args.set)
     _write_or_print(_json_text(_cv_to_dict(result)), args.out)
 
 
 def _cmd_meta_ablate(args) -> None:
+    from .meta import ablate
+
     results = ablate(_observations(args), args.alpha)
     obj = {
         "alpha": args.alpha,
@@ -313,6 +313,8 @@ def _cmd_meta_ablate(args) -> None:
 
 
 def _cmd_meta_predict(args) -> None:
+    from .meta import ArchitectureFeatures, fit_meta_model, meta_model_from_dict, predict
+
     if args.model:
         # a saved model carries its own padding and was fitted on its own data
         given = (("--obs", args.obs), ("--alpha", args.alpha))
@@ -331,11 +333,13 @@ def _cmd_meta_predict(args) -> None:
         span_distinctiveness=args.sd,
         boundary_distinctiveness=args.bd,
     )
-    f1 = meta_predict(model, arch, profile)
+    f1 = predict(model, arch, profile)
     _write_or_print(_json_text({"f1": f1}), args.out)
 
 
 def _cmd_meta_select_alpha(args) -> None:
+    from .meta import alpha_mae_curve, best_alpha
+
     grid = None
     if args.grid is not None:
         try:
@@ -357,10 +361,15 @@ def _cmd_meta_select_alpha(args) -> None:
 
 
 def _cmd_data_export(args) -> None:
+    from .reference import export_table
+
     _write_or_print(export_table(args.table), args.out)
 
 
 def _cmd_reproduce(args) -> None:
+    from .report import build_reproduction_report
+    from .svgplot import scatter_svg
+
     run = build_reproduction_report(args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

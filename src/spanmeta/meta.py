@@ -40,6 +40,15 @@ import scipy.linalg as sla
 from scipy import special
 
 from ._numbers import finite_floats
+from ._options import (
+    ARCH_MAINS,
+    DEFAULT_ALPHA,
+    INTERACTION_COLUMNS,
+    INTERACTION_PAIRS,
+    MAIN_COLUMNS,
+    PREDICTOR_SETS,
+    TASK_MAINS,
+)
 from .metrics import SpanTypeProfile
 
 __all__ = [
@@ -75,35 +84,9 @@ __all__ = [
     "observations_from_csv",
 ]
 
-ARCH_MAINS = ("feat", "crf", "lstm", "bert")
-TASK_MAINS = ("log_freq", "log_length", "span_dist", "boundary_dist")
-MAIN_COLUMNS = ARCH_MAINS + TASK_MAINS
-
-_ARCH_TASK_PAIRS = tuple((a, t) for a in ARCH_MAINS for t in TASK_MAINS)
-_ARCH_ARCH_PAIRS = (
-    ("feat", "crf"),
-    ("feat", "lstm"),
-    ("feat", "bert"),
-    ("crf", "lstm"),
-    ("crf", "bert"),
-    ("lstm", "bert"),
-)
-INTERACTION_PAIRS = _ARCH_TASK_PAIRS + _ARCH_ARCH_PAIRS
-INTERACTION_COLUMNS = tuple(f"{a}:{b}" for a, b in INTERACTION_PAIRS)
-
 INTERCEPT = "intercept"
 FULL_COLUMNS = (INTERCEPT,) + MAIN_COLUMNS + INTERACTION_COLUMNS
 
-#: Non-intercept columns used by each named predictor set.
-PREDICTOR_SETS: dict[str, tuple[str, ...]] = {
-    "full": MAIN_COLUMNS + INTERACTION_COLUMNS,
-    "no_interactions": MAIN_COLUMNS,
-    "arch_only": ARCH_MAINS,
-    "task_only": TASK_MAINS,
-    "empty": (),
-}
-
-DEFAULT_ALPHA = 0.2
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 10))
 
 #: Bonferroni-corrected two-sided significance threshold.
@@ -222,8 +205,22 @@ class DesignMatrix:
         return (INTERCEPT, *PREDICTOR_SETS[self.predictor_set])
 
     def transform(self, observations: Sequence[Observation]) -> np.ndarray:
-        """Build rows for new observations with the stored statistics."""
-        z = (_raw_columns(observations, self.predictor_set) - self.means) / self.sds
+        """Build rows for new observations with the stored statistics.
+
+        Raises:
+            ValueError: naming the first raw value whose standardized
+                value overflows, which no prediction could use.
+        """
+        raw = _raw_columns(observations, self.predictor_set)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (raw - self.means) / self.sds
+        bad = np.argwhere(~np.isfinite(z))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"{PREDICTOR_SETS[self.predictor_set][j]} = {raw[i, j]:g} is too far "
+                "from the fitted data: its standardized value is not finite"
+            )
         return np.column_stack([np.ones(len(z)), *z.T])
 
 

@@ -6,8 +6,10 @@ baseline treats positions independently; the CRF adds label-bigram
 transition scores plus start/stop scores and normalizes over whole
 sequences.
 
-A batch of sequences is laid end to end as one run of tokens, so its
-emissions gather, and its gradients scatter, with one ``np.add.at``.
+A batch of sequences is laid end to end as one run of tokens. Its
+emissions sum the indicator rows one rank at a time (the first indicator
+of every token, then the second, ...), and its gradients scatter back
+with one ``np.add.at``, since indicator ids repeat across tokens.
 The CRF's forward-backward runs once per batch, over a padded
 (T, B, L) grid whose rows hold the sequences longest first: the Python
 loop runs over the positions of the longest sequence, and padded cells
@@ -120,9 +122,20 @@ def _flatten(docs: Sequence[Encoded]) -> _Tokens:
 
 
 def _emissions(weights: np.ndarray, tokens: _Tokens) -> np.ndarray:
-    """Per-token label scores: summed indicator rows plus the bias row."""
-    out = np.zeros((tokens.lengths.sum(), weights.shape[1]))
-    np.add.at(out, tokens.positions, weights[tokens.ids])
+    """Per-token label scores: summed indicator rows plus the bias row.
+
+    The sum runs rank by rank: step ``r`` adds the ``r``-th indicator row
+    of every token that has more than ``r`` indicators. Each token's rows
+    are added in the order ``np.add.at`` would add them, so the result is
+    the same to the bit.
+    """
+    n = tokens.lengths.sum()
+    sizes = np.bincount(tokens.positions, minlength=n)
+    starts = np.cumsum(sizes) - sizes
+    out = np.zeros((n, weights.shape[1]))
+    for r in range(sizes.max(initial=0)):
+        rows = np.flatnonzero(sizes > r)
+        out[rows] += weights[tokens.ids[starts[rows] + r]]
     return out + weights[-1]
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .._options import ARCHITECTURES
 from ..corpus import BioSequence, Corpus, Document, bio_decode, bio_encode, bio_labels
 from ..evaluation import EvalCounts, count_matches, f1_report
 from .features import FeatureIndex
@@ -29,8 +30,6 @@ from .models import (
 )
 
 __all__ = ["TrainConfig", "Adam", "EpochRecord", "TrainResult", "train"]
-
-ARCHITECTURES = ("baseline", "crf")
 
 
 @dataclass(frozen=True)

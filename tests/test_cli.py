@@ -822,6 +822,16 @@ class TestMeta:
         assert out == ""
         assert "finite" in err
 
+    def test_predict_overflowing_standardized_value_fails(self, capsys):
+        # finite flags whose standardized column overflows used to print a
+        # RuntimeWarning and then an F1 of 100
+        argv = ["meta", "predict", "--freq", "5", "--length", "1.5", "--sd", "1e308",
+                "--bd", "1e308"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("spanmeta: error: ")
+        assert "_dist = 1e+308" in err and "not finite" in err
+
     @pytest.mark.parametrize(
         "extra",
         [["--obs", "/nonexistent.csv"], ["--alpha", "0.3"], ["--alpha", "0.2"]],

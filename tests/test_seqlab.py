@@ -689,6 +689,43 @@ class TestBatchedKernel:
         assert {0, 1} <= set(guards)
 
 
+class TestEmissions:
+    @staticmethod
+    def _add_at_reference(weights, docs):
+        bags = [bag for doc in docs for bag in doc]
+        positions = np.repeat(np.arange(len(bags)), [len(bag) for bag in bags])
+        ids = np.array([i for bag in bags for i in bag], dtype=np.intp)
+        out = np.zeros((len(bags), weights.shape[1]))
+        np.add.at(out, positions, weights[ids])
+        return out + weights[-1]
+
+    def test_rank_sums_equal_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        n_ids, n_labels = 50, 7
+        weights = rng.standard_normal((n_ids + 1, n_labels)) * 10.0 ** rng.integers(
+            -8, 9, size=(n_ids + 1, 1)
+        )
+        docs = [
+            [[3]],  # a one-token document with one indicator
+            [[5, 1, 5, 0, 9, 9, 2, 7, 7, 7, 40, 12]],  # one token, many repeats
+            [[], [4]],  # an empty bag beside a one-indicator token
+        ]
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            docs.append(
+                [list(rng.integers(0, n_ids, size=int(rng.integers(0, 15)))) for _ in range(n)]
+            )
+        tokens = models_mod._flatten(docs)
+        got = models_mod._emissions(weights, tokens)
+        assert np.array_equal(got, self._add_at_reference(weights, docs))
+        assert got.shape == (sum(map(len, docs)), n_labels)
+
+    def test_tokens_without_indicators_score_the_bias_row(self):
+        weights = np.arange(12.0).reshape(4, 3)
+        tokens = models_mod._flatten([[[], []], [[]]])
+        assert np.array_equal(models_mod._emissions(weights, tokens), np.tile(weights[-1], (3, 1)))
+
+
 class TestLogSumExp:
     def test_matches_scipy_on_random_inputs(self):
         rng = np.random.default_rng(17)
