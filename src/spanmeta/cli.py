@@ -25,6 +25,7 @@ import json
 import sys
 from pathlib import Path
 
+from ._jsontext import json_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, read_corpus
 from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
@@ -66,10 +67,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _write_csv(header: list[str], rows, out: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -105,7 +102,7 @@ def _cmd_profile(args) -> None:
             "span_types": [{"span_type": t, **m._asdict()} for t, m in rows],
             "dataset": None if aggregate is None else aggregate._asdict(),
         }
-        _write_or_print(_json_text(obj), args.out)
+        _write_or_print(json_text(obj), args.out)
     else:
         if aggregate is not None:
             rows.append(("ALL", aggregate))
@@ -192,7 +189,7 @@ def _cmd_train(args) -> None:
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
     obj["stopped_early"] = result.stopped_early
-    _write_or_print(_json_text(obj), args.out)
+    _write_or_print(json_text(obj), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def _cmd_eval(args) -> None:
         types = gold.span_type_inventory + pred.span_type_inventory
     report = f1_report(counts, types=types)
     if args.format == "json":
-        _write_or_print(_json_text(_report_to_json(report)), args.out)
+        _write_or_print(json_text(_report_to_json(report)), args.out)
     else:
         rows = [*report.per_type.items(), ("micro", report.micro)]
         _write_csv(
@@ -291,14 +288,14 @@ def _cmd_meta_fit(args) -> None:
     from .meta import fit_meta_model, meta_model_to_dict
 
     model = fit_meta_model(_observations(args), args.alpha, args.set)
-    _write_or_print(_json_text(meta_model_to_dict(model)), args.out)
+    _write_or_print(json_text(meta_model_to_dict(model)), args.out)
 
 
 def _cmd_meta_cv(args) -> None:
     from .meta import loso_cv
 
     result = loso_cv(_observations(args), args.alpha, args.set)
-    _write_or_print(_json_text(_cv_to_dict(result)), args.out)
+    _write_or_print(json_text(_cv_to_dict(result)), args.out)
 
 
 def _cmd_meta_ablate(args) -> None:
@@ -309,7 +306,7 @@ def _cmd_meta_ablate(args) -> None:
         "alpha": args.alpha,
         "results": [_cv_to_dict(r) for r in results.values()],
     }
-    _write_or_print(_json_text(obj), args.out)
+    _write_or_print(json_text(obj), args.out)
 
 
 def _cmd_meta_predict(args) -> None:
@@ -334,7 +331,7 @@ def _cmd_meta_predict(args) -> None:
         boundary_distinctiveness=args.bd,
     )
     f1 = predict(model, arch, profile)
-    _write_or_print(_json_text({"f1": f1}), args.out)
+    _write_or_print(json_text({"f1": f1}), args.out)
 
 
 def _cmd_meta_select_alpha(args) -> None:
@@ -353,7 +350,7 @@ def _cmd_meta_select_alpha(args) -> None:
         "selected_alpha": best_alpha(curve),
         "curve": [[a, m] for a, m in curve],
     }
-    _write_or_print(_json_text(obj), args.out)
+    _write_or_print(json_text(obj), args.out)
 
 
 # ---------------------------------------------------------------------------

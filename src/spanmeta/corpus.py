@@ -6,7 +6,9 @@ annotations, and a ``Corpus`` bundles documents with a span-type inventory
 and a partition tag. Everything is immutable after construction, so corpora
 can be shared freely between threads. ``read_corpus`` builds and checks
 each distinct token once: equal tokens of one read share one immutable
-``Token`` object.
+``Token`` object, so a corpus costs memory by its distinct tokens.
+``write_corpus`` likewise encodes and checks each distinct token once per
+call, so writing costs time by the distinct tokens, not the token count.
 
 Two interchange formats are supported:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -63,11 +66,14 @@ class Token:
     """A single token: a surface form plus a bag of named features.
 
     The surface must be non-empty, and so must every feature name; the
-    feature bag may be empty.
+    feature bag may be empty. The hash is computed on first use and kept.
+    It is left out of pickles and copies, because ``str`` hashes differ
+    between processes: an unpickled token computes its own.
     """
 
     surface: str
     features: frozenset[str] = frozenset()
+    _hash = None  # not annotated, so not a field: never compared, copied or shown
 
     def __post_init__(self) -> None:
         if not isinstance(self.surface, str) or not self.surface:
@@ -80,6 +86,16 @@ class Token:
                 raise ValueError(message) from None
         if any(not isinstance(f, str) or not f for f in self.features):
             raise ValueError(message)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:  # first use: the hash the dataclass would compute
+            value = hash((self.surface, self.features))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return type(self), (self.surface, self.features)
 
 
 @dataclass(frozen=True)
@@ -345,21 +361,51 @@ def _derive_inventory(docs: Iterable[Document]) -> tuple[str, ...]:
     return tuple(inv)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, so each distinct
+    key costs one call; ``map(memo.__getitem__, keys)`` looks keys up in C."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)``, with str and int done directly."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _token_json(token: Token) -> str:
+    features = ", ".join(map(encode_basestring, sorted(token.features)))
+    return f'{{"surface": {encode_basestring(token.surface)}, "features": [{features}]}}'
+
+
 def _to_jsonl(corpus: Corpus) -> str:
+    """One ``json.dumps(..., ensure_ascii=False)`` line per document, assembled
+    from each distinct token's and span type's text, encoded once per call."""
+    tokens = _Memo(_token_json)
+    span_heads = _Memo(lambda type_id: f'{{"type": {_json_scalar(type_id)}, "start": ')
     lines = []
     for doc in corpus.documents:
-        obj = {
-            "id": doc.id,
-            "tokens": [
-                {"surface": t.surface, "features": sorted(t.features)}
-                for t in doc.tokens
-            ],
-            "spans": [
-                {"type": s.type_id, "start": s.start, "end": s.end}
+        spans = ", ".join(
+            [
+                f'{span_heads[s.type_id]}{_json_scalar(s.start)}, "end": {_json_scalar(s.end)}}}'
                 for s in doc.spans
-            ],
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
+            ]
+        )
+        lines.append(
+            f'{{"id": {_json_scalar(doc.id)}, '
+            f'"tokens": [{", ".join(map(tokens.__getitem__, doc.tokens))}], '
+            f'"spans": [{spans}]}}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -444,26 +490,41 @@ def _document_from_obj(
     return Document(doc_id, tuple(tokens), tuple(spans)), dropped
 
 
+def _holds_tsv_separator(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text
+
+
+def _tsv_cells(token: Token) -> tuple[str, str] | None:
+    """A token's row text before and after its label, or None if TSV cannot hold it."""
+    features = sorted(token.features)
+    if _holds_tsv_separator(token.surface) or any(map(_holds_tsv_separator, features)):
+        return None
+    return token.surface + "\t", "".join(["\t" + f for f in features])
+
+
 def _to_conll_tsv(corpus: Corpus) -> str:
+    """Rows of surface, label and sorted features; each distinct token's
+    columns and each distinct label are built and checked once per call."""
+    cells = _Memo(_tsv_cells)
+    label_fits = _Memo(lambda label: not _holds_tsv_separator(label))
     blocks = []
     for doc in corpus.documents:
         if not doc.tokens:
             raise ValueError(
                 f"document {doc.id!r}: conll_tsv cannot hold a document with no tokens"
             )
-        labels = bio_encode(doc, corpus.span_type_inventory)
-        rows = []
-        for position, (tok, lab) in enumerate(zip(doc.tokens, labels)):
-            cols = [tok.surface, lab, *sorted(tok.features)]
-            row = "\t".join(cols)
-            if row.count("\t") != len(cols) - 1 or "\n" in row or "\r" in row:
-                raise ValueError(
-                    f"document {doc.id!r}, token {position}: conll_tsv cannot hold "
-                    "a tab, line feed or carriage return in a surface, label or "
-                    "feature name"
-                )
-            rows.append(row)
-        blocks.append("\n".join(rows))
+        labels = bio_encode(doc, corpus.span_type_inventory).labels
+        around = list(map(cells.__getitem__, doc.tokens))
+        if not (all(around) and all(map(label_fits.__getitem__, labels))):
+            position = next(
+                i for i, lab in enumerate(labels) if around[i] is None or not label_fits[lab]
+            )
+            raise ValueError(
+                f"document {doc.id!r}, token {position}: conll_tsv cannot hold "
+                "a tab, line feed or carriage return in a surface, label or "
+                "feature name"
+            )
+        blocks.append("\n".join([head + lab + tail for (head, tail), lab in zip(around, labels)]))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 

@@ -256,11 +256,20 @@ def build_design_matrix(
     if len(observations) < 2:
         raise ValueError("need at least two observations")
     raw = _raw_columns(observations, predictor_set)
-    sds = raw.std(axis=0)
-    for name, sd in zip(PREDICTOR_SETS[predictor_set], sds):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        means, sds = raw.mean(axis=0), raw.std(axis=0)
+    names = PREDICTOR_SETS[predictor_set]
+    for moment, values in (("mean", means), ("standard deviation", sds)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(
+                f"predictor column {names[bad[0]]}: its {moment} over the observations "
+                "is not finite, so it cannot be standardized"
+            )
+    for name, sd in zip(names, sds):
         if sd == 0.0:
             raise ValueError(f"zero-variance predictor column: {name}")
-    design = DesignMatrix(predictor_set, raw.mean(axis=0), sds)
+    design = DesignMatrix(predictor_set, means, sds)
     return replace(design, matrix=design.transform(observations))
 
 

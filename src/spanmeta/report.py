@@ -10,11 +10,11 @@ fixtures; the published numbers it checks against live in
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._jsontext import json_text
 from .meta import (
     ARCH_MAINS,
     DEFAULT_ALPHA,
@@ -125,7 +125,7 @@ class ReproductionReport:
         return {**asdict(self), "all_checks_pass": self.all_checks_pass}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json_text(self.to_json_dict())
 
     def to_text(self) -> str:
         def mark(ok: bool) -> str:

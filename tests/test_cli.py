@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -878,6 +879,32 @@ class TestMeta:
         assert code == 1
         assert out == ""
         assert "'type3'" in err and "rank deficient" in err
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_fit_on_an_overflowing_column_names_it(self, tmp_path, capsys, command):
+        # one span type's distinctiveness at 1e308 overflows the column's mean;
+        # numpy used to warn twice and the error blamed a held-out value
+        obs = to_observations(load_embedded())
+        big = obs[0].span_type_id
+        obs = [
+            dataclasses.replace(
+                o, profile=dataclasses.replace(o.profile, span_distinctiveness=1e308)
+            )
+            if o.span_type_id == big
+            else o
+            for o in obs
+        ]
+        path = tmp_path / "obs.csv"
+        observations_to_csv(obs, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["meta", command, "--obs", str(path)], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (1, "")
+        assert err == (
+            "spanmeta: error: predictor column span_dist: its mean over the "
+            "observations is not finite, so it cannot be standardized\n"
+        )
 
     def test_select_alpha_matches_library(self, files, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,12 @@
 """Data model, BIO round trips, and file format round trips."""
 
+import copy
+import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +45,45 @@ class TestDataModel:
 
     def test_token_features_coerced_to_frozenset(self):
         assert Token("a", ["f2", "f1"]).features == frozenset({"f1", "f2"})
+
+    def test_token_hash_is_the_dataclass_hash_of_its_fields(self):
+        token = Token("naïve", frozenset({"cap", "x"}))
+        assert hash(token) == hash((token.surface, token.features))
+
+    def test_token_equality_and_fields_ignore_the_cached_hash(self):
+        assert Token("a", ["f"]) == Token("a", frozenset({"f"}))
+        assert Token("a") != Token("a", ["f"])
+        assert Token("a") != Token("b")
+        assert [f.name for f in dataclasses.fields(Token)] == ["surface", "features"]
+        assert dataclasses.asdict(Token("a")) == {"surface": "a", "features": frozenset()}
+        assert repr(Token("a")) == "Token(surface='a', features=frozenset())"
+
+    def test_pickled_token_carries_no_cached_hash(self):
+        token = Token("naïve", frozenset({"cap", "x"}))
+        hash(token)  # computes and keeps the hash
+        data = pickle.dumps(token)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back is not token
+        assert back == token and hash(back) == hash(token)
+        for clone in (copy.copy(token), copy.deepcopy(token)):
+            assert clone == token and hash(clone) == hash(token)
+
+    def test_token_pickled_under_another_hash_seed_hashes_as_here(self):
+        # str hashes differ between processes, so a hash must not travel
+        code = (
+            "import pickle, sys\nfrom spanmeta.corpus import Token\n"
+            "token = Token('naïve', {'cap', 'x'})\nhash(token)\n"
+            "sys.stdout.buffer.write(pickle.dumps(token))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": "12345"}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, check=True
+        )
+        here = Token("naïve", frozenset({"cap", "x"}))
+        token = pickle.loads(done.stdout)
+        assert token == here and hash(token) == hash(here)
+        assert {token: "found"}[here] == "found"
 
     def test_span_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -461,6 +506,157 @@ class TestInterning:
         assert [r.getMessage().split(" misaligned")[0] for r in caplog.records] == [
             "dropped 3"
         ]
+
+
+# The writers as they were before they encoded each distinct token once:
+# one dict per token and one json.dumps per document, and one joined and
+# checked row per token. Their bytes and their refusals are the oracle.
+
+
+def _dict_jsonl(corpus: Corpus) -> str:
+    lines = []
+    for doc in corpus.documents:
+        obj = {
+            "id": doc.id,
+            "tokens": [
+                {"surface": t.surface, "features": sorted(t.features)}
+                for t in doc.tokens
+            ],
+            "spans": [
+                {"type": s.type_id, "start": s.start, "end": s.end}
+                for s in doc.spans
+            ],
+        }
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _row_conll_tsv(corpus: Corpus) -> str:
+    blocks = []
+    for doc in corpus.documents:
+        if not doc.tokens:
+            raise ValueError(
+                f"document {doc.id!r}: conll_tsv cannot hold a document with no tokens"
+            )
+        labels = bio_encode(doc, corpus.span_type_inventory)
+        rows = []
+        for position, (tok, lab) in enumerate(zip(doc.tokens, labels)):
+            cols = [tok.surface, lab, *sorted(tok.features)]
+            row = "\t".join(cols)
+            if row.count("\t") != len(cols) - 1 or "\n" in row or "\r" in row:
+                raise ValueError(
+                    f"document {doc.id!r}, token {position}: conll_tsv cannot hold "
+                    "a tab, line feed or carriage return in a surface, label or "
+                    "feature name"
+                )
+            rows.append(row)
+        blocks.append("\n".join(rows))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")
+
+
+_ORACLES = {"jsonl": _dict_jsonl, "conll_tsv": _row_conll_tsv}
+
+
+def _written(write, *args) -> bytes | str:
+    """The bytes written, or the refusal's message."""
+    try:
+        return write(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_writes_as_oracle(corpus: Corpus, path, fmt: str) -> None:
+    def write(corpus):
+        write_corpus(corpus, path, format=fmt)
+        return path.read_bytes()
+
+    want = _written(lambda c: _ORACLES[fmt](c).encode("utf-8"), corpus)
+    assert _written(write, corpus) == want
+
+
+# quotes, backslashes, non-ASCII, C0 and C1 controls, Unicode line breaks,
+# and the tab, line feed and carriage return that TSV refuses
+_NAMES = st.text(
+    st.sampled_from('ab"\\é😀\x00\x1f\x7f\x85\u2028 \t\n\r'), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _corpora(draw):
+    token = st.builds(Token, _NAMES, st.frozensets(_NAMES, max_size=3))
+    pool = draw(st.lists(token, min_size=1, max_size=6))
+    types = draw(st.lists(_NAMES, max_size=3, unique=True))
+    docs = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 8))
+        # some repeats are the same object, as after a read, some only equal
+        tokens = [draw(st.sampled_from(pool)) for _ in range(n)]
+        tokens = [Token(t.surface, t.features) if draw(st.booleans()) else t for t in tokens]
+        spans, pos = [], 0
+        while types and pos < n:
+            start = pos + draw(st.integers(0, 2))
+            end = start + draw(st.integers(1, 3))
+            if end > n:
+                break
+            spans.append(Span(draw(st.sampled_from(types)), start, end))
+            pos = end
+        docs.append(Document(draw(_NAMES), tuple(tokens), tuple(spans)))
+    return Corpus(tuple(docs), tuple(types))
+
+
+def _tricky_corpus() -> Corpus:
+    quoted = Token('say "hi" \\ é\x00', frozenset({'f"1', "b\\", "ü\x1f", "\u2028"}))
+    docs = (
+        Document('id "q" \\ é\x01', (quoted, Token("x"), quoted), (Span('ty"pe\\é', 0, 2),)),
+        Document("empty", ()),
+        # equal to the tokens above, but other objects
+        Document("copies", (Token(quoted.surface, quoted.features), Token("x"))),
+        # every token distinct
+        Document("distinct", tuple(Token(f"w{i}", frozenset({f"f{i}"})) for i in range(9))),
+        # whatever the dataclasses hold is written as json.dumps writes it
+        Document(7, (Token("x"),), (Span("plain", False, True),)),
+    )
+    return Corpus(docs, ('ty"pe\\é', "plain"))
+
+
+class TestWritersMatchTheDictEncoders:
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_tricky_names_empty_bags_and_repeats(self, tmp_path, fmt):
+        corpus = _tricky_corpus()
+        if fmt == "conll_tsv":  # it cannot hold the empty document
+            corpus = Corpus(
+                tuple(d for d in corpus.documents if d.tokens), corpus.span_type_inventory
+            )
+        _assert_writes_as_oracle(corpus, tmp_path / "c", fmt)
+
+    def test_empty_corpus(self, tmp_path):
+        for fmt in _ORACLES:
+            _assert_writes_as_oracle(Corpus((), ()), tmp_path / "c", fmt)
+
+    @pytest.mark.parametrize(
+        "tokens, spans, position",
+        [
+            (["x", "y", "a\tb", "c\nd"], [], 2),
+            (["x", "y", "z"], [Span("t\nu", 1, 3)], 1),
+            (["x", "a\rb", "z"], [Span("t\nu", 2, 3)], 1),
+            (["x", "y", "a\rb"], [Span("t\nu", 0, 2)], 0),
+        ],
+    )
+    def test_tsv_refusal_names_the_first_bad_position(self, tmp_path, tokens, spans, position):
+        corpus = Corpus(
+            (make_doc("ok", ["p"]), make_doc("d", tokens, spans)),
+            tuple(dict.fromkeys(s.type_id for s in spans)),
+        )
+        with pytest.raises(ValueError, match=f"^document 'd', token {position}: "):
+            write_corpus(corpus, tmp_path / "c", format="conll_tsv")
+        _assert_writes_as_oracle(corpus, tmp_path / "c", "conll_tsv")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora())
+    def test_random_corpora(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.getbasetemp() / "random-corpus"
+        for fmt in _ORACLES:
+            _assert_writes_as_oracle(corpus, path, fmt)
 
 
 class TestBioSequence:

@@ -169,3 +169,9 @@ def test_train_leaves_scipy_unloaded(corpus_path, tmp_path):
     assert "scipy" not in loaded
     assert {"numpy", "spanmeta.seqlab"} <= loaded
     assert "spanmeta.meta" not in loaded
+
+
+def test_writers_leave_numpy_unloaded():
+    # so that each interpreter can check them against its own json module
+    loaded = _loaded("import spanmeta._jsontext, spanmeta.corpus")
+    assert loaded == {"spanmeta", "spanmeta._jsontext", "spanmeta.corpus"}
