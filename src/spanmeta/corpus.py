@@ -4,7 +4,9 @@ The data model is deliberately small. A ``Document`` is an ordered tuple of
 ``Token`` objects plus a tuple of non-overlapping, token-indexed ``Span``
 annotations, and a ``Corpus`` bundles documents with a span-type inventory
 and a partition tag. Everything is immutable after construction, so corpora
-can be shared freely between threads. ``read_corpus`` builds and checks
+can be shared freely between threads. Construction is the one place that
+checks what a token, span or document may hold, so readers and writers
+rely on it rather than checking again. ``read_corpus`` builds and checks
 each distinct token once: equal tokens of one read share one immutable
 ``Token`` object, so a corpus costs memory by its distinct tokens.
 ``write_corpus`` likewise encodes and checks each distinct token once per
@@ -24,13 +26,10 @@ write/read/write cycle is byte-stable.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "PARTITIONS",
@@ -66,14 +65,11 @@ class Token:
     """A single token: a surface form plus a bag of named features.
 
     The surface must be non-empty, and so must every feature name; the
-    feature bag may be empty. The hash is computed on first use and kept.
-    It is left out of pickles and copies, because ``str`` hashes differ
-    between processes: an unpickled token computes its own.
+    feature bag may be empty.
     """
 
     surface: str
     features: frozenset[str] = frozenset()
-    _hash = None  # not annotated, so not a field: never compared, copied or shown
 
     def __post_init__(self) -> None:
         if not isinstance(self.surface, str) or not self.surface:
@@ -87,28 +83,26 @@ class Token:
         if any(not isinstance(f, str) or not f for f in self.features):
             raise ValueError(message)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:  # first use: the hash the dataclass would compute
-            value = hash((self.surface, self.features))
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    def __reduce__(self):
-        return type(self), (self.surface, self.features)
-
 
 @dataclass(frozen=True)
 class Span:
-    """A typed, token-indexed, half-open interval ``[start, end)``."""
+    """A typed, token-indexed, half-open interval ``[start, end)``.
+
+    The type id must be a non-empty string and the offsets exactly ``int``:
+    a ``bool`` or ``float`` offset is rejected.
+    """
 
     type_id: str
     start: int
     end: int
 
     def __post_init__(self) -> None:
-        if not self.type_id:
-            raise ValueError("span type id must be non-empty")
+        if not isinstance(self.type_id, str) or not self.type_id:
+            raise ValueError(f"span type id must be a non-empty string, got {self.type_id!r}")
+        if type(self.start) is not int or type(self.end) is not int:
+            raise ValueError(
+                f"span offsets must be ints, got start={self.start!r}, end={self.end!r}"
+            )
         if self.start < 0 or self.end <= self.start:
             raise ValueError(
                 f"invalid span bounds [{self.start}, {self.end}): "
@@ -123,9 +117,10 @@ class Span:
 class Document:
     """An identified token sequence with non-overlapping typed spans.
 
-    Spans are stored sorted by start offset. Construction rejects spans
-    that run past the end of the document or overlap one another, so a
-    ``Document`` that exists is always well formed.
+    Spans are stored sorted by start offset. Construction rejects an id
+    that is not a string and spans that run past the end of the document
+    or overlap one another, so a ``Document`` that exists is always well
+    formed.
     """
 
     id: str
@@ -133,6 +128,8 @@ class Document:
     spans: tuple[Span, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"document id must be a string, got {self.id!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         spans = tuple(sorted(self.spans, key=lambda s: (s.start, s.end, s.type_id)))
         object.__setattr__(self, "spans", spans)
@@ -312,24 +309,21 @@ def read_corpus(
     format: str = "jsonl",
     *,
     partition: str = "train",
-    inventory: Sequence[str] | None = None,
-    drop_misaligned: bool = False,
     decode_mode: str = "strict",
 ) -> Corpus:
     """Parse a corpus file.
 
-    Neither the partition tag nor the inventory is representable in the
-    file formats, so both can be supplied here; by default the partition is
-    ``train`` and the inventory is derived in order of first appearance.
+    Document ids are strings and span offsets are ints; both are checked
+    when each ``Document`` and ``Span`` is built, as every other invariant
+    of the data model is. The span-type inventory is always derived, in
+    order of first appearance, and no span is ever dropped: a span that
+    does not fit its document makes the whole read fail. The partition tag
+    is not representable in the file formats, so it is supplied here.
 
     Args:
         path: file to read.
         format: ``jsonl`` or ``conll_tsv``.
         partition: partition tag for the returned corpus.
-        inventory: span-type inventory to use instead of deriving one.
-        drop_misaligned: drop spans whose indices do not line up with the
-            document's tokens (out of range or inverted) instead of
-            raising; the dropped count is reported through a log warning.
         decode_mode: BIO decode mode for the TSV label column.
 
     Raises:
@@ -340,14 +334,10 @@ def read_corpus(
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
     text = Path(path).read_text(encoding="utf-8")
     if format == "jsonl":
-        docs, dropped = _parse_jsonl(text, drop_misaligned)
+        docs = _parse_jsonl(text)
     else:
-        docs, dropped = _parse_conll_tsv(text, decode_mode)
-    if dropped:
-        log.warning("dropped %d misaligned span(s) while reading %s", dropped, path)
-    if inventory is None:
-        inventory = _derive_inventory(docs)
-    return Corpus(tuple(docs), tuple(inventory), partition)
+        docs = _parse_conll_tsv(text, decode_mode)
+    return Corpus(tuple(docs), _derive_inventory(docs), partition)
 
 
 def _derive_inventory(docs: Iterable[Document]) -> tuple[str, ...]:
@@ -374,15 +364,6 @@ class _Memo(dict):
         return value
 
 
-def _json_scalar(value) -> str:
-    """``json.dumps(value, ensure_ascii=False)``, with str and int done directly."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value, ensure_ascii=False)
-
-
 def _token_json(token: Token) -> str:
     features = ", ".join(map(encode_basestring, sorted(token.features)))
     return f'{{"surface": {encode_basestring(token.surface)}, "features": [{features}]}}'
@@ -392,17 +373,17 @@ def _to_jsonl(corpus: Corpus) -> str:
     """One ``json.dumps(..., ensure_ascii=False)`` line per document, assembled
     from each distinct token's and span type's text, encoded once per call."""
     tokens = _Memo(_token_json)
-    span_heads = _Memo(lambda type_id: f'{{"type": {_json_scalar(type_id)}, "start": ')
+    span_heads = _Memo(lambda type_id: f'{{"type": {encode_basestring(type_id)}, "start": ')
     lines = []
     for doc in corpus.documents:
         spans = ", ".join(
             [
-                f'{span_heads[s.type_id]}{_json_scalar(s.start)}, "end": {_json_scalar(s.end)}}}'
+                f'{span_heads[s.type_id]}{s.start}, "end": {s.end}}}'
                 for s in doc.spans
             ]
         )
         lines.append(
-            f'{{"id": {_json_scalar(doc.id)}, '
+            f'{{"id": {encode_basestring(doc.id)}, '
             f'"tokens": [{", ".join(map(tokens.__getitem__, doc.tokens))}], '
             f'"spans": [{spans}]}}'
         )
@@ -422,9 +403,8 @@ def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
     return token
 
 
-def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]:
+def _parse_jsonl(text: str) -> list[Document]:
     docs: list[Document] = []
-    dropped = 0
     seen: dict[tuple, Token] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -434,60 +414,39 @@ def _parse_jsonl(text: str, drop_misaligned: bool) -> tuple[list[Document], int]
         except json.JSONDecodeError as e:
             raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
         try:
-            doc, n_bad = _document_from_obj(obj, drop_misaligned, seen)
-        except (KeyError, TypeError, ValueError) as e:
+            docs.append(_document_from_obj(obj, seen))
+        except ValueError as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
-        docs.append(doc)
-        dropped += n_bad
-    return docs, dropped
+    return docs
 
 
-def _document_from_obj(
-    obj: object, drop_misaligned: bool, seen: dict[tuple, Token]
-) -> tuple[Document, int]:
+def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object per line")
     doc_id = obj.get("id")
-    if not isinstance(doc_id, str):
-        raise ValueError("missing or non-string 'id'")
     raw_tokens = obj.get("tokens")
     if not isinstance(raw_tokens, list):
         raise ValueError(f"document {doc_id!r}: missing or non-list 'tokens'")
     tokens = []
     for tk in raw_tokens:
-        if not isinstance(tk, dict) or not isinstance(tk.get("surface"), str):
+        if not isinstance(tk, dict):
             raise ValueError(f"document {doc_id!r}: malformed token entry")
         feats = tk.get("features", [])
-        if not isinstance(feats, list):
+        if not isinstance(feats, list):  # a string would pass as a bag of letters
             raise ValueError(f"document {doc_id!r}: malformed feature list")
-        tokens.append(_token(seen, tk["surface"], feats))
+        tokens.append(_token(seen, tk.get("surface"), feats))
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise ValueError(f"document {doc_id!r}: non-list 'spans'")
-    n = len(tokens)
     spans = []
-    dropped = 0
     for sp in raw_spans:
-        if (
-            not isinstance(sp, dict)
-            or not isinstance(sp.get("type"), str)
-            or not isinstance(sp.get("start"), int)
-            or not isinstance(sp.get("end"), int)
-            or isinstance(sp.get("start"), bool)
-            or isinstance(sp.get("end"), bool)
-        ):
+        if not isinstance(sp, dict):
             raise ValueError(f"document {doc_id!r}: malformed span entry")
-        start, end = sp["start"], sp["end"]
-        if start < 0 or end <= start or end > n:
-            if drop_misaligned:
-                dropped += 1
-                continue
-            raise ValueError(
-                f"document {doc_id!r}: span {sp['type']}@[{start},{end}) "
-                f"does not fit a {n}-token document"
-            )
-        spans.append(Span(sp["type"], start, end))
-    return Document(doc_id, tuple(tokens), tuple(spans)), dropped
+        try:
+            spans.append(Span(sp.get("type"), sp.get("start"), sp.get("end")))
+        except ValueError as e:
+            raise ValueError(f"document {doc_id!r}: {e}") from None
+    return Document(doc_id, tuple(tokens), tuple(spans))
 
 
 def _holds_tsv_separator(text: str) -> bool:
@@ -528,7 +487,7 @@ def _to_conll_tsv(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _parse_conll_tsv(text: str, decode_mode: str) -> tuple[list[Document], int]:
+def _parse_conll_tsv(text: str, decode_mode: str) -> list[Document]:
     docs: list[Document] = []
     rows: list[tuple[Token, str]] = []
     first_row_line = 0
@@ -559,15 +518,12 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> tuple[list[Document], int]:
                 f"line {lineno}: expected at least 2 tab-separated columns, "
                 f"got {len(cols)}"
             )
-        surface, label = cols[0], cols[1]
-        if not surface:
-            raise CorpusFormatError(f"line {lineno}: empty surface column")
         if not rows:
             first_row_line = lineno
         try:
-            token = _token(seen, surface, cols[2:])
+            token = _token(seen, cols[0], cols[2:])
         except ValueError as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from None
-        rows.append((token, label))
+        rows.append((token, cols[1]))
     flush()
-    return docs, 0
+    return docs

@@ -765,6 +765,13 @@ def observations_to_csv(observations: Sequence[Observation], path: str | Path) -
             )
 
 
+def _csv_flag(row: dict, column: str) -> bool:
+    value = row[column]
+    if value not in ("0", "1"):
+        raise ValueError(f"{column} must be 0 or 1, got {value!r}")
+    return value == "1"
+
+
 def observations_from_csv(path: str | Path) -> list[Observation]:
     """Read observations from the flat CSV interchange format."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -776,11 +783,13 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
         out = []
         for lineno, row in enumerate(reader, start=2):
             try:
+                if None in row:  # DictReader's key for fields past the header
+                    raise ValueError(f"{len(row[None])} more field(s) than the header")
                 arch = ArchitectureFeatures(
-                    bool(int(row["feat"])),
-                    bool(int(row["crf"])),
-                    bool(int(row["lstm"])),
-                    bool(int(row["bert"])),
+                    _csv_flag(row, "feat"),
+                    _csv_flag(row, "crf"),
+                    _csv_flag(row, "lstm"),
+                    _csv_flag(row, "bert"),
                 )
                 profile = SpanTypeProfile(
                     type_id=row["span_type"],

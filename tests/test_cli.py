@@ -955,6 +955,24 @@ class TestMeta:
         assert code == 1
         assert "header" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:1] + ["2", "-1"] + cells[3:], "feat must be 0 or 1, got '2'"),
+            (lambda cells: cells + ["x"], "1 more field(s) than the header"),
+        ],
+        ids=["flag", "extra-field"],
+    )
+    def test_malformed_obs_row_fails(self, files, tmp_path, capsys, edit, message):
+        with open(files["obs"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["meta", "cv", "--obs", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"spanmeta: error: observation CSV line 3: {message}\n"
+
     def test_missing_obs_is_io_error(self, capsys):
         code, _, err = run_cli(["meta", "cv", "--obs", "/nonexistent.csv"], capsys)
         assert code == 2

@@ -50,7 +50,7 @@ class TestDataModel:
         token = Token("naïve", frozenset({"cap", "x"}))
         assert hash(token) == hash((token.surface, token.features))
 
-    def test_token_equality_and_fields_ignore_the_cached_hash(self):
+    def test_token_equality_fields_and_repr(self):
         assert Token("a", ["f"]) == Token("a", frozenset({"f"}))
         assert Token("a") != Token("a", ["f"])
         assert Token("a") != Token("b")
@@ -58,12 +58,9 @@ class TestDataModel:
         assert dataclasses.asdict(Token("a")) == {"surface": "a", "features": frozenset()}
         assert repr(Token("a")) == "Token(surface='a', features=frozenset())"
 
-    def test_pickled_token_carries_no_cached_hash(self):
+    def test_token_pickles_and_copies_to_an_equal_token(self):
         token = Token("naïve", frozenset({"cap", "x"}))
-        hash(token)  # computes and keeps the hash
-        data = pickle.dumps(token)
-        assert b"_hash" not in data
-        back = pickle.loads(data)
+        back = pickle.loads(pickle.dumps(token))
         assert back is not token
         assert back == token and hash(back) == hash(token)
         for clone in (copy.copy(token), copy.deepcopy(token)):
@@ -92,6 +89,20 @@ class TestDataModel:
             Span("t", -1, 1)
         with pytest.raises(ValueError):
             Span("", 0, 1)
+
+    @pytest.mark.parametrize(
+        "type_id, start, end",
+        [("t", False, True), ("t", 0, True), ("t", 0.0, 1), ("t", 0, 1.0), ("t", "0", 1),
+         (None, 0, 1), (7, 0, 1), (["t"], 0, 1)],
+    )
+    def test_span_rejects_what_is_not_a_type_id_or_an_int(self, type_id, start, end):
+        with pytest.raises(ValueError, match="span (type id|offsets) must be"):
+            Span(type_id, start, end)
+
+    @pytest.mark.parametrize("doc_id", [7, None, b"d", ("d",)])
+    def test_document_rejects_non_string_id(self, doc_id):
+        with pytest.raises(ValueError, match="document id must be a string"):
+            Document(doc_id, ())
 
     def test_span_length(self):
         assert len(Span("t", 3, 7)) == 4
@@ -280,7 +291,7 @@ class TestFileRoundTrips:
             write_corpus(corpus, path, format="conll_tsv")
         assert not path.exists()
         write_corpus(corpus, path)
-        assert read_corpus(path, inventory=inventory).documents == corpus.documents
+        assert read_corpus(path).documents == corpus.documents
 
     def test_jsonl_ids_preserved_tsv_ids_positional(self, tmp_path):
         path = tmp_path / "c"
@@ -298,12 +309,6 @@ class TestFileRoundTrips:
         )
         write_corpus(Corpus(docs, ("beta", "alpha")), path)
         assert read_corpus(path).span_type_inventory == ("beta", "alpha")
-
-    def test_explicit_inventory_wins(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_corpus(_sample_corpus(), path)
-        loaded = read_corpus(path, inventory=("place", "person", "extra"))
-        assert loaded.span_type_inventory == ("place", "person", "extra")
 
     def test_partition_tag(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -366,25 +371,46 @@ class TestReadErrors:
         with pytest.raises(CorpusFormatError, match="overlapping"):
             read_corpus(path)
 
-    def test_drop_misaligned_keeps_document(self, tmp_path, caplog):
-        path = tmp_path / "c.jsonl"
-        doc = {
-            "id": "d",
-            "tokens": [{"surface": s, "features": []} for s in "abcd"],
-            "spans": [
-                {"type": "t", "start": 0, "end": 2},
-                {"type": "t", "start": 3, "end": 9},
-            ],
-        }
-        path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(CorpusFormatError, match="does not fit"):
+    @pytest.mark.parametrize(
+        "doc_id, message",
+        [(7, "document id must be a string, got 7"),
+         (None, "document id must be a string, got None")],
+    )
+    def test_non_string_id_reports_line(self, tmp_path, doc_id, message):
+        path = tmp_path / "bad.jsonl"
+        lines = [_jsonl_line("a", [("x", [])]), _jsonl_line(doc_id, [("x", [])])]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
-        with caplog.at_level("WARNING"):
-            loaded = read_corpus(path, drop_misaligned=True)
-        assert loaded.documents[0].spans == (Span("t", 0, 2),)
-        assert any(
-            "dropped 1 misaligned" in r.getMessage() for r in caplog.records
-        )
+        assert str(info.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            ({"type": "t", "start": True, "end": 1}, "offsets must be ints, got start=True, end=1"),
+            ({"type": "t", "start": 0, "end": 1.0}, "offsets must be ints, got start=0, end=1.0"),
+            ({"type": "t", "end": 1}, "offsets must be ints, got start=None, end=1"),
+            ({"type": 3, "start": 0, "end": 1}, "type id must be a non-empty string, got 3"),
+            ({"start": 0, "end": 1}, "type id must be a non-empty string, got None"),
+            ({"type": "t", "start": 1, "end": 1}, "bounds [1, 1): need 0 <= start < end"),
+        ],
+        ids=["bool-start", "float-end", "no-start", "int-type", "no-type", "empty"],
+    )
+    def test_malformed_span_reports_line_and_document(self, tmp_path, span, message):
+        path = tmp_path / "bad.jsonl"
+        doc = {"id": "d", "tokens": [{"surface": "x", "features": []}], "spans": [span]}
+        path.write_text(_jsonl_line("a", [("x", [])]) + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path)
+        assert str(info.value).startswith("line 2: document 'd': ")
+        assert str(info.value).endswith(f" span {message}")
+
+    def test_tsv_empty_surface_reports_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tO\n\tB-t\n")
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path, format="conll_tsv")
+        assert str(info.value) == "line 2: token surface must be a non-empty string"
 
     def test_tsv_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -492,21 +518,6 @@ class TestInterning:
         assert str(info.value) == "line 2: feature names must be non-empty strings"
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_drop_misaligned_counts_every_document(self, tmp_path, caplog):
-        path = tmp_path / "c.jsonl"
-        tokens = [("x", ["f"]), ("y", []), ("x", ["f"])]
-        path.write_text(
-            _jsonl_line("a", tokens, [("t", 0, 1), ("t", 2, 9)]) + "\n"
-            + _jsonl_line("b", tokens, [("t", 3, 4), ("t", 1, 1)]) + "\n"
-            + _jsonl_line("c", tokens, [("t", 1, 3)]) + "\n"
-        )  # fmt: skip
-        with caplog.at_level("WARNING"):
-            loaded = read_corpus(path, drop_misaligned=True)
-        assert [d.spans for d in loaded] == [(Span("t", 0, 1),), (), (Span("t", 1, 3),)]
-        assert [r.getMessage().split(" misaligned")[0] for r in caplog.records] == [
-            "dropped 3"
-        ]
-
 
 # The writers as they were before they encoded each distinct token once:
 # one dict per token and one json.dumps per document, and one joined and
@@ -613,10 +624,8 @@ def _tricky_corpus() -> Corpus:
         Document("copies", (Token(quoted.surface, quoted.features), Token("x"))),
         # every token distinct
         Document("distinct", tuple(Token(f"w{i}", frozenset({f"f{i}"})) for i in range(9))),
-        # whatever the dataclasses hold is written as json.dumps writes it
-        Document(7, (Token("x"),), (Span("plain", False, True),)),
     )
-    return Corpus(docs, ('ty"pe\\é', "plain"))
+    return Corpus(docs, ('ty"pe\\é',))
 
 
 class TestWritersMatchTheDictEncoders:

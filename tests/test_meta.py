@@ -631,6 +631,29 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match="line 3"):
             observations_from_csv(path)
 
+    @pytest.mark.parametrize("flag", ["2", "-1", "", " 1", "true", "1.0"])
+    def test_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # bool(int("2")) and bool(int("-1")) once read both as a present component
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\n"
+            "t,0,1,0,0,10,2.0,0.5,0.5,55.0\n"
+            f"u,0,0,{flag},0,10,2.0,0.5,0.5,55.0\n"
+        )
+        with pytest.raises(ValueError) as info:
+            observations_from_csv(path)
+        assert str(info.value) == f"observation CSV line 3: lstm must be 0 or 1, got {flag!r}"
+
+    def test_row_longer_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\n"
+            "t,0,1,0,0,10,2.0,0.5,0.5,55.0,extra,more\n"
+        )
+        with pytest.raises(ValueError) as info:
+            observations_from_csv(path)
+        assert str(info.value) == "observation CSV line 2: 2 more field(s) than the header"
+
     @pytest.mark.parametrize("column", ["length", "sd", "bd"])
     def test_non_finite_measurement_rejected(self, tmp_path, column):
         values = {"length": "2.0", "sd": "0.5", "bd": "0.5"}
