@@ -4,14 +4,16 @@
 pure-Python encoder, which spends most of a model file's time yielding
 one chunk per float. :func:`json_text` writes the same bytes with one
 join per container, and one join of ``float.__repr__`` per all-float list.
-It imports nothing numerical.
+:func:`write_text` puts that text, or any other, into a file. The module
+imports nothing numerical.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _string
+from pathlib import Path
 
-__all__ = ["json_text"]
+__all__ = ["json_text", "write_text"]
 
 _INDENT = "  "
 
@@ -95,3 +97,19 @@ def _value(o, newline: str) -> str:
         )
         return "{" + inner + body + newline + "}"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, with no newline translation.
+
+    The whole text is encoded before the file is opened, so text with no
+    UTF-8 form, such as a lone surrogate, leaves an earlier file intact.
+
+    Raises:
+        ValueError: naming ``path`` if ``text`` cannot be encoded.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ValueError(f"cannot write {path}: {e}") from e
+    Path(path).write_bytes(data)

@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from ._jsontext import json_text
+from ._jsontext import json_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, read_corpus
 from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
@@ -64,7 +64,7 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
 
 
 def _write_csv(header: list[str], rows, out: str | None) -> None:
@@ -318,7 +318,12 @@ def _cmd_meta_predict(args) -> None:
         clash = [flag for flag, value in given if value is not None]
         if clash:
             raise ValueError(f"--model cannot be combined with {' or '.join(clash)}")
-        model = meta_model_from_dict(json.loads(Path(args.model).read_text("utf-8")))
+        text = Path(args.model).read_text("utf-8")
+        try:
+            payload = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
+            raise ValueError(f"{args.model}: invalid JSON: {e}") from e
+        model = meta_model_from_dict(payload)
     else:
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
         model = fit_meta_model(_observations(args), alpha)

@@ -31,6 +31,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from ._jsontext import write_text
+
 __all__ = [
     "PARTITIONS",
     "OUTSIDE",
@@ -293,7 +295,9 @@ def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Non
     columns cannot hold a tab, line feed or carriage return, so a document
     with no tokens, or such a character in a surface, span type or feature
     name, raises ``ValueError`` naming the document and token position.
-    ``jsonl`` holds all of these.
+    ``jsonl`` holds all of these. Text with no UTF-8 form, such as a lone
+    surrogate read from a ``\\ud800`` escape, raises ``ValueError`` naming
+    ``path`` before the file is opened, so an earlier file there is kept.
     """
     if format == "jsonl":
         text = _to_jsonl(corpus)
@@ -301,7 +305,7 @@ def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Non
         text = _to_conll_tsv(corpus)
     else:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_text(path, text)
 
 
 def read_corpus(
@@ -411,7 +415,7 @@ def _parse_jsonl(text: str) -> list[Document]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
             raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
         try:
             docs.append(_document_from_obj(obj, seen))

@@ -169,20 +169,24 @@ def inverse_padded_logit(value, alpha: float = DEFAULT_ALPHA):
 
 
 def raw_predictors(observations: Sequence[Observation]) -> np.ndarray:
-    """The eight untransformed mains, one row per observation."""
-    rows = []
-    for o in observations:
-        p = o.profile
-        rows.append(
-            o.arch.flags()
-            + (
-                math.log(p.frequency),
-                math.log(p.span_length),
-                p.span_distinctiveness,
-                p.boundary_distinctiveness,
-            )
-        )
-    return np.asarray(rows, dtype=float)
+    """The eight untransformed mains, one row per observation.
+
+    Built a column at a time; the logs go through ``math.log``, which
+    ``np.log`` is not guaranteed to match bit for bit.
+    """
+    archs = [o.arch for o in observations]
+    profiles = [o.profile for o in observations]
+    columns = [
+        [a.has_feat for a in archs],
+        [a.has_crf for a in archs],
+        [a.has_lstm for a in archs],
+        [a.has_bert for a in archs],
+        list(map(math.log, [p.frequency for p in profiles])),
+        list(map(math.log, [p.span_length for p in profiles])),
+        [p.span_distinctiveness for p in profiles],
+        [p.boundary_distinctiveness for p in profiles],
+    ]
+    return np.array(columns, dtype=float).T
 
 
 @dataclass(frozen=True)
@@ -484,7 +488,10 @@ def _loso(
 
     The design, its QR and every fold check are built here once, since
     none depends on the padding value; the returned function only maps
-    the F1 scores to that value's scale and solves each fold.
+    the F1 scores to that value's scale and solves the folds. Folds of
+    one size, taken in order of first appearance, are stacked and solved
+    in a single batched call, so the sweep makes one call per fold size
+    rather than one per fold.
     """
     groups = _groups(observations)
     if len(groups) < 2:
@@ -493,31 +500,49 @@ def _loso(
             f"got {len(groups)}"
         )
     actual = np.array([o.f1 for o in observations])
-    folds: dict[str, np.ndarray] = {}
+    # per fold size: the held-out rows (m, g) and the systems I - Q_g Q_g' (m, g, g)
+    batches: list[tuple[np.ndarray, np.ndarray]] = []
     if predictor_set != "empty":
         Q, _, _ = _factor(build_design_matrix(observations, predictor_set))
         n, k = Q.shape
         tol = max(n, k) * np.finfo(float).eps
+        by_size: dict[int, list[str]] = {}
         for type_id, idx in groups.items():
-            fold = f"fold holding out span type {type_id!r}"
-            if n - len(idx) <= k:
-                raise ValueError(f"{fold}: needs more training rows than columns ({k})")
-            h = Q[idx] @ Q[idx].T
-            if 1.0 - np.linalg.eigvalsh(h)[-1] <= tol:
-                raise ValueError(f"{fold}: training rows are rank deficient")
-            folds[type_id] = np.eye(len(idx)) - h
+            by_size.setdefault(len(idx), []).append(type_id)
+        failures: dict[str, str] = {}
+        for size, type_ids in by_size.items():
+            rows = np.stack([groups[type_id] for type_id in type_ids])
+            # one 2-D product per fold: a batched matmul may round differently
+            h = np.stack([Q[idx] @ Q[idx].T for idx in rows])
+            if n - size <= k:
+                failures.update(
+                    dict.fromkeys(type_ids, f"needs more training rows than columns ({k})")
+                )
+            else:
+                deficient = 1.0 - np.linalg.eigvalsh(h)[:, -1] <= tol
+                for type_id, bad in zip(type_ids, deficient):
+                    if bad:
+                        failures[type_id] = "training rows are rank deficient"
+            batches.append((rows, np.eye(size) - h))
+        # the batches run by size, but the error names the first bad fold in order of appearance
+        for type_id in groups:
+            if type_id in failures:
+                raise ValueError(
+                    f"fold holding out span type {type_id!r}: {failures[type_id]}"
+                )
 
     def cross_validate(alpha: float) -> CrossValidationResult:
-        preds = np.empty(len(observations))
         if predictor_set == "empty":
+            preds = np.empty(len(observations))
             for idx in groups.values():
                 preds[idx] = float(np.mean(np.delete(actual, idx)))
         else:
             y = padded_logit(actual, alpha)
             resid = y - Q @ (Q.T @ y)
-            for type_id, idx in groups.items():
-                held_out = y[idx] - np.linalg.solve(folds[type_id], resid[idx])
-                preds[idx] = inverse_padded_logit(held_out, alpha)
+            held_out = np.empty(len(observations))
+            for rows, systems in batches:
+                held_out[rows] = y[rows] - np.linalg.solve(systems, resid[rows, None])[..., 0]
+            preds = inverse_padded_logit(held_out, alpha)
         mae = float(np.mean(np.abs(preds - actual)))
         ss_tot = float(np.sum((actual - actual.mean()) ** 2))
         r2 = None
@@ -548,14 +573,17 @@ def loso_cv(
     affine maps of raw predictors beside an intercept, so a fold's own
     standardization would predict the same, and one QR ``X = QR`` of the
     full design gives ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
-    The ``empty`` predictor set predicts the training fold's mean F1 and
-    has no defined r2.
+    Folds are solved in batches, one per fold size: the systems of every
+    fold of one size go to a single batched solve, and all held-out
+    values are mapped back to F1 at once. The ``empty`` predictor set
+    predicts the training fold's mean F1 and has no defined r2.
 
     Raises:
-        ValueError: naming the held-out span type when its fold has no
-            more training rows than columns, or when ``1 - max eig(Q_g Q_g')``,
-            zero exactly if the training rows are rank deficient, is
-            within ``max(n, k)`` machine epsilons of zero.
+        ValueError: naming the first held-out span type, in order of
+            appearance, whose fold has no more training rows than columns,
+            or whose ``1 - max eig(Q_g Q_g')``, zero exactly if the training
+            rows are rank deficient, is within ``max(n, k)`` machine
+            epsilons of zero.
     """
     _check_alpha(alpha)
     return _loso(list(observations), predictor_set)(alpha)
@@ -781,7 +809,7 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
                 f"observation CSV must have header {','.join(_CSV_HEADER)}"
             )
         out = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 if None in row:  # DictReader's key for fields past the header
                     raise ValueError(f"{len(row[None])} more field(s) than the header")
@@ -802,5 +830,6 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
                     Observation(row["span_type"], arch, profile, float(row["f1"]))
                 )
             except (TypeError, ValueError, KeyError) as e:
-                raise ValueError(f"observation CSV line {lineno}: {e}") from e
+                # physical lines: a quoted field may hold a line break
+                raise ValueError(f"observation CSV line {reader.line_num}: {e}") from e
     return out

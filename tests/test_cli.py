@@ -386,6 +386,22 @@ class TestProfile:
         assert code2 == 0
         assert out_path.read_text(encoding="utf-8") == stdout
 
+    def test_unencodable_output_keeps_an_earlier_out_file(self, tmp_path, capsys):
+        # a span type read from a \ud800 escape cannot be written as UTF-8 CSV
+        corpus = tmp_path / "lone.jsonl"
+        corpus.write_text(
+            '{"id": "d", "tokens": [{"surface": "a"}, {"surface": "b"}, {"surface": "c"}], '
+            '"spans": [{"type": "\\ud800", "start": 1, "end": 2}]}\n'
+        )
+        out = tmp_path / "profile.csv"
+        out.write_bytes(b"earlier\n")
+        code, stdout, err = run_cli(
+            ["profile", str(corpus), "--format", "csv", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"spanmeta: error: cannot write {out}: ")
+        assert out.read_bytes() == b"earlier\n"
+
     def test_tsv_input(self, files, capsys):
         code, out, _ = run_cli(
             ["profile", files["gold_tsv"], "--input-format", "conll_tsv"], capsys
@@ -848,6 +864,15 @@ class TestMeta:
         assert f"--model cannot be combined with {extra[0]}" in err
         assert "Traceback" not in err
 
+    def test_predict_model_that_is_not_json_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "meta.json"
+        model_path.write_text("{oops\n", encoding="utf-8")
+        argv = ["meta", "predict", "--model", str(model_path), "--freq", "50",
+                "--length", "2", "--sd", "1", "--bd", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spanmeta: error: {model_path}: invalid JSON: ")
+
     def test_predict_model_without_columns_fails(self, tmp_path, capsys):
         model_path = tmp_path / "meta.json"
         assert run_cli(["meta", "fit", "--out", str(model_path)], capsys)[0] == 0
@@ -1039,6 +1064,24 @@ def _run_module(args, module="spanmeta.cli", **env):
 
 
 class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile"],
+            ["meta", "predict", "--freq", "50", "--length", "2", "--sd", "1", "--bd", "1",
+             "--model"],
+        ],
+        ids=["profile", "meta-predict"],
+    )
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "\n")
+        done = _run_module([*argv, str(path)])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "invalid JSON" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
     def test_help_prints_usage(self):
         done = _run_module(["--help"])
         assert done.returncode == 0

@@ -320,12 +320,30 @@ class TestFileRoundTrips:
         with pytest.raises(ValueError, match="format"):
             write_corpus(_sample_corpus(), tmp_path / "x", format="xml")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_unencodable_text_leaves_an_earlier_file_intact(self, tmp_path, fmt):
+        # JSON reads a \ud800 escape as a lone surrogate, which has no UTF-8 form
+        source = tmp_path / "lone.jsonl"
+        source.write_text('{"id": "d", "tokens": [{"surface": "\\ud800"}], "spans": []}\n')
+        corpus = read_corpus(source)
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(ValueError, match=f"cannot write {path}: .*surrogates"):
+            write_corpus(corpus, path, format=fmt)
+        assert path.read_bytes() == b"earlier\n"
+
 
 class TestReadErrors:
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "tokens": [], "spans": []}\n{oops\n')
         with pytest.raises(CorpusFormatError, match="line 2"):
+            read_corpus(path)
+
+    def test_deeply_nested_json_reports_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "tokens": [], "spans": []}\n' + "[" * 100_000 + "\n")
+        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: "):
             read_corpus(path)
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -35,6 +36,7 @@ from spanmeta.meta import (
     INTERACTION_COLUMNS,
     MAIN_COLUMNS,
     PREDICTOR_SETS,
+    _factor,
     ablate,
     alpha_mae_curve,
     meta_model_from_dict,
@@ -573,6 +575,107 @@ class TestLosoCv:
         assert results["task_only"].mae == direct.mae
 
 
+
+def _per_fold_loso(observations, predictor_set, alpha):
+    """Leave-one-span-type-out CV with one solve and one inverse map per fold.
+
+    This is the fold-by-fold loop that the batched folds replaced, kept as
+    an exact reference: the same QR and the same 2-D products, so every
+    prediction and summary must match bit for bit.
+    """
+    groups = {}
+    for i, o in enumerate(observations):
+        groups.setdefault(o.span_type_id, []).append(i)
+    groups = {type_id: np.array(idx) for type_id, idx in groups.items()}
+    actual = np.array([o.f1 for o in observations])
+    preds = np.empty(len(observations))
+    if predictor_set == "empty":
+        for idx in groups.values():
+            preds[idx] = float(np.mean(np.delete(actual, idx)))
+    else:
+        Q, _, _ = _factor(build_design_matrix(observations, predictor_set))
+        n, k = Q.shape
+        tol = max(n, k) * np.finfo(float).eps
+        folds = {}
+        for type_id, idx in groups.items():
+            fold = f"fold holding out span type {type_id!r}"
+            if n - len(idx) <= k:
+                raise ValueError(f"{fold}: needs more training rows than columns ({k})")
+            h = Q[idx] @ Q[idx].T
+            if 1.0 - np.linalg.eigvalsh(h)[-1] <= tol:
+                raise ValueError(f"{fold}: training rows are rank deficient")
+            folds[type_id] = np.eye(len(idx)) - h
+        y = padded_logit(actual, alpha)
+        resid = y - Q @ (Q.T @ y)
+        for type_id, idx in groups.items():
+            held_out = y[idx] - np.linalg.solve(folds[type_id], resid[idx])
+            preds[idx] = inverse_padded_logit(held_out, alpha)
+    mae = float(np.mean(np.abs(preds - actual)))
+    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+    r2 = None
+    if predictor_set != "empty" and ss_tot != 0.0:
+        r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
+    return preds, mae, r2
+
+
+def _unequal_folds(observations):
+    """Drop 0-3 rows per span type, cycling, so folds of one size are not adjacent."""
+    types = list(dict.fromkeys(o.span_type_id for o in observations))
+    drop = {type_id: i % 4 for i, type_id in enumerate(types)}
+    seen = dict.fromkeys(types, 0)
+    out = []
+    for o in observations:
+        seen[o.span_type_id] += 1
+        if seen[o.span_type_id] > drop[o.span_type_id]:
+            out.append(o)
+    return out
+
+
+class TestBatchedLosoOracle:
+    """The batched folds against the fold-by-fold loop, compared exactly."""
+
+    @pytest.fixture(scope="class", params=["bundled", "unequal"])
+    def observations(self, request):
+        obs = to_observations(load_embedded())
+        if request.param == "unequal":
+            obs = _unequal_folds(obs)
+            assert sorted(set(Counter(o.span_type_id for o in obs).values())) == [9, 10, 11, 12]
+        return obs
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("predictor_set", list(PREDICTOR_SETS))
+    def test_matches_per_fold_solves_exactly(self, observations, predictor_set, alpha):
+        result = loso_cv(observations, alpha, predictor_set)
+        preds, mae, r2 = _per_fold_loso(observations, predictor_set, alpha)
+        assert np.array_equal(result.predictions, preds)
+        assert result.mae == mae
+        assert result.r2 == r2
+
+    @pytest.mark.parametrize("predictor_set", ["no_interactions", "task_only"])
+    def test_first_bad_fold_in_order_of_appearance_is_named(self, predictor_set):
+        # s3 alone varies in boundary distinctiveness and s5 alone in span
+        # distinctiveness, so both folds are rank deficient; s3 keeps nine
+        # rows, so its batch of one size comes after s5's batch of twelve
+        obs = []
+        for o in synth_observations(np.random.default_rng(40), n_types=7):
+            p = o.profile
+            if o.span_type_id != "s3":
+                p = dataclasses.replace(p, boundary_distinctiveness=0.5)
+            if o.span_type_id != "s5":
+                p = dataclasses.replace(p, span_distinctiveness=1.5)
+            obs.append(dataclasses.replace(o, profile=p))
+        obs = [o for i, o in enumerate(obs) if not (o.span_type_id == "s3" and i % 12 < 3)]
+        fit_meta_model(obs, predictor_set=predictor_set)
+        with pytest.raises(ValueError) as batched:
+            loso_cv(obs, predictor_set=predictor_set)
+        with pytest.raises(ValueError) as reference:
+            _per_fold_loso(obs, predictor_set, 0.2)
+        assert str(batched.value) == str(reference.value)
+        assert str(batched.value) == (
+            "fold holding out span type 's3': training rows are rank deficient"
+        )
+
+
 class TestAlphaSelection:
     def test_curve_matches_individual_runs(self):
         obs = synth_observations(np.random.default_rng(28), n_types=7)
@@ -630,6 +733,18 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError, match="line 3"):
             observations_from_csv(path)
+
+    def test_line_number_counts_line_breaks_inside_quoted_fields(self, tmp_path):
+        # the first record spans lines 2 and 3, so the bad freq is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\n"
+            '"two\nlines",0,0,0,0,10,2.0,0.5,0.5,55.0\n'
+            "u,0,0,0,0,not_a_number,2.0,0.5,0.5,55.0\n"
+        )
+        with pytest.raises(ValueError) as info:
+            observations_from_csv(path)
+        assert str(info.value).startswith("observation CSV line 4: ")
 
     @pytest.mark.parametrize("flag", ["2", "-1", "", " 1", "true", "1.0"])
     def test_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
