@@ -8,8 +8,9 @@ embedded-data analysis and writes report.json plus scatter.svg.
 
 Only the corpus, evaluation and metrics modules are imported here; each
 handler imports the rest of what it uses when it runs, so ``eval`` and
-``profile`` load no numpy and ``train`` no scipy. The parser's choices
-and defaults come from ``_options``, which imports nothing numerical.
+``profile`` load no numpy and ``train`` no meta-model. No command loads
+scipy. The parser's choices and defaults come from ``_options``, which
+imports nothing numerical.
 
 Exit codes: 0 on success, 1 on any validation problem (bad flags, bad
 file contents, bad values), 2 on I/O failure.
@@ -375,9 +376,9 @@ def _cmd_reproduce(args) -> None:
     run = build_reproduction_report(args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(run.report.to_json(), encoding="utf-8")
+    write_text(out_dir / "report.json", run.report.to_json())
     svg = scatter_svg(run.full_cv.actual, run.full_cv.predictions)
-    (out_dir / "scatter.svg").write_text(svg, encoding="utf-8")
+    write_text(out_dir / "scatter.svg", svg)
     sys.stdout.write(run.report.to_text())
 
 

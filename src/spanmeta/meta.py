@@ -30,15 +30,15 @@ in closed form as ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-from scipy import special
 
+from ._jsontext import write_text
 from ._numbers import finite_floats
 from ._options import (
     ARCH_MAINS,
@@ -146,7 +146,15 @@ def padded_logit(f1, alpha: float = DEFAULT_ALPHA):
     if np.any((arr < 0.0) | (arr > 100.0)):
         raise ValueError("F1 scores must lie in [0, 100]")
     squeezed = (1.0 - alpha) * arr / 100.0 + alpha * (100.0 - arr) / 100.0
-    out = special.logit(squeezed)
+    # log(p / (1 - p)) loses precision near p = 1/2, where log1p(s) - log1p(-s)
+    # with s = 2p - 1 keeps it; at alpha 0 the endpoints map to -inf and inf
+    s = 2.0 * (squeezed - 0.5)
+    with np.errstate(divide="ignore"):
+        out = np.where(
+            (squeezed < 0.3) | (squeezed > 0.65),
+            np.log(squeezed / (1.0 - squeezed)),
+            np.log1p(s) - np.log1p(-s),
+        )
     return float(out) if np.isscalar(f1) else out
 
 
@@ -158,7 +166,8 @@ def inverse_padded_logit(value, alpha: float = DEFAULT_ALPHA):
     """
     _check_alpha(alpha)
     arr = np.asarray(value, dtype=float)
-    squeezed = special.expit(arr)
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf for x << 0: squeezed 0
+        squeezed = 1.0 / (1.0 + np.exp(-arr))
     f1 = 100.0 * (squeezed - alpha) / (1.0 - 2.0 * alpha)
     out = np.clip(f1, 0.0, 100.0)
     return float(out) if np.isscalar(value) else out
@@ -318,34 +327,110 @@ def _check_xy(design: DesignMatrix, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _factor(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivoted QR ``X[:, piv] = QR``; raises unless X is tall and full rank."""
+def _factor(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``X = QR``; raises unless X is tall and full rank.
+
+    Without pivoting, ``|R_jj|`` is the distance of column j from the span
+    of the columns before it, so the columns whose ``|R_jj|`` is at most
+    ``max(n, k)`` machine epsilons times the largest are the ones linearly
+    dependent on earlier ones.
+    """
     X = design.matrix
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
-    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     tol = diag.max() * max(n, k) * np.finfo(float).eps
-    rank = int((diag > tol).sum())
-    if rank < k:
-        dependent = sorted(design.column_names[j] for j in piv[rank:])
+    dependent = [name for name, d in zip(design.column_names, diag) if d <= tol]
+    if dependent:
         raise ValueError(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(dependent)
+            "design matrix is rank deficient; dependent columns: " + ", ".join(dependent)
         )
-    return Q, R, piv
+    return Q, R
+
+
+def _log_beta_half(a: float) -> float:
+    """``log B(a, 1/2)``.
+
+    ``lgamma(a)`` and ``lgamma(a + 1/2)`` are each about ``a log a``, and
+    their rounding errors at that size leave 7e-12 in their difference at
+    a = 5000. From a = 20 on, the difference comes instead from Stirling's
+    series, whose first omitted term is below 2e-15 there.
+    """
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    def stirling(z: float) -> float:  # log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
+        w = 1.0 / (z * z)
+        return (1 / 12 - (1 / 360 - (1 / 1260 - w / 1680) * w) * w) / z
+
+    return (
+        math.lgamma(0.5) + 0.5 - 0.5 * math.log(a) - a * math.log1p(0.5 / a)
+        + stirling(a) - stirling(a + 0.5)
+    )  # fmt: skip
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of ``I_x(a, b)``, by the modified Lentz method.
+
+    It converges fast for ``x < (a + 1) / (a + b + 2)``. ``tiny`` stands in
+    for a denominator that reaches zero.
+    """
+    tiny, eps = 1e-300, math.ulp(1.0)
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    c, h = 1.0, d
+    for m in range(1, 10_000):
+        a2m = a + 2 * m
+        even = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        odd = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+        for term in (even, odd):
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + term / c
+            if abs(c) < tiny:
+                c = tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= eps:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}")
+
+
+def _t_pvalue(t: float, dof: int) -> float:
+    """Two-sided p-value ``P(|T| >= |t|)`` of Student's t on ``dof`` degrees of freedom.
+
+    That is the regularised incomplete beta ``I_x(dof/2, 1/2)`` at
+    ``x = dof / (dof + t^2)``. Its continued fraction is summed at ``x``
+    or, through ``I_x(a, b) = 1 - I_{1-x}(b, a)``, at ``1 - x =
+    t^2 / (dof + t^2)``, whichever converges fast; ``1 - x`` is formed
+    directly, so small ``|t|`` keeps its precision. Relative error stays
+    below 1e-12 up to 10,000 degrees of freedom.
+    """
+    t2 = t * t
+    if math.isnan(t2):
+        return math.nan
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a, b = dof / 2.0, 0.5
+    x, y = dof / (dof + t2), t2 / (dof + t2)
+    # x^a y^b / B(a, b), with log x as -log1p(t^2 / dof) for x near 1
+    front = math.exp(-a * math.log1p(t2 / dof) + b * math.log(y) - _log_beta_half(a))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
 
 
 def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """Ordinary least squares with classical inference statistics.
 
-    One pivoted QR ``X[:, piv] = QR`` gives the coefficients from
-    ``R b = Q'y`` and the standard errors from ``sigma2 * inv(X'X)``,
-    which is ``sigma2 * inv(R) inv(R)'`` in pivoted order, with
-    ``sigma2 = RSS / (n - k)``; p-values are two-sided t tests on n - k
-    degrees of freedom, and the significance flag applies the
-    Bonferroni-corrected threshold p < 0.002.
+    One QR ``X = QR`` gives the coefficients from ``R b = Q'y`` and the
+    standard errors from ``sigma2 * inv(X'X)``, which is
+    ``sigma2 * inv(R) inv(R)'``, with ``sigma2 = RSS / (n - k)``; p-values
+    are two-sided t tests on n - k degrees of freedom, and the
+    significance flag applies the Bonferroni-corrected threshold p < 0.002.
 
     Raises:
         ValueError: if the design is rank deficient, listing the columns
@@ -353,18 +438,18 @@ def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """
     _check_alpha(alpha)
     X, y = _check_xy(design, y)
-    Q, R, piv = _factor(design)
+    Q, R = _factor(design)
     n, k = X.shape
-    beta = np.empty(k)
-    beta[piv] = sla.solve_triangular(R, Q.T @ y)
+    # R is upper triangular with a nonzero diagonal, so the LU inside solve
+    # and inv keeps every row in place and reduces to back substitution
+    beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
     dof = n - k
     sigma2 = float(resid @ resid) / dof
-    r_inv = sla.solve_triangular(R, np.eye(k))
-    se = np.empty(k)
-    se[piv] = np.sqrt(sigma2 * (r_inv * r_inv).sum(axis=1))
+    r_inv = np.linalg.inv(R)
+    se = np.sqrt(sigma2 * (r_inv * r_inv).sum(axis=1))
     t = beta / se
-    p = 2.0 * special.stdtr(dof, -np.abs(t))
+    p = np.array([_t_pvalue(value, dof) for value in t.tolist()])
     return MetaModel(
         alpha=alpha,
         design=design,
@@ -503,7 +588,7 @@ def _loso(
     # per fold size: the held-out rows (m, g) and the systems I - Q_g Q_g' (m, g, g)
     batches: list[tuple[np.ndarray, np.ndarray]] = []
     if predictor_set != "empty":
-        Q, _, _ = _factor(build_design_matrix(observations, predictor_set))
+        Q, _ = _factor(build_design_matrix(observations, predictor_set))
         n, k = Q.shape
         tol = max(n, k) * np.finfo(float).eps
         by_size: dict[int, list[str]] = {}
@@ -772,25 +857,32 @@ _CSV_HEADER = [
 
 
 def observations_to_csv(observations: Sequence[Observation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for o in observations:
-            p = o.profile
-            writer.writerow(
-                [
-                    o.span_type_id,
-                    int(o.arch.has_feat),
-                    int(o.arch.has_crf),
-                    int(o.arch.has_lstm),
-                    int(o.arch.has_bert),
-                    p.frequency,
-                    repr(p.span_length),
-                    repr(p.span_distinctiveness),
-                    repr(p.boundary_distinctiveness),
-                    repr(o.f1),
-                ]
-            )
+    """Write observations in the flat CSV interchange format.
+
+    Raises:
+        ValueError: naming ``path`` if a span type has no UTF-8 form, such
+            as a lone surrogate; the file is then left as it was.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_HEADER)
+    for o in observations:
+        p = o.profile
+        writer.writerow(
+            [
+                o.span_type_id,
+                int(o.arch.has_feat),
+                int(o.arch.has_crf),
+                int(o.arch.has_lstm),
+                int(o.arch.has_bert),
+                p.frequency,
+                repr(p.span_length),
+                repr(p.span_distinctiveness),
+                repr(p.boundary_distinctiveness),
+                repr(o.f1),
+            ]
+        )
+    write_text(path, buf.getvalue())
 
 
 def _csv_flag(row: dict, column: str) -> bool:

@@ -8,11 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from spanmeta import (
     ArchitectureFeatures,
@@ -37,6 +39,7 @@ from spanmeta.meta import (
     MAIN_COLUMNS,
     PREDICTOR_SETS,
     _factor,
+    _t_pvalue,
     ablate,
     alpha_mae_curve,
     meta_model_from_dict,
@@ -136,6 +139,21 @@ class TestPaddedLogit:
             padded_logit(100.5)
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             padded_logit(-0.1)
+
+    def test_matches_scipy_logit_and_expit_without_warnings(self):
+        # at alpha 0 the padding is the identity: logit(f1 / 100) and 100 expit(x);
+        # 0.3 and 0.65 are the ends of the band where the logit changes formula
+        f1 = np.array([0.0, 30.0, 50.0, 65.0, 100.0])
+        x = np.array([-1e6, -40.0, -0.3, 0.0, 0.3, 40.0, 1e6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logit = padded_logit(f1, 0.0)
+            expit = inverse_padded_logit(x, 0.0)
+            logit_each = [padded_logit(v, 0.0) for v in f1.tolist()]
+        np.testing.assert_allclose(logit, special.logit(f1 / 100.0), rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(logit_each, logit)
+        np.testing.assert_allclose(expit, 100.0 * special.expit(x), rtol=1e-15, atol=0.0)
+        assert (expit[0], expit[-1]) == (0.0, 100.0)
 
 
 class TestObservation:
@@ -304,6 +322,21 @@ class TestOls:
             fit_ols(dataclasses.replace(design, matrix=X), np.zeros(len(obs)))
         assert str(err.value).split(": ")[-1] in ("crf", "lstm")
 
+    @pytest.mark.parametrize(
+        "later, sources", [("bert", ("crf",)), ("boundary_dist", ("log_freq", "span_dist"))]
+    )
+    def test_rank_deficiency_names_only_the_later_column(self, later, sources):
+        # a copy of one earlier column, or the sum of two: only the later column
+        # is linearly dependent on earlier ones
+        obs = synth_observations(np.random.default_rng(11))
+        design = build_design_matrix(obs, "no_interactions")
+        X = design.matrix.copy()
+        names = design.column_names
+        X[:, names.index(later)] = sum(X[:, names.index(name)] for name in sources)
+        with pytest.raises(ValueError) as err:
+            fit_ols(dataclasses.replace(design, matrix=X), np.zeros(len(obs)))
+        assert str(err.value) == f"design matrix is rank deficient; dependent columns: {later}"
+
     def test_needs_more_rows_than_columns(self):
         obs = synth_observations(np.random.default_rng(12))
         # eight rows spread over types and architectures so every main
@@ -319,6 +352,48 @@ class TestOls:
         design = build_design_matrix(obs, "empty")
         with pytest.raises(ValueError, match="shape"):
             fit_ols(design, np.zeros(3))
+
+
+T_DOF = (1, 2, 3, 10, 30, 401, 10_000)
+T_ABS = (0.0, 1e-8, 0.3, 1.96, 3.3, 10.0, 40.0)
+# scipy's stdtr forms dof / (dof + t^2), which rounds to 1 at this point and leaves
+# it 3.1e-9 away from the 50-digit value, so here mpmath is the oracle
+STDTR_IMPRECISE = {(1, 1e-8)}
+
+
+def _betainc_pvalue(t, dof):
+    """Two-sided t p-value ``I_x(dof/2, 1/2)``, ``x = dof / (dof + t^2)``, in mpmath."""
+    x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+    return float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+class TestTPValue:
+    @pytest.mark.parametrize("dof", T_DOF)
+    @pytest.mark.parametrize("t", T_ABS)
+    def test_matches_scipy_stdtr(self, dof, t):
+        if (dof, t) in STDTR_IMPRECISE:
+            expected = _betainc_pvalue(t, dof)
+        else:
+            expected = 2.0 * float(special.stdtr(dof, -t))
+        for value in (t, -t):
+            got = _t_pvalue(value, dof)
+            if expected < 1e-300:  # underflowed: 10,000 degrees of freedom at t = 40
+                assert abs(got - expected) <= 1e-300
+            else:
+                assert abs(got - expected) <= 1e-11 * expected
+
+    @pytest.mark.parametrize(
+        "dof, t", [(1, 1e-8), (2, 1e-8), (30, 1e-8), (1, 1e4), (3, 40.0), (401, 40.0),
+                   (10_000, 10.0)],
+    )  # fmt: skip
+    def test_extremes_match_mpmath(self, dof, t):
+        expected = _betainc_pvalue(t, dof)
+        assert abs(_t_pvalue(t, dof) - expected) <= 1e-12 * expected
+
+    def test_non_finite_and_huge_t(self):
+        assert _t_pvalue(math.inf, 5) == _t_pvalue(-math.inf, 5) == 0.0
+        assert _t_pvalue(1e200, 5) == 0.0  # t^2 overflows
+        assert math.isnan(_t_pvalue(math.nan, 5))
 
 
 class TestElasticNet:
@@ -593,7 +668,7 @@ def _per_fold_loso(observations, predictor_set, alpha):
         for idx in groups.values():
             preds[idx] = float(np.mean(np.delete(actual, idx)))
     else:
-        Q, _, _ = _factor(build_design_matrix(observations, predictor_set))
+        Q, _ = _factor(build_design_matrix(observations, predictor_set))
         n, k = Q.shape
         tol = max(n, k) * np.finfo(float).eps
         folds = {}
@@ -780,6 +855,16 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError, match="line 2.*finite"):
             observations_from_csv(path)
+
+    def test_unencodable_span_type_leaves_the_file_intact(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"earlier contents\n")
+        obs = synth_observations(np.random.default_rng(33), n_types=2)
+        obs[3] = dataclasses.replace(obs[3], span_type_id="\ud800")
+        with pytest.raises(ValueError) as info:
+            observations_to_csv(obs, path)
+        assert str(path) in str(info.value)
+        assert path.read_bytes() == b"earlier contents\n"
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -2,8 +2,8 @@
 
 ``import spanmeta`` loads no submodule: each public name is looked up in
 its submodule on first use. Commands import what they use inside their
-handlers, so ``eval`` and ``profile`` run without numpy and ``train``
-without scipy; the subprocess tests below hold those to account.
+handlers, so ``eval`` and ``profile`` run without numpy, and no command
+loads scipy; the subprocess tests below hold those to account.
 """
 
 from __future__ import annotations
@@ -169,6 +169,24 @@ def test_train_leaves_scipy_unloaded(corpus_path, tmp_path):
     assert "scipy" not in loaded
     assert {"numpy", "spanmeta.seqlab"} <= loaded
     assert "spanmeta.meta" not in loaded
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "meta fit --out {out}",
+        "meta cv --out {out}",
+        "meta predict --freq 50 --length 2 --sd 1 --bd 1 --crf --out {out}",
+        "data export --table f1 --out {out}",
+        "reproduce --out-dir {out}",
+    ],
+    ids=lambda command: command.split(" --")[0],
+)
+def test_meta_model_commands_leave_scipy_unloaded(command, tmp_path):
+    argv = command.format(out=tmp_path / "out").split()
+    loaded = _run_cli(*argv)
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert {"numpy", "spanmeta.meta"} <= loaded
 
 
 def test_writers_leave_numpy_unloaded():
