@@ -25,6 +25,15 @@ design column is an affine map of a raw predictor beside an intercept,
 so a fold's own standardization would predict the same; one QR
 ``X = QR`` of the full design therefore gives each held-out group ``g``
 in closed form as ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
+
+A command that fits, cross-validates and sweeps the padding over one set
+of observations wraps them once in a private holder, a sequence of the
+same observations. It computes the raw catalogue (the eight mains and
+their products), the span-type groups and the F1 vector on first use,
+and per predictor set the standardized design, whose QR the design keeps,
+and the batched fold systems. Every public function takes the holder
+through its observation parameter and wraps a plain sequence in a new
+one, so nothing outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -32,9 +41,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -224,7 +235,7 @@ class DesignMatrix:
             ValueError: naming the first raw value whose standardized
                 value overflows, which no prediction could use.
         """
-        raw = _raw_columns(observations, self.predictor_set)
+        raw = _shared(observations).columns(self.predictor_set)
         with np.errstate(over="ignore", invalid="ignore"):
             z = (raw - self.means) / self.sds
         bad = np.argwhere(~np.isfinite(z))
@@ -236,18 +247,133 @@ class DesignMatrix:
             )
         return np.column_stack([np.ones(len(z)), *z.T])
 
+    @cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_factor` of this design, computed on first use and kept."""
+        return _factor(self)
 
-def _raw_columns(observations: Sequence[Observation], predictor_set: str) -> np.ndarray:
-    """Raw values of a predictor set's columns, selected from the catalogue.
 
-    The catalogue is the eight raw mains followed by their pairwise
-    products, one column per interaction.
+class _SharedObservations(SequenceABC):
+    """One command's observations, with the work its calls have in common.
+
+    A sequence of the observations it was built from. The raw catalogue,
+    the span-type groups and the F1 vector are computed on first use, and
+    so, per predictor set, are the standardized design and the batched
+    LOSO fold systems; each is then kept for the holder's lifetime.
     """
-    raw = raw_predictors(observations)
-    col = dict(zip(MAIN_COLUMNS, raw.T))
-    catalogue = np.column_stack([raw, *(col[a] * col[b] for a, b in INTERACTION_PAIRS)])
-    full = PREDICTOR_SETS["full"]
-    return catalogue[:, [full.index(name) for name in PREDICTOR_SETS[predictor_set]]]
+
+    def __init__(self, observations: Iterable[Observation]) -> None:
+        self._items = list(observations)
+        self._designs: dict[str, DesignMatrix] = {}
+        self._folds: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    @cached_property
+    def catalogue(self) -> np.ndarray:
+        """The eight raw mains followed by their products, one per interaction."""
+        raw = raw_predictors(self._items)
+        col = dict(zip(MAIN_COLUMNS, raw.T))
+        return np.column_stack([raw, *(col[a] * col[b] for a, b in INTERACTION_PAIRS)])
+
+    def columns(self, predictor_set: str) -> np.ndarray:
+        """Raw values of a predictor set's columns, selected from the catalogue."""
+        full = PREDICTOR_SETS["full"]
+        return self.catalogue[:, [full.index(name) for name in PREDICTOR_SETS[predictor_set]]]
+
+    @cached_property
+    def groups(self) -> dict[str, np.ndarray]:
+        """Row indices of each span type, in order of first appearance."""
+        rows: dict[str, list[int]] = {}
+        for i, o in enumerate(self._items):
+            rows.setdefault(o.span_type_id, []).append(i)
+        return {type_id: np.array(idx) for type_id, idx in rows.items()}
+
+    @cached_property
+    def f1(self) -> np.ndarray:
+        return np.array([o.f1 for o in self._items])
+
+    def logit(self, alpha: float) -> np.ndarray:
+        """The F1 vector on the padded-logit scale of ``alpha``.
+
+        Raises:
+            ValueError: naming alpha and the first observation whose logit
+                is infinite, which at alpha 0 is any F1 of 0 or 100.
+        """
+        y = padded_logit(self.f1, alpha)
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            o = self._items[bad[0]]
+            arch = " ".join(f"{name}={int(on)}" for name, on in zip(ARCH_MAINS, o.arch.flags()))
+            raise ValueError(
+                f"at alpha {alpha:g} the padded logit of span type {o.span_type_id!r}, "
+                f"architecture {arch}, F1 {o.f1:g} is not finite; alpha 0 needs every "
+                "F1 strictly between 0 and 100"
+            )
+        return y
+
+    def design(self, predictor_set: str) -> DesignMatrix:
+        """The predictor set's standardized design, built on first use."""
+        if predictor_set not in self._designs:
+            self._designs[predictor_set] = build_design_matrix(self, predictor_set)
+        return self._designs[predictor_set]
+
+    def folds(self, predictor_set: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per fold size, the held-out rows (m, g) and the systems I - Q_g Q_g' (m, g, g).
+
+        Folds of one size, in order of first appearance, are stacked so
+        that one batched solve serves them all.
+
+        Raises:
+            ValueError: naming the first held-out span type, in order of
+                appearance, whose fold cannot be fitted.
+        """
+        if predictor_set in self._folds:
+            return self._folds[predictor_set]
+        Q, _ = self.design(predictor_set)._qr
+        n, k = Q.shape
+        tol = max(n, k) * np.finfo(float).eps
+        by_size: dict[int, list[str]] = {}
+        for type_id, idx in self.groups.items():
+            by_size.setdefault(len(idx), []).append(type_id)
+        batches = []
+        failures: dict[str, str] = {}
+        for size, type_ids in by_size.items():
+            rows = np.stack([self.groups[type_id] for type_id in type_ids])
+            # one 2-D product per fold: a batched matmul may round differently
+            h = np.stack([Q[idx] @ Q[idx].T for idx in rows])
+            if n - size <= k:
+                failures.update(
+                    dict.fromkeys(type_ids, f"needs more training rows than columns ({k})")
+                )
+            else:
+                deficient = 1.0 - np.linalg.eigvalsh(h)[:, -1] <= tol
+                for type_id, bad in zip(type_ids, deficient):
+                    if bad:
+                        failures[type_id] = "training rows are rank deficient"
+            batches.append((rows, np.eye(size) - h))
+        # the batches run by size, but the error names the first bad fold in order of appearance
+        for type_id in self.groups:
+            if type_id in failures:
+                raise ValueError(
+                    f"fold holding out span type {type_id!r}: {failures[type_id]}"
+                )
+        self._folds[predictor_set] = batches
+        return batches
+
+
+def _shared(observations: Sequence[Observation]) -> _SharedObservations:
+    """``observations`` if it is already a holder, else a new one over them."""
+    if isinstance(observations, _SharedObservations):
+        return observations
+    return _SharedObservations(observations)
 
 
 def build_design_matrix(
@@ -265,10 +391,10 @@ def build_design_matrix(
             f"predictor set must be one of {sorted(PREDICTOR_SETS)}, "
             f"got {predictor_set!r}"
         )
-    observations = list(observations)
+    observations = _shared(observations)
     if len(observations) < 2:
         raise ValueError("need at least two observations")
-    raw = _raw_columns(observations, predictor_set)
+    raw = observations.columns(predictor_set)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         means, sds = raw.mean(axis=0), raw.std(axis=0)
     names = PREDICTOR_SETS[predictor_set]
@@ -426,11 +552,12 @@ def _t_pvalue(t: float, dof: int) -> float:
 def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """Ordinary least squares with classical inference statistics.
 
-    One QR ``X = QR`` gives the coefficients from ``R b = Q'y`` and the
-    standard errors from ``sigma2 * inv(X'X)``, which is
-    ``sigma2 * inv(R) inv(R)'``, with ``sigma2 = RSS / (n - k)``; p-values
-    are two-sided t tests on n - k degrees of freedom, and the
-    significance flag applies the Bonferroni-corrected threshold p < 0.002.
+    One QR ``X = QR``, the design's own, factored on its first use, gives
+    the coefficients from ``R b = Q'y`` and the standard errors from
+    ``sigma2 * inv(X'X)``, which is ``sigma2 * inv(R) inv(R)'``, with
+    ``sigma2 = RSS / (n - k)``; p-values are two-sided t tests on n - k
+    degrees of freedom, and the significance flag applies the
+    Bonferroni-corrected threshold p < 0.002.
 
     Raises:
         ValueError: if the design is rank deficient, listing the columns
@@ -438,7 +565,7 @@ def fit_ols(design: DesignMatrix, y, alpha: float = DEFAULT_ALPHA) -> MetaModel:
     """
     _check_alpha(alpha)
     X, y = _check_xy(design, y)
-    Q, R = _factor(design)
+    Q, R = design._qr
     n, k = X.shape
     # R is upper triangular with a nonzero diagonal, so the LU inside solve
     # and inv keeps every row in place and reduces to back substitution
@@ -525,11 +652,15 @@ def fit_meta_model(
     alpha: float = DEFAULT_ALPHA,
     predictor_set: str = "full",
 ) -> MetaModel:
-    """Standardize over all observations and fit by least squares."""
-    observations = list(observations)
-    design = build_design_matrix(observations, predictor_set)
-    y = padded_logit(np.array([o.f1 for o in observations]), alpha)
-    return fit_ols(design, y, alpha)
+    """Standardize over all observations and fit by least squares.
+
+    Raises:
+        ValueError: if an F1 of 0 or 100 meets alpha 0, whose logit is
+            infinite, naming the first such observation.
+    """
+    observations = _shared(observations)
+    design = observations.design(predictor_set)
+    return fit_ols(design, observations.logit(alpha), alpha)
 
 
 def predict(
@@ -558,91 +689,49 @@ class CrossValidationResult:
     r2: float | None
 
 
-def _groups(observations: Sequence[Observation]) -> dict[str, np.ndarray]:
-    """Row indices of each span type, in order of first appearance."""
-    rows: dict[str, list[int]] = {}
-    for i, o in enumerate(observations):
-        rows.setdefault(o.span_type_id, []).append(i)
-    return {type_id: np.array(idx) for type_id, idx in rows.items()}
+def _cross_validate(
+    observations: _SharedObservations, predictor_set: str, alpha: float
+) -> CrossValidationResult:
+    """Leave-one-span-type-out CV of one predictor set at one padding value.
 
-
-def _loso(
-    observations: list[Observation], predictor_set: str
-) -> Callable[[float], CrossValidationResult]:
-    """Leave-one-span-type-out CV of one design, at any padding value.
-
-    The design, its QR and every fold check are built here once, since
-    none depends on the padding value; the returned function only maps
-    the F1 scores to that value's scale and solves the folds. Folds of
-    one size, taken in order of first appearance, are stacked and solved
-    in a single batched call, so the sweep makes one call per fold size
-    rather than one per fold.
+    The design, its QR and the fold systems come from the holder, which
+    builds them on first use, since none depends on the padding value;
+    here the F1 scores are only mapped to that value's scale and the
+    folds solved, one batched call per fold size.
     """
-    groups = _groups(observations)
+    groups = observations.groups
     if len(groups) < 2:
         raise ValueError(
             "leave-one-span-type-out needs at least two span types, "
             f"got {len(groups)}"
         )
-    actual = np.array([o.f1 for o in observations])
-    # per fold size: the held-out rows (m, g) and the systems I - Q_g Q_g' (m, g, g)
-    batches: list[tuple[np.ndarray, np.ndarray]] = []
-    if predictor_set != "empty":
-        Q, _ = _factor(build_design_matrix(observations, predictor_set))
-        n, k = Q.shape
-        tol = max(n, k) * np.finfo(float).eps
-        by_size: dict[int, list[str]] = {}
-        for type_id, idx in groups.items():
-            by_size.setdefault(len(idx), []).append(type_id)
-        failures: dict[str, str] = {}
-        for size, type_ids in by_size.items():
-            rows = np.stack([groups[type_id] for type_id in type_ids])
-            # one 2-D product per fold: a batched matmul may round differently
-            h = np.stack([Q[idx] @ Q[idx].T for idx in rows])
-            if n - size <= k:
-                failures.update(
-                    dict.fromkeys(type_ids, f"needs more training rows than columns ({k})")
-                )
-            else:
-                deficient = 1.0 - np.linalg.eigvalsh(h)[:, -1] <= tol
-                for type_id, bad in zip(type_ids, deficient):
-                    if bad:
-                        failures[type_id] = "training rows are rank deficient"
-            batches.append((rows, np.eye(size) - h))
-        # the batches run by size, but the error names the first bad fold in order of appearance
-        for type_id in groups:
-            if type_id in failures:
-                raise ValueError(
-                    f"fold holding out span type {type_id!r}: {failures[type_id]}"
-                )
-
-    def cross_validate(alpha: float) -> CrossValidationResult:
-        if predictor_set == "empty":
-            preds = np.empty(len(observations))
-            for idx in groups.values():
-                preds[idx] = float(np.mean(np.delete(actual, idx)))
-        else:
-            y = padded_logit(actual, alpha)
-            resid = y - Q @ (Q.T @ y)
-            held_out = np.empty(len(observations))
-            for rows, systems in batches:
-                held_out[rows] = y[rows] - np.linalg.solve(systems, resid[rows, None])[..., 0]
-            preds = inverse_padded_logit(held_out, alpha)
-        mae = float(np.mean(np.abs(preds - actual)))
-        ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-        r2 = None
-        if predictor_set != "empty" and ss_tot != 0.0:
-            r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
-        return CrossValidationResult(
-            predictor_set=predictor_set,
-            alpha=alpha,
-            predictions=preds,
-            actual=actual,
-            mae=mae,
-            r2=r2,
-        )
-
-    return cross_validate
+    actual = observations.f1
+    if predictor_set == "empty":
+        preds = np.empty(len(observations))
+        for idx in groups.values():
+            preds[idx] = float(np.mean(np.delete(actual, idx)))
+    else:
+        batches = observations.folds(predictor_set)
+        Q, _ = observations.design(predictor_set)._qr
+        y = observations.logit(alpha)
+        resid = y - Q @ (Q.T @ y)
+        held_out = np.empty(len(observations))
+        for rows, systems in batches:
+            held_out[rows] = y[rows] - np.linalg.solve(systems, resid[rows, None])[..., 0]
+        preds = inverse_padded_logit(held_out, alpha)
+    mae = float(np.mean(np.abs(preds - actual)))
+    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+    r2 = None
+    if predictor_set != "empty" and ss_tot != 0.0:
+        r2 = 1.0 - float(np.sum((preds - actual) ** 2)) / ss_tot
+    return CrossValidationResult(
+        predictor_set=predictor_set,
+        alpha=alpha,
+        predictions=preds,
+        actual=actual,
+        mae=mae,
+        r2=r2,
+    )
 
 
 def loso_cv(
@@ -668,16 +757,18 @@ def loso_cv(
             appearance, whose fold has no more training rows than columns,
             or whose ``1 - max eig(Q_g Q_g')``, zero exactly if the training
             rows are rank deficient, is within ``max(n, k)`` machine
-            epsilons of zero.
+            epsilons of zero; or if an F1 of 0 or 100 meets alpha 0 in a
+            set other than ``empty``.
     """
     _check_alpha(alpha)
-    return _loso(list(observations), predictor_set)(alpha)
+    return _cross_validate(_shared(observations), predictor_set, alpha)
 
 
 def ablate(
     observations: Sequence[Observation], alpha: float = DEFAULT_ALPHA
 ) -> dict[str, CrossValidationResult]:
     """Cross-validate every named predictor set, strongest first."""
+    observations = _shared(observations)
     return {name: loso_cv(observations, alpha, name) for name in PREDICTOR_SETS}
 
 
@@ -691,8 +782,8 @@ def alpha_mae_curve(
         raise ValueError("alpha grid is empty")
     for a in grid:
         _check_alpha(a)
-    cross_validate = _loso(list(observations), "full")
-    return [(a, cross_validate(a).mae) for a in grid]
+    observations = _shared(observations)
+    return [(a, _cross_validate(observations, "full", a).mae) for a in grid]
 
 
 def best_alpha(curve: Sequence[tuple[float, float]]) -> float:

@@ -20,6 +20,7 @@ from .meta import (
     DEFAULT_ALPHA,
     DEFAULT_ALPHA_GRID,
     CrossValidationResult,
+    _SharedObservations,
     ablate,
     alpha_mae_curve,
     best_alpha,
@@ -199,7 +200,9 @@ class ReproductionRun:
 def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
     """Recompute the study's headline numbers from the embedded tables."""
     tables = load_embedded()
-    observations = to_observations(tables)
+    # one holder, so the ablation, the fit and the sweep share each design,
+    # its QR and its folds
+    observations = _SharedObservations(to_observations(tables))
 
     table1 = []
     for ds, ref in REFERENCE_DATASET_METRICS.items():

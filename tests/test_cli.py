@@ -1002,6 +1002,43 @@ class TestMeta:
         code, _, err = run_cli(["meta", "cv", "--obs", "/nonexistent.csv"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["meta", "fit", "--alpha", "0"],
+            ["meta", "cv", "--alpha", "0"],
+            ["meta", "ablate", "--alpha", "0"],
+            ["meta", "select-alpha", "--grid", "0,0.1"],
+            ["meta", "predict", "--alpha", "0", "--freq", "100", "--length", "1.5",
+             "--sd", "1", "--bd", "1"],
+            ["reproduce", "--alpha", "0"],
+        ],
+        ids=["fit", "cv", "ablate", "select-alpha", "predict", "reproduce"],
+    )
+    def test_alpha_zero_on_an_f1_of_0_fails_cleanly(self, argv, tmp_path, capsys):
+        # the bundled tables hold F1 scores of 0.0, whose logit at alpha 0 is infinite
+        if argv[0] == "reproduce":
+            argv = [*argv, "--out-dir", str(tmp_path / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "spanmeta: error: at alpha 0 the padded logit of span type "
+            "'chemdner/Identifier', architecture feat=0 crf=0 lstm=0 bert=0, F1 0 "
+            "is not finite; alpha 0 needs every F1 strictly between 0 and 100\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_alpha_zero_with_the_empty_set_takes_no_logit(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["meta", "cv", "--set", "empty", "--alpha", "0"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        _valid(payload, "meta_cv.schema.json")
+        assert payload["alpha"] == 0.0 and payload["r2"] is None
+
 
 # ---------------------------------------------------------------------------
 # data export / reproduce

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import spanmeta.meta as meta_module
 from spanmeta import (
     ArchitectureFeatures,
     Observation,
@@ -31,14 +32,17 @@ from spanmeta import (
     select_alpha,
     to_observations,
 )
+from spanmeta.cli import main
 from spanmeta.meta import (
     ARCH_MAINS,
+    DEFAULT_ALPHA,
     DEFAULT_ALPHA_GRID,
     FULL_COLUMNS,
     INTERACTION_COLUMNS,
     MAIN_COLUMNS,
     PREDICTOR_SETS,
     _factor,
+    _SharedObservations,
     _t_pvalue,
     ablate,
     alpha_mae_curve,
@@ -49,6 +53,7 @@ from spanmeta.meta import (
     predict,
     raw_predictors,
 )
+from spanmeta.report import build_reproduction_report
 
 mpmath.mp.dps = 50
 
@@ -749,6 +754,127 @@ class TestBatchedLosoOracle:
         assert str(batched.value) == (
             "fold holding out span type 's3': training rows are rank deficient"
         )
+
+
+class TestSharedObservations:
+    """One holder shared by every call gives what separate plain-list calls give."""
+
+    @pytest.fixture(scope="class", params=["bundled", "subset"])
+    def observations(self, request):
+        obs = to_observations(load_embedded())
+        if request.param == "subset":
+            obs = _unequal_folds(obs)
+            assert len(obs) == 378
+        return obs
+
+    def test_is_a_sequence_of_the_same_observations(self, observations):
+        shared = _SharedObservations(observations)
+        assert len(shared) == len(observations)
+        assert list(shared) == observations
+        assert shared[3] is observations[3]
+
+    def test_sharing_changes_no_result(self, observations):
+        shared = _SharedObservations(observations)
+        # in the reproduction report's order: ablation, fit, padding sweep
+        shared_cv = ablate(shared, DEFAULT_ALPHA)
+        shared_fits = {
+            name: fit_meta_model(shared, DEFAULT_ALPHA, name) for name in PREDICTOR_SETS
+        }
+        shared_curve = alpha_mae_curve(shared)
+        for name in PREDICTOR_SETS:
+            plain = loso_cv(list(observations), DEFAULT_ALPHA, name)
+            assert np.array_equal(shared_cv[name].predictions, plain.predictions)
+            assert shared_cv[name].mae == plain.mae
+            assert shared_cv[name].r2 == plain.r2
+            model = fit_meta_model(list(observations), DEFAULT_ALPHA, name)
+            for field in ("coefficients", "standard_errors", "t_statistics", "p_values"):
+                assert np.array_equal(getattr(shared_fits[name], field), getattr(model, field))
+        assert shared_curve == alpha_mae_curve(list(observations))
+
+
+class TestSharedWork:
+    """Counting wrappers around the catalogue and the QR."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for name in ("raw_predictors", "_factor"):
+            original = getattr(meta_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(meta_module, name, counting)
+        return counts
+
+    def test_reproduction_report_builds_each_design_once(self, counts):
+        # four non-empty predictor sets, one QR each; a second report
+        # recomputes everything, so nothing is kept between calls
+        for _ in range(2):
+            counts.clear()
+            build_reproduction_report()
+            assert counts == {"raw_predictors": 1, "_factor": 4}
+
+    def test_meta_cv_computes_the_catalogue_once(self, counts, capsys):
+        assert main(["meta", "cv"]) == 0
+        assert counts == {"raw_predictors": 1, "_factor": 1}
+
+
+class TestAlphaZero:
+    """At alpha 0 an F1 of 0 or 100 has an infinite logit: a clean refusal."""
+
+    # the bundled tables' first cell at F1 0 or 100
+    BUNDLED = (
+        "at alpha 0 the padded logit of span type 'chemdner/Identifier', "
+        "architecture feat=0 crf=0 lstm=0 bert=0, F1 0 is not finite; "
+        "alpha 0 needs every F1 strictly between 0 and 100"
+    )
+
+    @pytest.fixture(scope="class")
+    def observations(self):
+        return to_observations(load_embedded())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obs: loso_cv(obs, 0.0),
+            lambda obs: loso_cv(obs, 0.0, "task_only"),
+            lambda obs: ablate(obs, 0.0),
+            lambda obs: fit_meta_model(obs, 0.0),
+            lambda obs: alpha_mae_curve(obs, (0.1, 0.0)),
+        ],
+        ids=["loso_cv", "loso_cv-task_only", "ablate", "fit_meta_model", "alpha_mae_curve"],
+    )
+    def test_names_the_first_such_observation(self, observations, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(observations)
+        assert str(info.value) == self.BUNDLED
+
+    def test_an_f1_of_100_is_named_too(self):
+        obs = synth_observations(np.random.default_rng(42), n_types=7)
+        obs[17] = dataclasses.replace(obs[17], f1=100.0)
+        with pytest.raises(ValueError) as info:
+            loso_cv(obs, 0.0)
+        assert str(info.value).startswith(
+            "at alpha 0 the padded logit of span type 's1', "
+            "architecture feat=1 crf=1 lstm=0 bert=0, F1 100 is not finite"
+        )
+
+    def test_empty_set_takes_no_logit(self, observations):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = loso_cv(observations, 0.0, "empty")
+        assert result.mae == loso_cv(observations, 0.2, "empty").mae
+
+    def test_inside_the_open_interval_alpha_zero_fits(self):
+        obs = synth_observations(np.random.default_rng(43), n_types=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(loso_cv(obs, 0.0).mae)
+            assert np.all(np.isfinite(fit_meta_model(obs, 0.0).p_values))
 
 
 class TestAlphaSelection:
