@@ -1,19 +1,39 @@
-"""Indent-2 JSON text for model files, reports and command output.
+"""The file boundary: how a user's file becomes text or JSON, and how
+text, JSON or CSV rows go into a file.
 
-``json.dumps`` with an ``indent`` falls back to the standard library's
-pure-Python encoder, which spends most of a model file's time yielding
-one chunk per float. :func:`json_text` writes the same bytes with one
-join per container, and one join of ``float.__repr__`` per all-float list.
-:func:`write_text` puts that text, or any other, into a file. The module
-imports nothing numerical.
+Reading. :func:`read_text` decodes a file as UTF-8 and, by default,
+turns ``\\r\\n`` and ``\\r`` line ends into ``\\n``, as ``open`` does;
+bytes that are not UTF-8 raise ``ValueError`` naming the file and the
+line. :func:`parse_json` is ``json.loads`` whose every refusal (a syntax
+error, nesting too deep for the parser, an integer longer than
+``sys.get_int_max_str_digits()`` digits) is one ``ValueError``.
+
+Writing. :func:`json_text` writes ``json.dumps(indent=2, sort_keys=True)``
+text for model files, reports and command output. ``json.dumps`` with an
+``indent`` falls back to the standard library's pure-Python encoder,
+which spends most of a model file's time yielding one chunk per float;
+``json_text`` writes the same bytes with one join per container, and one
+join of ``float.__repr__`` per all-float list. :func:`csv_text` writes
+CSV rows with LF line ends. :func:`write_text` puts any of these into a
+file as UTF-8, atomically: a failure at any point, from text with no
+UTF-8 form to a full disk, leaves an earlier file at the path as it was.
+
+The module imports nothing numerical.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import errno
+import io
+import json
+import os
+import stat
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-__all__ = ["json_text", "write_text"]
+__all__ = ["csv_text", "json_text", "parse_json", "read_text", "write_text"]
 
 _INDENT = "  "
 
@@ -99,17 +119,105 @@ def _value(o, newline: str) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+def csv_text(header, rows) -> str:
+    """``header``, then each of ``rows``, as CSV records ended by ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_text(path, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at ``path``.
+
+    ``newline`` is ``open``'s: with ``None`` each ``\\r\\n`` and ``\\r``
+    becomes ``\\n``; with ``""`` line ends are kept as they are, as the
+    ``csv`` module needs.
+
+    Raises:
+        ValueError: naming ``path`` and the line (``\\n``, ``\\r\\n`` and
+            ``\\r`` each end one) of the first byte that is not UTF-8.
+        OSError: if the file cannot be read.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as e:  # read() decodes the whole file in one call
+        head = e.object[: e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from None
+
+
+def parse_json(text: str):
+    """``json.loads(text)``, with every refusal one ``ValueError``.
+
+    Raises:
+        ValueError: ``invalid JSON: `` and the parser's reason, for a
+            syntax error, nesting too deep for the parser's recursion, or
+            an integer with more digits than the interpreter converts.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"invalid JSON: {e}") from e
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, with no newline translation.
 
-    The whole text is encoded before the file is opened, so text with no
-    UTF-8 form, such as a lone surrogate, leaves an earlier file intact.
+    The whole text is encoded first, then written to a new hidden file
+    beside the target, which ``os.replace`` puts in the target's place.
+    So no failure, be it text with no UTF-8 form, such as a lone
+    surrogate, or a full disk, leaves a half-written file: the target
+    keeps its earlier bytes and the hidden file is removed. A symlink is
+    followed to the file it names. A new file gets the permission bits a
+    plain ``open`` would give it, and a replaced file keeps its own. The
+    target's directory must be writable. A target that exists but is not
+    a regular file, such as a FIFO or a terminal, is written in place.
+    Nothing is synced to disk, so the guarantee holds against a failed or
+    killed process, not against a power cut.
 
     Raises:
         ValueError: naming ``path`` if ``text`` cannot be encoded.
+        OSError: naming ``path`` if it cannot be written, as ``open`` would,
+            including a read-only regular file.
     """
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as e:
         raise ValueError(f"cannot write {path}: {e}") from e
-    Path(path).write_bytes(data)
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        Path(path).write_bytes(data)
+        return
+    if st is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    try:
+        _replace(target, data, None if st is None else stat.S_IMODE(st.st_mode))
+    except OSError as e:  # name the target, not the hidden file
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+
+
+def _replace(target: str, data: bytes, mode: int | None) -> None:
+    """Put ``data`` at ``target`` through a hidden file in its directory,
+    with permission bits ``mode``, or ``open``'s for a new file."""
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL: never write through a file or link that is already there;
+    # mode 0o666 less the umask, as open() gives a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            if mode is not None:
+                os.chmod(tmp, mode)
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -19,14 +19,11 @@ file contents, bad values), 2 on I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
 import sys
 from pathlib import Path
 
-from ._jsontext import json_text, write_text
+from ._jsontext import csv_text, json_text, parse_json, read_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, read_corpus
 from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
@@ -68,14 +65,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         write_text(out, text)
 
 
-def _write_csv(header: list[str], rows, out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_or_print(buf.getvalue(), out)
-
-
 # ---------------------------------------------------------------------------
 # profile
 
@@ -108,11 +97,11 @@ def _cmd_profile(args) -> None:
         if aggregate is not None:
             rows.append(("ALL", aggregate))
         # span counts are written as integers, everything else to 6 places
-        _write_csv(
+        text = csv_text(
             ["span_type", *DatasetMetrics._fields],
             [[t, *(v if isinstance(v, int) else f"{v:.6f}" for v in m)] for t, m in rows],
-            args.out,
         )
+        _write_or_print(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +142,7 @@ def _train_config(args):
     config = TrainConfig()
     if args.config:
         options = {f.name for f in dataclasses.fields(TrainConfig)}
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = read_text(args.config)
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -254,11 +243,11 @@ def _cmd_eval(args) -> None:
         _write_or_print(json_text(_report_to_json(report)), args.out)
     else:
         rows = [*report.per_type.items(), ("micro", report.micro)]
-        _write_csv(
+        text = csv_text(
             ["span_type", *PRF._fields],
             [[t, *(f"{v:.4f}" for v in prf)] for t, prf in rows],
-            args.out,
         )
+        _write_or_print(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +308,11 @@ def _cmd_meta_predict(args) -> None:
         clash = [flag for flag, value in given if value is not None]
         if clash:
             raise ValueError(f"--model cannot be combined with {' or '.join(clash)}")
-        text = Path(args.model).read_text("utf-8")
+        text = read_text(args.model)
         try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
-            raise ValueError(f"{args.model}: invalid JSON: {e}") from e
+            payload = parse_json(text)
+        except ValueError as e:
+            raise ValueError(f"{args.model}: {e}") from e
         model = meta_model_from_dict(payload)
     else:
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha

@@ -25,13 +25,12 @@ write/read/write cycle is byte-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ._jsontext import write_text
+from ._jsontext import parse_json, read_text, write_text
 
 __all__ = [
     "PARTITIONS",
@@ -297,7 +296,8 @@ def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Non
     name, raises ``ValueError`` naming the document and token position.
     ``jsonl`` holds all of these. Text with no UTF-8 form, such as a lone
     surrogate read from a ``\\ud800`` escape, raises ``ValueError`` naming
-    ``path`` before the file is opened, so an earlier file there is kept.
+    ``path``. A write that fails for any reason leaves an earlier file
+    there as it was (see ``_jsontext.write_text``).
     """
     if format == "jsonl":
         text = _to_jsonl(corpus)
@@ -332,11 +332,15 @@ def read_corpus(
 
     Raises:
         CorpusFormatError: on malformed content, with the offending line
-            number; span errors carry the document id.
+            number; span errors carry the document id, and bytes that are
+            not UTF-8 the path.
     """
     if format not in _FORMATS:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = read_text(path)
+    except ValueError as e:  # bytes that are not UTF-8, with the path and line
+        raise CorpusFormatError(str(e)) from None
     if format == "jsonl":
         docs = _parse_jsonl(text)
     else:
@@ -414,11 +418,7 @@ def _parse_jsonl(text: str) -> list[Document]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
-        try:
-            docs.append(_document_from_obj(obj, seen))
+            docs.append(_document_from_obj(parse_json(line), seen))
         except ValueError as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     return docs

@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._jsontext import write_text
+from ._jsontext import csv_text, read_text, write_text
 from ._numbers import finite_floats
 from ._options import (
     ARCH_MAINS,
@@ -954,26 +954,22 @@ def observations_to_csv(observations: Sequence[Observation], path: str | Path) -
         ValueError: naming ``path`` if a span type has no UTF-8 form, such
             as a lone surrogate; the file is then left as it was.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for o in observations:
-        p = o.profile
-        writer.writerow(
-            [
-                o.span_type_id,
-                int(o.arch.has_feat),
-                int(o.arch.has_crf),
-                int(o.arch.has_lstm),
-                int(o.arch.has_bert),
-                p.frequency,
-                repr(p.span_length),
-                repr(p.span_distinctiveness),
-                repr(p.boundary_distinctiveness),
-                repr(o.f1),
-            ]
-        )
-    write_text(path, buf.getvalue())
+    rows = [
+        [
+            o.span_type_id,
+            int(o.arch.has_feat),
+            int(o.arch.has_crf),
+            int(o.arch.has_lstm),
+            int(o.arch.has_bert),
+            o.profile.frequency,
+            repr(o.profile.span_length),
+            repr(o.profile.span_distinctiveness),
+            repr(o.profile.boundary_distinctiveness),
+            repr(o.f1),
+        ]
+        for o in observations
+    ]
+    write_text(path, csv_text(_CSV_HEADER, rows))
 
 
 def _csv_flag(row: dict, column: str) -> bool:
@@ -984,35 +980,41 @@ def _csv_flag(row: dict, column: str) -> bool:
 
 
 def observations_from_csv(path: str | Path) -> list[Observation]:
-    """Read observations from the flat CSV interchange format."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != _CSV_HEADER:
-            raise ValueError(
-                f"observation CSV must have header {','.join(_CSV_HEADER)}"
+    """Read observations from the flat CSV interchange format.
+
+    Raises:
+        ValueError: on bytes that are not UTF-8, naming ``path`` and the
+            line; on a header other than the format's; on a malformed row,
+            naming its line.
+    """
+    # newline="": the csv module reads line ends, quoted ones included
+    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
+    if reader.fieldnames is None or list(reader.fieldnames) != _CSV_HEADER:
+        raise ValueError(
+            f"observation CSV must have header {','.join(_CSV_HEADER)}"
+        )
+    out = []
+    for row in reader:
+        try:
+            if None in row:  # DictReader's key for fields past the header
+                raise ValueError(f"{len(row[None])} more field(s) than the header")
+            arch = ArchitectureFeatures(
+                _csv_flag(row, "feat"),
+                _csv_flag(row, "crf"),
+                _csv_flag(row, "lstm"),
+                _csv_flag(row, "bert"),
             )
-        out = []
-        for row in reader:
-            try:
-                if None in row:  # DictReader's key for fields past the header
-                    raise ValueError(f"{len(row[None])} more field(s) than the header")
-                arch = ArchitectureFeatures(
-                    _csv_flag(row, "feat"),
-                    _csv_flag(row, "crf"),
-                    _csv_flag(row, "lstm"),
-                    _csv_flag(row, "bert"),
-                )
-                profile = SpanTypeProfile(
-                    type_id=row["span_type"],
-                    frequency=int(row["freq"]),
-                    span_length=float(row["length"]),
-                    span_distinctiveness=float(row["sd"]),
-                    boundary_distinctiveness=float(row["bd"]),
-                )
-                out.append(
-                    Observation(row["span_type"], arch, profile, float(row["f1"]))
-                )
-            except (TypeError, ValueError, KeyError) as e:
-                # physical lines: a quoted field may hold a line break
-                raise ValueError(f"observation CSV line {reader.line_num}: {e}") from e
+            profile = SpanTypeProfile(
+                type_id=row["span_type"],
+                frequency=int(row["freq"]),
+                span_length=float(row["length"]),
+                span_distinctiveness=float(row["sd"]),
+                boundary_distinctiveness=float(row["bd"]),
+            )
+            out.append(
+                Observation(row["span_type"], arch, profile, float(row["f1"]))
+            )
+        except (TypeError, ValueError, KeyError) as e:
+            # physical lines: a quoted field may hold a line break
+            raise ValueError(f"observation CSV line {reader.line_num}: {e}") from e
     return out

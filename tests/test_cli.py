@@ -1041,6 +1041,51 @@ class TestMeta:
 
 
 # ---------------------------------------------------------------------------
+# bytes that are not UTF-8, and JSON the parser refuses, in any input file
+
+
+_PREDICT = ["meta", "predict", "--freq", "50", "--length", "2", "--sd", "1", "--bd", "1"]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "first_line, argv",
+        [
+            (b'{"id": "d0", "tokens": [], "spans": []}', lambda bad, f: ["profile", bad]),
+            (b'{"id": "e0", "tokens": [], "spans": []}',
+             lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
+            (b'{"id": "e0", "tokens": [], "spans": []}',
+             lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (b"seed = 1", lambda bad, f: ["train", "--arch", "baseline", "--train",
+                                          f["train"], "--config", bad]),
+            (b"{", lambda bad, f: [*_PREDICT, "--model", bad]),
+            (b"span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1",
+             lambda bad, f: ["meta", "fit", "--obs", bad]),
+        ],
+        ids=["profile", "eval-gold", "eval-pred", "train-config", "meta-predict-model",
+             "meta-fit-obs"],
+    )
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(
+        self, files, tmp_path, capsys, first_line, argv
+    ):
+        bad = tmp_path / "latin1"
+        bad.write_bytes(first_line + b"\n\xff\n")
+        code, out, err = run_cli(argv(str(bad), files), capsys)
+        assert (code, out) == (1, "")
+        assert err == f"spanmeta: error: {bad}: line 2: not UTF-8 text (invalid start byte)\n"
+
+    def test_over_long_integer_in_a_model_file_names_the_file(self, tmp_path, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter converts integers of any length")
+        model_path = tmp_path / "meta.json"
+        model_path.write_text('{"alpha": 1' + "0" * 5000 + "}\n", encoding="utf-8")
+        code, out, err = run_cli([*_PREDICT, "--model", str(model_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spanmeta: error: {model_path}: invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # data export / reproduce
 
 

@@ -346,6 +346,25 @@ class TestReadErrors:
         with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: "):
             read_corpus(path)
 
+    def test_over_long_integer_reports_line(self, tmp_path):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter converts integers of any length")
+        path = tmp_path / "long.jsonl"
+        path.write_text(
+            '{"id": "a", "tokens": [], "spans": []}\n'
+            '{"id": "b", "tokens": [], "spans": [], "n": 1' + "0" * 5000 + "}\n"
+        )
+        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: Exceeds the limit"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_bytes_that_are_not_utf8_report_path_and_line(self, tmp_path, fmt):
+        path = tmp_path / "latin1"
+        path.write_bytes(b"a\tO\r\n\r\nb\xff\tO\n")
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(path, format=fmt)
+        assert str(info.value) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
+
     @pytest.mark.parametrize(
         "features,message",
         [

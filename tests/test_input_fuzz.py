@@ -1,5 +1,12 @@
-"""Property tests of the corpus boundary: arbitrary file content in, a
-``Corpus`` or a ``CorpusFormatError`` out, and never a traceback from the CLI.
+"""Property tests of the input boundaries: arbitrary file content or flag
+text in, and out a result or a refusal, never a traceback.
+
+The corpus readers return a ``Corpus`` or raise ``CorpusFormatError``.
+The command line exits 0, 1 or 2 with no traceback, and on exit 0 what it
+printed parses as strict JSON; that is checked for corpora, meta-model
+files, observation CSVs, ``train --config`` files and the numeric flags of
+``meta predict`` and ``meta select-alpha --grid``. A refusal leaves an
+earlier ``--out`` file as it was.
 
 A JSONL file is a few documents whose ids, span types and offsets are now
 and then a look-alike of another JSON type, in which one value anywhere may
@@ -12,14 +19,19 @@ lines and lines of one cell.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from spanmeta import Corpus, CorpusFormatError, read_corpus, write_corpus
+from spanmeta import Corpus, CorpusFormatError, Span, read_corpus, write_corpus
 from spanmeta.cli import main
+from spanmeta.seqlab import TrainConfig
+
+from helpers import make_doc
 
 _SCALARS = (
     st.none()
@@ -143,12 +155,27 @@ def _run(argv) -> tuple[int, str, str]:
     that ``main`` does not handle, which would print a traceback, propagates."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refused a flag
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} in output")
+
+
+def _assert_clean(code, out: str, err: str) -> None:
+    """Exit 0 with strict JSON on stdout (no NaN or Infinity either), or a
+    refusal with nothing on stdout; no traceback either way."""
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    event(f"exit {code}")
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.splitlines()[-1].startswith("spanmeta"), err
 
 
 def _assert_cli_handles(path, fmt: str) -> None:
@@ -158,10 +185,9 @@ def _assert_cli_handles(path, fmt: str) -> None:
     ):
         code, out, err = _run([*argv, "--input-format", fmt])
         assert code in (0, 1), err
-        if code == 0:  # strict JSON: no NaN or Infinity either
-            json.loads(out, parse_constant=_reject_constant)
-        else:
-            assert out == "" and err.startswith("spanmeta: error: ")
+        _assert_clean(code, out, err)
+        if code:
+            assert err.startswith("spanmeta: error: ")
 
 
 class TestJsonl:
@@ -198,3 +224,175 @@ class TestConllTsv:
         path = tmp_path_factory.getbasetemp() / "fuzz-cli.tsv"
         path.write_text(text, encoding="utf-8")
         _assert_cli_handles(path, "conll_tsv")
+
+
+# ---------------------------------------------------------------------------
+# meta-model files, observation CSVs, train --config files and numeric flags
+
+
+def _mutated(data, value):
+    """``value`` with now and then one slot replaced by arbitrary JSON or a
+    look-alike, or a dict key removed."""
+    slots = list(_slots(value))
+    if slots and data.draw(st.booleans()):
+        container, key = data.draw(st.sampled_from(slots))
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            old = container[key]
+            looks = _look_alikes(old) if isinstance(old, (int, str)) else [None, "1"]
+            container[key] = data.draw(st.sampled_from(looks) | _JSON)
+    return value
+
+
+def _damaged(data, text: str) -> str:
+    """``text`` now and then cut short, or with a few characters spliced in."""
+    if data.draw(_NOW_AND_THEN):
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(st.text('{}[]":,\n\r0e-', max_size=3))
+    return text
+
+
+@pytest.fixture(scope="module")
+def meta_files(tmp_path_factory):
+    from spanmeta import load_embedded, to_observations
+    from spanmeta.meta import observations_to_csv
+
+    root = tmp_path_factory.mktemp("meta-fuzz")
+    model = root / "model.json"
+    assert _run(["meta", "fit", "--out", str(model)])[0] == 0
+    # seven span types: enough for every leave-one-type-out fold to be full rank
+    observations = to_observations(load_embedded())
+    kept = sorted({o.span_type_id for o in observations})[:7]
+    obs = root / "obs.csv"
+    observations_to_csv([o for o in observations if o.span_type_id in kept], obs)
+    corpus = root / "tiny.jsonl"
+    docs = [make_doc(f"d{i}", ["a", "per", "son", "b"], [Span("p", 1, 3)]) for i in range(4)]
+    write_corpus(Corpus(tuple(docs), ("p",)), corpus)
+    return {"root": root, "model": model, "obs": obs, "corpus": str(corpus)}
+
+
+_ARCH_FLAGS = st.lists(st.sampled_from(["--feat", "--crf", "--lstm", "--bert"]), unique=True)
+# number-like text that a flag refuses, or that float() and int() accept
+# though a user might not mean it, or that lies at the edge of a range
+_ODD_NUMBER = st.sampled_from(
+    ["0", "-1", "1e400", "-0.0", "nan", "inf", "-inf", "1e-320", "1_000", " 7 ", "٣",
+     "", "x", "0x10", "1" + "0" * 400, "1" + "0" * 5000, "1e308"]
+)
+_PROFILE_FLAGS = {
+    "--freq": _mostly(st.integers(1, 10**6).map(str), _ODD_NUMBER),
+    "--length": _mostly(st.floats(1, 20).map(repr), _ODD_NUMBER),
+    "--sd": _mostly(st.floats(0, 10).map(repr), _ODD_NUMBER),
+    "--bd": _mostly(st.floats(0, 10).map(repr), _ODD_NUMBER),
+}
+# select-alpha's padding lies in [0, 0.5)
+_ALPHA = _mostly(st.floats(0, 0.49).map(repr), _ODD_NUMBER)
+
+
+class TestMetaModelFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predict_exits_cleanly(self, meta_files, data):
+        model = _mutated(data, json.loads(meta_files["model"].read_text("utf-8")))
+        text = _damaged(data, json.dumps(model, indent=data.draw(st.sampled_from([None, 2]))))
+        path = meta_files["root"] / "fuzz-model.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["meta", "predict", "--model", str(path), "--freq", "50", "--length", "2",
+                "--sd", "1", "--bd", "1", *data.draw(_ARCH_FLAGS)]
+        _assert_clean(*_run(argv))
+
+
+class TestNumericFlags:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predict_exits_cleanly(self, meta_files, data):
+        argv = ["meta", "predict", "--model", str(meta_files["model"]), *data.draw(_ARCH_FLAGS)]
+        for flag, value in _PROFILE_FLAGS.items():
+            argv += [flag, data.draw(value)]
+        _assert_clean(*_run(argv))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_ALPHA, min_size=1, max_size=3).map(",".join))
+    def test_select_alpha_grid_exits_cleanly(self, meta_files, grid):
+        argv = ["meta", "select-alpha", "--obs", str(meta_files["obs"]), "--grid", grid]
+        _assert_clean(*_run(argv))
+
+
+_OBS_CELL = _mostly(
+    st.sampled_from(["0", "1", "12", "0.5", "a"]),
+    st.sampled_from(
+        ["", "-1", "2", "nan", "inf", "1e400", "1" + "0" * 400, "1.5", "true", '"q,r"', '"a\nb"']
+    ),
+)
+
+
+@st.composite
+def _obs_csv(draw, text: str) -> str:
+    """An observation CSV with now and then one cell replaced, a field added
+    or dropped, the header changed or CRLF line ends."""
+    lines = text.split("\n")
+    if draw(_NOW_AND_THEN):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells)))
+        choice = draw(st.integers(0, 2))
+        if choice == 0 and j < len(cells):
+            cells[j] = draw(_OBS_CELL)
+        elif choice == 1:
+            cells.insert(j, draw(_OBS_CELL))
+        else:
+            del cells[j - 1 : j]
+        lines[i] = ",".join(cells)
+    text = "\n".join(lines)
+    if draw(_NOW_AND_THEN):
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+class TestObservationCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fit_and_cv_exit_cleanly(self, meta_files, data):
+        path = meta_files["root"] / "fuzz-obs.csv"
+        path.write_text(data.draw(_obs_csv(meta_files["obs"].read_text("utf-8"))))
+        command = data.draw(st.sampled_from(["fit", "cv"]))
+        _assert_clean(*_run(["meta", command, "--obs", str(path)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_refusal_keeps_an_earlier_out_file(self, meta_files, data):
+        path = meta_files["root"] / "fuzz-obs-out.csv"
+        path.write_text(data.draw(_obs_csv(meta_files["obs"].read_text("utf-8"))))
+        out = meta_files["root"] / "earlier.json"
+        out.write_bytes(b"earlier\n")
+        code, stdout, err = _run(["meta", "fit", "--obs", str(path), "--out", str(out)])
+        _assert_clean(code, "{}" if code == 0 else stdout, err)
+        if code == 0:
+            json.loads(out.read_text("utf-8"), parse_constant=_reject_constant)
+        else:
+            assert out.read_bytes() == b"earlier\n"
+
+
+_OPTIONS = [f.name for f in dataclasses.fields(TrainConfig)]
+_CONFIG_LINE = _mostly(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(_OPTIONS),
+        st.sampled_from(["1", "0", "0.5", "yes", "off", "0.9,0.99", "8"]),
+    ),
+    st.sampled_from(["", "# note", "unknown = 1", "seed", "=1", "seed = x", "seed = 1.5",
+                     "betas = 1", "betas = 0.9,nan", "learning_rate = inf",
+                     "learning_rate = 1e300", "dev_fraction = 1", "batch_size = 0",
+                     "max_epochs = 500", "eps = -1", "ema_decay = 2"]),
+)
+
+
+class TestTrainConfig:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["baseline", "crf"]), st.lists(_CONFIG_LINE, max_size=4))
+    def test_train_exits_cleanly(self, meta_files, arch, lines):
+        path = meta_files["root"] / "fuzz.cfg"
+        path.write_text("\r\n".join(lines), encoding="utf-8")
+        argv = ["train", "--arch", arch, "--train", meta_files["corpus"],
+                "--max-epochs", "1", "--seed", "0", "--config", str(path)]
+        _assert_clean(*_run(argv))

@@ -1,13 +1,21 @@
-"""The indent-2 JSON writer against ``json.dumps``, byte for byte."""
+"""The file boundary: the indent-2 JSON writer against ``json.dumps``, byte
+for byte; the reader against ``open``; and the atomic file writer."""
 
+import errno
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanmeta._jsontext import json_text
+from spanmeta._jsontext import json_text, parse_json, read_text, write_text
 
 
 def _reference(value) -> str:
@@ -115,3 +123,170 @@ def test_other_types_raise_type_error(value, message):
         json_text(value)
     with pytest.raises(TypeError, match=message):
         _reference(value)
+
+
+# ---------------------------------------------------------------------------
+# reading
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.sampled_from("a\r\n,\"é\u2028\x85"), max_size=12))
+def test_read_text_matches_open(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "read.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert read_text(path) == fh.read()
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert read_text(path, newline="") == fh.read()
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+@pytest.mark.parametrize("lines_before", [0, 100_000])  # the latter: past any read buffer
+def test_bytes_that_are_not_utf8_name_the_path_and_line(tmp_path, newline, lines_before):
+    path = tmp_path / "latin1.txt"
+    # \r\n, \r and \n each end one line, for the csv module as for open()
+    path.write_bytes(b"x\n" * lines_before + b"one\r\ntwo\rthree\nfour \xe9t\xe9\n")
+    with pytest.raises(ValueError) as info:
+        read_text(path, newline=newline)
+    line = lines_before + 4
+    assert str(info.value) == f"{path}: line {line}: not UTF-8 text (invalid continuation byte)"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{oops", "Expecting property name"),
+        ("[" * 100_000, "maximum recursion depth"),
+        ("[1" + "0" * 5000 + "]", "Exceeds the limit"),
+    ],
+    ids=["syntax", "too-deep", "too-many-digits"],
+)
+def test_every_json_refusal_is_one_value_error(text, reason):
+    if reason == "Exceeds the limit" and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(ValueError, match=f"^invalid JSON: {reason}"):
+        parse_json(text)
+
+
+# ---------------------------------------------------------------------------
+# writing: never a path under /dev, where a wrong replace would swap a device
+# node for a regular file
+
+
+def test_new_file_gets_opens_mode_and_a_replaced_one_keeps_its_own(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_text(tmp_path / "new", "x")
+        (tmp_path / "plain").write_text("x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
+    existing = tmp_path / "existing"
+    existing.write_text("x")
+    existing.chmod(0o751)
+    write_text(existing, "y\n")
+    assert existing.read_bytes() == b"y\n"
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o751
+
+
+def test_a_symlink_is_written_through(tmp_path):
+    (tmp_path / "sub").mkdir()
+    real = tmp_path / "sub" / "real.json"
+    real.write_bytes(b"earlier\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(Path("sub") / "real.json")
+    write_text(link, "later\n")
+    assert link.is_symlink()
+    assert real.read_bytes() == b"later\n"
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(Path("sub") / "made.json")
+    write_text(dangling, "made\n")
+    assert dangling.is_symlink()
+    assert (tmp_path / "sub" / "made.json").read_bytes() == b"made\n"
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["made.json", "real.json"]
+
+
+def test_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a writer that never opens the FIFO fails the test
+    # instead of hanging the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_text(fifo, "through a pipe\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [b"through a pipe\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_a_failed_replace_keeps_the_target_and_removes_the_hidden_file(
+    tmp_path, monkeypatch
+):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"earlier\n")
+
+    def fail(src, dst):
+        raise OSError(errno.EIO, "Input/output error", src)
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError) as info:
+        write_text(target, "later\n")
+    assert (info.value.errno, info.value.filename) == (errno.EIO, str(target))
+    assert target.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_missing_directory_is_named_in_the_error(tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError) as info:
+        write_text(path, "x")
+    assert info.value.filename == str(path)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write any file"
+)
+def test_a_read_only_file_is_refused_as_open_refuses_it(tmp_path):
+    target = tmp_path / "locked.json"
+    target.write_bytes(b"earlier\n")
+    target.chmod(0o444)
+    with pytest.raises(PermissionError):
+        write_text(target, "later\n")
+    assert target.read_bytes() == b"earlier\n"
+
+
+_FSIZE_CHILD = """
+import resource, signal, sys
+from spanmeta.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+sys.exit(main(["meta", "fit", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(tmp_path):
+    pytest.importorskip("resource")
+    out = tmp_path / "out.json"
+    out.write_bytes(b"earlier\n")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(sys.path),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _FSIZE_CHILD, str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    # the model file is about 10 kB, past the 4096-byte limit
+    assert (done.returncode, done.stdout) == (2, "")
+    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert done.stderr == f"spanmeta: i/o error: {reason}: {str(out)!r}\n"
+    assert out.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
