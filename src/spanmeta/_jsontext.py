@@ -15,8 +15,11 @@ which spends most of a model file's time yielding one chunk per float;
 ``json_text`` writes the same bytes with one join per container, and one
 join of ``float.__repr__`` per all-float list. :func:`csv_text` writes
 CSV rows with LF line ends. :func:`write_text` puts any of these into a
-file as UTF-8, atomically: a failure at any point, from text with no
-UTF-8 form to a full disk, leaves an earlier file at the path as it was.
+file as UTF-8 through a hidden file that then replaces the target: a
+failure at any point, from text with no UTF-8 form to a full disk, leaves
+an earlier file at the path as it was. A killed process can leave the
+hidden file behind; a special file, or a writable file in a directory
+the user may not write to, is written in place.
 
 The module imports nothing numerical.
 """
@@ -169,14 +172,19 @@ def write_text(path, text: str) -> None:
     The whole text is encoded first, then written to a new hidden file
     beside the target, which ``os.replace`` puts in the target's place.
     So no failure, be it text with no UTF-8 form, such as a lone
-    surrogate, or a full disk, leaves a half-written file: the target
-    keeps its earlier bytes and the hidden file is removed. A symlink is
-    followed to the file it names. A new file gets the permission bits a
-    plain ``open`` would give it, and a replaced file keeps its own. The
-    target's directory must be writable. A target that exists but is not
-    a regular file, such as a FIFO or a terminal, is written in place.
-    Nothing is synced to disk, so the guarantee holds against a failed or
-    killed process, not against a power cut.
+    surrogate, or a full disk, leaves a half-written target: it keeps its
+    earlier bytes, and the hidden file is removed. A process killed while
+    it writes can leave the hidden ``.<name>.<hex>.tmp`` file behind, and
+    nothing is synced to disk, so a power cut can lose either file.
+
+    A symlink is followed to the file it names. A new file gets the
+    permission bits a plain ``open`` would give it, and a replaced file
+    keeps its own, but not its owner, group, ACLs or extended attributes,
+    nor its other hard links, which keep the earlier bytes. A target that
+    exists but is not a regular file, such as a FIFO, a terminal or a
+    pipe named by ``/proc/self/fd/N``, is written in place. So is a
+    writable file that cannot be replaced, as in a directory the user may
+    not write to; such a write is not atomic.
 
     Raises:
         ValueError: naming ``path`` if ``text`` cannot be encoded.
@@ -187,20 +195,22 @@ def write_text(path, text: str) -> None:
         data = text.encode("utf-8")
     except UnicodeEncodeError as e:
         raise ValueError(f"cannot write {path}: {e}") from e
-    target = os.path.realpath(path)
-    try:
-        st = os.stat(target)
+    try:  # stat follows /proc's links to pipes, which realpath cannot
+        st = os.stat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
         Path(path).write_bytes(data)
         return
-    if st is not None and not os.access(target, os.W_OK):
+    if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
     try:
-        _replace(target, data, None if st is None else stat.S_IMODE(st.st_mode))
-    except OSError as e:  # name the target, not the hidden file
-        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+        _replace(os.path.realpath(path), data, None if st is None else stat.S_IMODE(st.st_mode))
+    except OSError as e:
+        if st is None or not isinstance(e, PermissionError):
+            # name the target, not the hidden file
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+        Path(path).write_bytes(data)  # in place, as open() would
 
 
 def _replace(target: str, data: bytes, mode: int | None) -> None:

@@ -223,6 +223,82 @@ def test_a_fifo_is_written_in_place(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
+def test_a_pipe_is_written_in_place_whatever_realpath_makes_of_it(tmp_path, monkeypatch):
+    # realpath turns a /proc/self/fd/N link to a pipe into a path that does
+    # not exist ("pipe:[N]"), so the file type must come from os.stat; here
+    # a FIFO stands in for the pipe, and realpath gives what it gives there
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(os.path, "realpath", lambda p, **kw: str(tmp_path / "gone" / "pipe:[1]"))
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_text(fifo, "through a pipe\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [b"through a pipe\n"]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("step", ["create", "replace"])
+def test_a_writable_file_that_cannot_be_replaced_is_written_in_place(
+    tmp_path, monkeypatch, step
+):
+    # create: a directory the user may not write to; replace: a sticky
+    # directory holding another user's file. open() writes both in place.
+    target = tmp_path / "out.json"
+    target.write_bytes(b"earlier, longer\n")
+    target.chmod(0o640)
+    real_open, real_replace = os.open, os.replace
+
+    def refuse_create(name, flags, *args):
+        if flags & os.O_EXCL:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return real_open(name, flags, *args)
+
+    def refuse_replace(src, dst):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), dst)
+
+    if step == "create":
+        monkeypatch.setattr(os, "open", refuse_create)
+    else:
+        monkeypatch.setattr(os, "replace", refuse_replace)
+    write_text(target, "later\n")
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert target.read_bytes() == b"later\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_new_file_in_a_directory_that_refuses_it_is_named(tmp_path, monkeypatch):
+    def refuse(name, flags, *args):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+
+    monkeypatch.setattr(os, "open", refuse)
+    path = tmp_path / "new.json"
+    with pytest.raises(PermissionError) as info:
+        write_text(path, "x")
+    assert info.value.filename == str(path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write any directory"
+)
+def test_a_file_in_a_read_only_directory_is_written_in_place(tmp_path):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    target = locked / "out.json"
+    target.write_bytes(b"earlier\n")
+    locked.chmod(0o555)
+    try:
+        write_text(target, "later\n")
+        assert target.read_bytes() == b"later\n"
+        assert [p.name for p in locked.iterdir()] == ["out.json"]
+    finally:
+        locked.chmod(0o755)
+
+
 def test_a_failed_replace_keeps_the_target_and_removes_the_hidden_file(
     tmp_path, monkeypatch
 ):
