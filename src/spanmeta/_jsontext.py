@@ -1,7 +1,8 @@
 """The file boundary: how a user's file becomes text or JSON, and how
 text, JSON or CSV rows go into a file.
 
-Reading. :func:`read_text` decodes a file as UTF-8 and, by default,
+Reading. :func:`read_text` decodes a file as UTF-8, drops a byte-order
+mark at its start, as Windows editors write one, and, by default,
 turns ``\\r\\n`` and ``\\r`` line ends into ``\\n``, as ``open`` does;
 bytes that are not UTF-8 raise ``ValueError`` naming the file and the
 line. :func:`parse_json` is ``json.loads`` whose every refusal (a syntax
@@ -132,7 +133,7 @@ def csv_text(header, rows) -> str:
 
 
 def read_text(path, newline: str | None = None) -> str:
-    """The text of the UTF-8 file at ``path``.
+    """The text of the UTF-8 file at ``path``, less a leading byte-order mark.
 
     ``newline`` is ``open``'s: with ``None`` each ``\\r\\n`` and ``\\r``
     becomes ``\\n``; with ``""`` line ends are kept as they are, as the
@@ -145,7 +146,8 @@ def read_text(path, newline: str | None = None) -> str:
     """
     try:
         with open(path, encoding="utf-8", newline=newline) as f:
-            return f.read()
+            # not "utf-8-sig": its decoder reads a lone b"\xef" as empty text
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:  # read() decodes the whole file in one call
         head = e.object[: e.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1

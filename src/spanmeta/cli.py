@@ -10,10 +10,13 @@ Only the corpus, evaluation and metrics modules are imported here; each
 handler imports the rest of what it uses when it runs, so ``eval`` and
 ``profile`` load no numpy and ``train`` no meta-model. No command loads
 scipy. The parser's choices and defaults come from ``_options``, which
-imports nothing numerical.
+imports nothing numerical. A call builds only the parsers of the command
+it names (see :func:`build_parser`): ``meta cv`` builds those of
+``spanmeta``, ``meta`` and ``cv``, not all thirteen.
 
 Exit codes: 0 on success, 1 on any validation problem (bad flags, bad
-file contents, bad values), 2 on I/O failure.
+file contents, bad values), 2 on I/O failure. An error in an input file
+names the file.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from ._jsontext import csv_text, json_text, parse_json, read_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
-from .corpus import Corpus, read_corpus
+from .corpus import Corpus, CorpusFormatError, read_corpus
 from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
 from .metrics import (
     DatasetMetrics,
@@ -58,6 +62,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _read_corpus(path: str, **kwargs) -> Corpus:
+    """``read_corpus``, whose refusal names ``path`` once."""
+    try:
+        return read_corpus(path, **kwargs)
+    except CorpusFormatError as e:
+        if str(e).startswith(f"{path}: line "):  # bytes that are not UTF-8
+            raise
+        raise CorpusFormatError(f"{path}: {e}") from e
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -70,7 +84,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_profile(args) -> None:
-    corpus = read_corpus(args.corpus, format=args.input_format)
+    corpus = _read_corpus(args.corpus, format=args.input_format)
     # the inventory is derived from the spans, so every type in it has some
     types = corpus.span_type_inventory
     if args.type:
@@ -171,10 +185,10 @@ def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
 
     config = _train_config(args)
-    train_corpus = read_corpus(args.train, format=args.input_format)
+    train_corpus = _read_corpus(args.train, format=args.input_format)
     dev_corpus = None
     if args.dev:
-        dev_corpus = read_corpus(args.dev, format=args.input_format, partition="dev")
+        dev_corpus = _read_corpus(args.dev, format=args.input_format, partition="dev")
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
@@ -220,9 +234,9 @@ def _report_to_json(report: F1Report) -> dict:
 
 
 def _cmd_eval(args) -> None:
-    gold = read_corpus(args.gold, format=args.input_format)
+    gold = _read_corpus(args.gold, format=args.input_format)
     # model output may contain stray continuation labels
-    pred = read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
+    pred = _read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
     counts = EvalCounts()
     for g, p in _pair_documents(gold, pred):
         counts = counts + count_matches(g.spans, p.spans)
@@ -397,14 +411,7 @@ def _add_obs_alpha(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="logit padding")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="spanmeta",
-        description="Span identification metrics, labelers, and the F1 meta-model.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-
-    p = sub.add_parser("profile", help="measure span types in a corpus")
+def _profile_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus", help="corpus file")
     _add_input_format(p)
     p.add_argument("--type", help="profile a single span type")
@@ -412,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("train", help="fit a labeler on a corpus")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", choices=ARCHITECTURES, required=True)
     p.add_argument("--train", required=True, help="training corpus file")
     p.add_argument("--dev", help="dev corpus file (default: held-out split)")
@@ -423,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score predicted spans against gold")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--types", nargs="+", help="restrict scoring to these types")
@@ -432,29 +441,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_eval)
 
-    meta = sub.add_parser("meta", help="fit and evaluate the F1 meta-model")
-    meta_sub = meta.add_subparsers(
-        dest="meta_command", required=True, parser_class=_ArgumentParser
-    )
 
-    p = meta_sub.add_parser("fit", help="fit on all observations")
+def _meta_fit_args(p: argparse.ArgumentParser) -> None:
     _add_obs_alpha(p)
     p.add_argument("--set", choices=PREDICTOR_SETS, default="full")
     _add_out(p)
     p.set_defaults(func=_cmd_meta_fit)
 
-    p = meta_sub.add_parser("cv", help="leave-one-span-type-out cross-validation")
+
+def _meta_cv_args(p: argparse.ArgumentParser) -> None:
     _add_obs_alpha(p)
     p.add_argument("--set", choices=PREDICTOR_SETS, default="full")
     _add_out(p)
     p.set_defaults(func=_cmd_meta_cv)
 
-    p = meta_sub.add_parser("ablate", help="cross-validate every predictor set")
+
+def _meta_ablate_args(p: argparse.ArgumentParser) -> None:
     _add_obs_alpha(p)
     _add_out(p)
     p.set_defaults(func=_cmd_meta_ablate)
 
-    p = meta_sub.add_parser("predict", help="predict F1 for one configuration")
+
+def _meta_predict_args(p: argparse.ArgumentParser) -> None:
     _add_obs_alpha(p)
     p.set_defaults(alpha=None)  # so that --model can refuse an explicit --alpha
     p.add_argument("--model", help="fitted model JSON (default: fit on --obs with --alpha)")
@@ -467,32 +475,79 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_meta_predict)
 
-    p = meta_sub.add_parser("select-alpha", help="pick padding by cross-validated MAE")
+
+def _meta_select_alpha_args(p: argparse.ArgumentParser) -> None:
     _add_obs(p)
     p.add_argument("--grid", help="comma-separated padding values to sweep")
     _add_out(p)
     p.set_defaults(func=_cmd_meta_select_alpha)
 
-    data = sub.add_parser("data", help="bundled study tables")
-    data_sub = data.add_subparsers(
-        dest="data_command", required=True, parser_class=_ArgumentParser
-    )
-    p = data_sub.add_parser("export", help="dump a bundled table as CSV")
+
+def _data_export_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", choices=("profiles", "f1"), required=True)
     _add_out(p)
     p.set_defaults(func=_cmd_data_export)
 
-    p = sub.add_parser("reproduce", help="rerun the embedded-data analysis")
+
+def _reproduce_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out-dir", default=".", help="where report.json and scatter.svg go")
     p.set_defaults(func=_cmd_reproduce)
 
+
+# Each entry is (name, help, body): body adds the command's arguments and
+# handler to its parser, or is the table of its subcommands, whose choice
+# goes to ``<name>_command``.
+_COMMANDS = (
+    ("profile", "measure span types in a corpus", _profile_args),
+    ("train", "fit a labeler on a corpus", _train_args),
+    ("eval", "score predicted spans against gold", _eval_args),
+    ("meta", "fit and evaluate the F1 meta-model", (
+        ("fit", "fit on all observations", _meta_fit_args),
+        ("cv", "leave-one-span-type-out cross-validation", _meta_cv_args),
+        ("ablate", "cross-validate every predictor set", _meta_ablate_args),
+        ("predict", "predict F1 for one configuration", _meta_predict_args),
+        ("select-alpha", "pick padding by cross-validated MAE", _meta_select_alpha_args),
+    )),
+    ("data", "bundled study tables", (
+        ("export", "dump a bundled table as CSV", _data_export_args),
+    )),
+    ("reproduce", "rerun the embedded-data analysis", _reproduce_args),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``; for every command if None.
+
+    Where the next word of ``argv`` names a command, only that command's
+    parser is built. argparse hands the rest of the line to that parser
+    alone, so help, usage, errors and exit codes are the full parser's.
+    Anywhere else (``-h``, an option, an unknown word, no word at all)
+    every command at that level is built.
+    """
+    parser = _ArgumentParser(
+        prog="spanmeta",
+        description="Span identification metrics, labelers, and the F1 meta-model.",
+    )
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _add_commands(parser, dest: str, table, argv: Sequence[str] | None) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_ArgumentParser)
+    named = [entry for entry in table if argv and entry[0] == argv[0]]
+    for name, summary, body in named or table:
+        p = sub.add_parser(name, help=summary)
+        if callable(body):
+            body(p)
+        else:
+            _add_commands(p, f"{name}_command", body, argv[1:] if named else None)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         args.func(args)
     except OSError as exc:

@@ -293,11 +293,12 @@ def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Non
     ``conll_tsv`` keeps neither document ids nor empty documents, and its
     columns cannot hold a tab, line feed or carriage return, so a document
     with no tokens, or such a character in a surface, span type or feature
-    name, raises ``ValueError`` naming the document and token position.
-    ``jsonl`` holds all of these. Text with no UTF-8 form, such as a lone
-    surrogate read from a ``\\ud800`` escape, raises ``ValueError`` naming
-    ``path``. A write that fails for any reason leaves an earlier file
-    there as it was (see ``_jsontext.write_text``).
+    name, raises ``ValueError`` naming the document and token position, as
+    does a first surface that starts with a byte-order mark, which the
+    reader drops. ``jsonl`` holds all of these. Text with no UTF-8 form,
+    such as a lone surrogate read from a ``\\ud800`` escape, raises
+    ``ValueError`` naming ``path``. A write that fails for any reason
+    leaves an earlier file there as it was (see ``_jsontext.write_text``).
     """
     if format == "jsonl":
         text = _to_jsonl(corpus)
@@ -488,6 +489,11 @@ def _to_conll_tsv(corpus: Corpus) -> str:
                 "feature name"
             )
         blocks.append("\n".join([head + lab + tail for (head, tail), lab in zip(around, labels)]))
+    if blocks and blocks[0].startswith("\ufeff"):
+        raise ValueError(
+            f"document {corpus.documents[0].id!r}, token 0: conll_tsv cannot start "
+            "a file with a byte-order mark (U+FEFF), which readers drop"
+        )
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 

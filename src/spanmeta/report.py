@@ -10,7 +10,7 @@ fixtures; the published numbers it checks against live in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,7 +123,20 @@ class ReproductionReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
+        """The fields, each row a dict of its own fields, plus ``all_checks_pass``.
+
+        Rows are frozen and hold only immutable values, so each dict is a
+        shallow copy of the row's ``vars``; ``dataclasses.asdict`` would
+        deep-copy every value.
+        """
+        return {
+            **vars(self),
+            "table1": [dict(vars(c)) for c in self.table1],
+            "correlation": dict(vars(self.correlation)),
+            "cv": [dict(vars(r)) for r in self.cv],
+            "coefficients": [dict(vars(r)) for r in self.coefficients],
+            "all_checks_pass": self.all_checks_pass,
+        }
 
     def to_json(self) -> str:
         return json_text(self.to_json_dict())

@@ -8,6 +8,7 @@ mistakes as SystemExit(1).
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -41,8 +43,10 @@ from spanmeta import (
     to_observations,
     write_corpus,
 )
-from spanmeta.cli import main
-from spanmeta.meta import observations_to_csv
+from spanmeta import cli
+from spanmeta._jsontext import json_text
+from spanmeta.cli import build_parser, main
+from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
 from spanmeta.seqlab.models import model_from_dict
 
@@ -227,6 +231,48 @@ def run_cli(argv, capsys):
 # argparse plumbing
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``parser``'s subcommand parsers by name; empty for a leaf command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _command_paths(parser: argparse.ArgumentParser, path=()):
+    yield list(path)
+    for name, sub in _subcommands(parser).items():
+        yield from _command_paths(sub, (*path, name))
+
+
+def _leaves(parser: argparse.ArgumentParser) -> list:
+    subs = _subcommands(parser).values()
+    return [leaf for sub in subs for leaf in _leaves(sub)] if subs else [parser]
+
+
+# every command path of the full parser with -h, with nothing more and with
+# an unknown flag; then words that name no command, and an option before one
+_PARITY_ARGVS = [
+    *(path + tail for path in _command_paths(build_parser()) for tail in (["-h"], [], ["--x"])),
+    ["bogus"],
+    ["meta", "bogus"],
+    ["--x", "meta", "cv"],
+    ["meta", "cv", "--set", "arch_only", "--alpha", "0.3", "--out", "o.json"],
+    ["meta", "predict", "--freq", "5", "--length", "2", "--sd", "1", "--bd", "1", "--crf"],
+    ["eval", "--gold", "g", "--pred", "p", "--types", "a", "b"],
+]
+
+
+@pytest.fixture
+def handlers(monkeypatch):
+    """The Namespaces that commands are called with; no command runs."""
+    called = []
+    for name in list(vars(cli)):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, called.append)
+    return called
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "argv",
@@ -252,6 +298,43 @@ class TestParsing:
             main(argv)
         assert err.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=" ".join)
+    def test_main_parses_as_the_full_parser(self, argv, handlers, capsys):
+        # main builds only the parsers that argv names; what the user sees
+        # and what the command gets must be what the full parser gives
+        def full_parser(argv):
+            args = build_parser().parse_args(argv)
+            args.func(args)
+            return 0
+
+        def outcome(run):
+            handlers.clear()
+            try:
+                code = run(argv)
+            except SystemExit as e:
+                code = e.code
+            return (code, *capsys.readouterr(), list(handlers))
+
+        assert outcome(main) == outcome(full_parser)
+
+    def test_a_command_line_builds_only_its_commands_parser(self):
+        assert [p.prog for p in _leaves(build_parser(["meta", "cv"]))] == ["spanmeta meta cv"]
+        assert len(_leaves(build_parser())) == 10
+
+    @pytest.mark.parametrize(
+        "argv", [["data", "export", "--table", "f1"], ["meta", "--x", "cv"]], ids=" ".join
+    )
+    def test_main_without_argv_reads_sys_argv(self, argv, monkeypatch, capsys):
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            return (code, *capsys.readouterr())
+
+        monkeypatch.setattr(sys, "argv", ["spanmeta", *argv])
+        assert outcome(None) == outcome(sys.argv[1:])
 
     def test_no_command_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -1074,6 +1157,49 @@ class TestInputFiles:
         assert (code, out) == (1, "")
         assert err == f"spanmeta: error: {bad}: line 2: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda bad, f: ["profile", bad],
+            lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]],
+            lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad],
+            lambda bad, f: ["train", "--arch", "baseline", "--train", bad],
+            lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad],
+        ],
+        ids=["profile", "eval-gold", "eval-pred", "train", "train-dev"],
+    )
+    def test_a_malformed_corpus_is_named_once(self, files, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "d0", "tokens": [], "spans": []}\n{oops\n', encoding="utf-8")
+        code, out, err = run_cli(argv(str(bad), files), capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spanmeta: error: {bad}: line 2: invalid JSON: ")
+        assert err.count(str(bad)) == 1 and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (lambda f: Path(f["two_types"]).read_text("utf-8"),
+             lambda path, f: ["profile", path]),
+            (lambda f: Path(f["obs"]).read_text("utf-8"),
+             lambda path, f: ["meta", "cv", "--obs", path]),
+            (lambda f: json_text(meta_model_to_dict(fit_meta_model(_synth_obs(), 0.2))),
+             lambda path, f: [*_PREDICT, "--model", path]),
+            (lambda f: "seed = 1\nmax_epochs = 1\n",
+             lambda path, f: ["train", "--arch", "baseline", "--train", f["train"],
+                              "--config", path]),
+        ],
+        ids=["corpus", "observation-csv", "meta-predict-model", "train-config"],
+    )
+    def test_a_leading_byte_order_mark_is_dropped(self, files, tmp_path, capsys, text, argv):
+        # as Windows editors write one
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text(files), encoding="utf-8")
+        marked.write_text(text(files), encoding="utf-8-sig")
+        want = run_cli(argv(str(plain), files), capsys)
+        assert want[0] == 0
+        assert run_cli(argv(str(marked), files), capsys) == want
+
     def test_over_long_integer_in_a_model_file_names_the_file(self, tmp_path, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this interpreter converts integers of any length")
@@ -1121,6 +1247,12 @@ class TestReproduce:
         report = build_reproduction_report().report
         with pytest.raises(ValueError, match="not JSON compliant"):
             dataclasses.replace(report, selected_alpha=float("nan")).to_json()
+
+    def test_report_json_dict_is_asdict_less_copies(self):
+        # dataclasses.asdict, which deep-copies every row, is the reference
+        report = build_reproduction_report().report
+        want = {**dataclasses.asdict(report), "all_checks_pass": report.all_checks_pass}
+        assert json_text(report.to_json_dict()) == json_text(want)
 
     def test_report_bytes_are_stable(self, tmp_path, capsys):
         first = tmp_path / "one"

@@ -697,6 +697,20 @@ class TestWritersMatchTheDictEncoders:
             write_corpus(corpus, tmp_path / "c", format="conll_tsv")
         _assert_writes_as_oracle(corpus, tmp_path / "c", "conll_tsv")
 
+    def test_tsv_refuses_to_start_with_a_byte_order_mark(self, tmp_path):
+        # the reader drops a byte-order mark at the start of a file, so TSV
+        # would lose it from the first surface; a JSONL line starts with "{"
+        corpus = Corpus((make_doc("d", ["\ufeffa", "\ufeffb"]),), ())
+        with pytest.raises(ValueError, match="^document 'd', token 0: .*byte-order mark"):
+            write_corpus(corpus, tmp_path / "c", format="conll_tsv")
+        write_corpus(corpus, tmp_path / "c", format="jsonl")
+        assert read_corpus(tmp_path / "c").documents == corpus.documents
+        later = Corpus((make_doc("d", ["a", "\ufeffb"]),), ())
+        write_corpus(later, tmp_path / "c", format="conll_tsv")
+        assert read_corpus(tmp_path / "c", format="conll_tsv").documents[0].tokens == (
+            later.documents[0].tokens
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(_corpora())
     def test_random_corpora(self, tmp_path_factory, corpus):

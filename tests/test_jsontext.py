@@ -130,14 +130,28 @@ def test_other_types_raise_type_error(value, message):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.text(st.sampled_from("a\r\n,\"é\u2028\x85"), max_size=12))
-def test_read_text_matches_open(tmp_path_factory, text):
+@given(st.text(st.sampled_from("a\r\n,\"é\u2028\x85\ufeff"), max_size=12))
+def test_read_text_matches_open_less_a_leading_byte_order_mark(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "read.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
-        assert read_text(path) == fh.read()
+        assert read_text(path) == fh.read().removeprefix("\ufeff")
     with open(path, encoding="utf-8", newline="") as fh:
-        assert read_text(path, newline="") == fh.read()
+        assert read_text(path, newline="") == fh.read().removeprefix("\ufeff")
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [(b"\xef", "unexpected end of data"), (b"\xef\xbb", "unexpected end of data"),
+     (b"\xef\xbbx", "invalid continuation byte")],
+)
+def test_part_of_a_byte_order_mark_is_not_utf8(tmp_path, data, reason):
+    # the utf-8-sig codec would read the first two as an empty file
+    path = tmp_path / "short.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        read_text(path)
+    assert str(info.value) == f"{path}: line 1: not UTF-8 text ({reason})"
 
 
 @pytest.mark.parametrize("newline", [None, ""])
