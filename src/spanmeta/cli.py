@@ -15,8 +15,9 @@ it names (see :func:`build_parser`): ``meta cv`` builds those of
 ``spanmeta``, ``meta`` and ``cv``, not all thirteen.
 
 Exit codes: 0 on success, 1 on any validation problem (bad flags, bad
-file contents, bad values), 2 on I/O failure. An error in an input file
-names the file.
+file contents, bad values), 2 on I/O failure or when the process runs out
+of memory. An error in an input file names the file. No failure prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from ._jsontext import csv_text, json_text, parse_json, read_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, CorpusFormatError, read_corpus
-from .evaluation import PRF, EvalCounts, F1Report, count_matches, f1_report
+from .evaluation import PRF, F1Report, _sum_counts, count_matches, f1_report
 from .metrics import (
     DatasetMetrics,
     SpanTypeProfile,
@@ -237,9 +238,9 @@ def _cmd_eval(args) -> None:
     gold = _read_corpus(args.gold, format=args.input_format)
     # model output may contain stray continuation labels
     pred = _read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
-    counts = EvalCounts()
-    for g, p in _pair_documents(gold, pred):
-        counts = counts + count_matches(g.spans, p.spans)
+    counts = _sum_counts(
+        count_matches(g.spans, p.spans) for g, p in _pair_documents(gold, pred)
+    )
     if args.types:
         types = args.types
         left = counts.total(set(counts.per_type) - set(types))
@@ -552,6 +553,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.func(args)
     except OSError as exc:
         print(f"spanmeta: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # unwinding the failed command has freed what it held, so this line can print
+        print(
+            "spanmeta: error: out of memory: the input needs more memory "
+            "than this process may use",
+            file=sys.stderr,
+        )
         return 2
     except ValueError as exc:
         print(f"spanmeta: error: {exc}", file=sys.stderr)

@@ -12,6 +12,19 @@ each distinct token once: equal tokens of one read share one immutable
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
 
+``read_corpus`` pauses Python's cyclic garbage collector while it parses
+and builds the corpus. A parse allocates millions of small objects and no
+reference cycles; with the collector on, those allocations trigger full
+collections whose cost grows with the corpus, and none of them frees
+anything that reference counting does not. The collector is process-wide:
+another thread may see it paused for the length of a parse. It is switched
+back on when the read ends, by return or by error, and only if it was on
+when the read began, so a caller that disabled it keeps it disabled.
+
+A ``Corpus`` indexes its spans by type on first use (``Corpus._spans_by_type``),
+so the per-type measurements in ``metrics`` cost time by the spans of one
+type rather than by the whole corpus.
+
 Two interchange formats are supported:
 
 * JSONL: one document per line, each a JSON object with ``id``, ``tokens``
@@ -25,7 +38,10 @@ write/read/write cycle is byte-stable.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -187,6 +203,21 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
+    @cached_property
+    def _spans_by_type(self) -> dict[str, tuple[tuple[Document, Span], ...]]:
+        """Each span type's ``(document, span)`` pairs, in document order.
+
+        Built once, on first use, in one pass over the corpus; a type with
+        no spans has no entry. The cache lives in the instance ``__dict__``,
+        not in a dataclass field, so equality, hash and repr ignore it. Two
+        threads that ask at once may each build it; they build equal ones.
+        """
+        index: dict[str, list[tuple[Document, Span]]] = {}
+        for doc in self.documents:
+            for s in doc.spans:
+                index.setdefault(s.type_id, []).append((doc, s))
+        return {t: tuple(pairs) for t, pairs in index.items()}
+
 
 # ---------------------------------------------------------------------------
 # BIO tagging
@@ -325,6 +356,11 @@ def read_corpus(
     does not fit its document makes the whole read fail. The partition tag
     is not representable in the file formats, so it is supplied here.
 
+    The cyclic garbage collector is paused for the parse and the
+    construction of the corpus, and switched back on afterwards only if it
+    was on at entry (see the module docstring). The pause is process-wide,
+    so another thread may see the collector off for the length of the read.
+
     Args:
         path: file to read.
         format: ``jsonl`` or ``conll_tsv``.
@@ -342,11 +378,24 @@ def read_corpus(
         text = read_text(path)
     except ValueError as e:  # bytes that are not UTF-8, with the path and line
         raise CorpusFormatError(str(e)) from None
-    if format == "jsonl":
-        docs = _parse_jsonl(text)
-    else:
-        docs = _parse_conll_tsv(text, decode_mode)
-    return Corpus(tuple(docs), _derive_inventory(docs), partition)
+    with _gc_paused():
+        if format == "jsonl":
+            docs = _parse_jsonl(text)
+        else:
+            docs = _parse_conll_tsv(text, decode_mode)
+        return Corpus(tuple(docs), _derive_inventory(docs), partition)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector; re-enable it only if it was enabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _derive_inventory(docs: Iterable[Document]) -> tuple[str, ...]:

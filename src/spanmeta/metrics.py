@@ -16,6 +16,12 @@ immediately before a span's start and immediately after its end;
 positions outside the document are skipped.
 
 All measurements are defined on the training partition only.
+
+Each measurement reads a type's spans from the corpus's per-type index:
+the ``(document, span)`` pairs of every type, in document order, built in
+one pass over the corpus the first time any type is asked for and kept on
+the ``Corpus``. Profiling every type of a corpus thus costs time by the
+corpus size, not by the number of types times the corpus size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .corpus import Corpus
+from .corpus import Corpus, Document, Span
 
 __all__ = [
     "UnigramDistribution",
@@ -144,11 +150,8 @@ def _require_known(corpus: Corpus, type_id: str) -> None:
         raise ValueError(f"unknown span type {type_id!r}")
 
 
-def _spans_of(corpus: Corpus, type_id: str):
-    for doc in corpus.documents:
-        for s in doc.spans:
-            if s.type_id == type_id:
-                yield doc, s
+def _spans_of(corpus: Corpus, type_id: str) -> tuple[tuple[Document, Span], ...]:
+    return corpus._spans_by_type.get(type_id, ())
 
 
 def corpus_unigram_distribution(corpus: Corpus) -> UnigramDistribution:
@@ -197,7 +200,7 @@ def span_frequency(corpus: Corpus, type_id: str) -> int:
     """Number of spans of the type in the training corpus."""
     _require_train(corpus)
     _require_known(corpus, type_id)
-    return sum(1 for _ in _spans_of(corpus, type_id))
+    return len(_spans_of(corpus, type_id))
 
 
 def geometric_mean_length(corpus: Corpus, type_id: str) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._options import ARCHITECTURES
 from ..corpus import BioSequence, Corpus, Document, bio_decode, bio_encode, bio_labels
-from ..evaluation import EvalCounts, count_matches, f1_report
+from ..evaluation import _sum_counts, count_matches, f1_report
 from .features import FeatureIndex
 from .models import (
     LinearChainCrfModel,
@@ -155,9 +155,10 @@ def _dropout(
 
 def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:
     corpus = Corpus(tuple(dev_docs), tuple(inventory), partition="dev")
-    counts = EvalCounts()
-    for doc, seq in zip(dev_docs, predict(model, corpus)):
-        counts = counts + count_matches(doc.spans, bio_decode(seq, mode="lenient"))
+    counts = _sum_counts(
+        count_matches(doc.spans, bio_decode(seq, mode="lenient"))
+        for doc, seq in zip(dev_docs, predict(model, corpus))
+    )
     return f1_report(counts, types=inventory).micro.f1
 
 

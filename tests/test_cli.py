@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -48,6 +49,7 @@ from spanmeta._jsontext import json_text
 from spanmeta.cli import build_parser, main
 from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
+from spanmeta.seqlab import training as training_mod
 from spanmeta.seqlab.models import model_from_dict
 
 from helpers import make_doc
@@ -225,6 +227,43 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _plus_fold(parts) -> EvalCounts:
+    """Per-document counts summed one ``+`` at a time, as eval and dev F1 once did."""
+    counts = EvalCounts()
+    for part in parts:
+        counts = counts + part
+    return counts
+
+
+def _random_spans(rng, n: int, types) -> list[Span]:
+    spans, pos = [], 0
+    while pos < n:
+        if rng.random() < 0.4:
+            length = int(rng.integers(1, min(3, n - pos) + 1))
+            spans.append(Span(str(rng.choice(types)), pos, pos + length))
+            pos += length
+        pos += 1
+    return spans
+
+
+def _random_gold_and_pred(root: Path, fmt: str) -> tuple[str, str]:
+    """Gold and predicted corpora of 40 documents, five span types, in ``fmt``."""
+    rng = np.random.default_rng(404)
+    gold, pred = [], []
+    for i in range(40):
+        n = int(rng.integers(1, 12))
+        words = [f"w{int(rng.integers(9))}" for _ in range(n)]
+        gold.append(make_doc(f"d{i}", words, _random_spans(rng, n, ["a", "b", "c", "d"])))
+        pred.append(make_doc(f"d{i}", words, _random_spans(rng, n, ["a", "b", "c", "e"])))
+    paths = []
+    for name, docs in (("gold", gold), ("pred", pred)):
+        path = root / f"{name}.{fmt}"
+        types = tuple(dict.fromkeys(s.type_id for d in docs for s in d.spans))
+        write_corpus(Corpus(tuple(docs), types), path, format=fmt)
+        paths.append(str(path))
+    return paths[0], paths[1]
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +455,40 @@ class TestProfile:
         assert code == 0
         assert len(calls) == 1
 
+    def test_span_index_built_once_per_run(self, files, capsys, monkeypatch):
+        calls = []
+        build = Corpus._spans_by_type.func
+
+        def counting(corpus):
+            calls.append(corpus)
+            return build(corpus)
+
+        index = functools.cached_property(counting)
+        index.__set_name__(Corpus, "_spans_by_type")
+        monkeypatch.setattr(Corpus, "_spans_by_type", index)
+        code, _, _ = run_cli(["profile", files["two_types"]], capsys)
+        assert code == 0
+        # two types, four measurements each, one pass over the corpus
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    @pytest.mark.parametrize(
+        "extra", [[], ["--format", "csv"], ["--type", "c"]], ids=["json", "csv", "type"]
+    )
+    def test_output_equals_a_scan_of_every_document(
+        self, tmp_path, capsys, monkeypatch, fmt, extra
+    ):
+        from spanmeta import metrics
+
+        from helpers import _spans_of as scan_spans_of
+
+        gold, _ = _random_gold_and_pred(tmp_path, fmt)
+        argv = ["profile", gold, "--input-format", fmt, *extra]
+        code, indexed, _ = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(metrics, "_spans_of", lambda c, t: tuple(scan_spans_of(c, t)))
+        assert run_cli(argv, capsys) == (0, indexed, "")
+
     def test_single_type_has_null_aggregate(self, files, capsys):
         code, out, _ = run_cli(["profile", files["one_type"]], capsys)
         assert code == 0
@@ -551,6 +624,25 @@ class TestTrain:
         assert run_cli(argv + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(argv + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "arch, config",
+        [("crf", ""), ("crf", "mask_invalid_transitions = true\n"), ("baseline", "")],
+        ids=["crf", "masked-crf", "baseline"],
+    )
+    def test_dev_f1_equals_the_plus_fold(
+        self, files, tmp_path, capsys, monkeypatch, arch, config
+    ):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(config)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["train", "--arch", arch, "--train", files["train"], "--dev", files["dev"],
+                "--config", str(cfg), "--seed", "11", "--max-epochs", "3"]
+        assert run_cli(argv + ["--out", str(a)], capsys)[0] == 0
+        monkeypatch.setattr(training_mod, "_sum_counts", _plus_fold)
+        assert run_cli(argv + ["--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["training_log"][0]["dev_f1"] > 0
 
     def test_different_seeds_differ(self, files, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -701,6 +793,20 @@ class TestEval:
             assert payload["per_type"][t]["precision"] == pytest.approx(
                 report.per_type[t].precision, rel=1e-12
             )
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--format", "csv"], ["--types", "e", "a", "b"]],
+        ids=["json", "csv", "types"],
+    )
+    def test_output_equals_the_plus_fold(self, tmp_path, capsys, monkeypatch, fmt, extra):
+        gold, pred = _random_gold_and_pred(tmp_path, fmt)
+        argv = ["eval", "--gold", gold, "--pred", pred, "--input-format", fmt, *extra]
+        summed = run_cli(argv, capsys)
+        assert summed[0] == 0
+        monkeypatch.setattr(cli, "_sum_counts", _plus_fold)
+        assert run_cli(argv, capsys) == summed
 
     def test_csv_ends_with_micro_row(self, files, capsys):
         code, out, _ = run_cli(
@@ -1277,7 +1383,43 @@ def _run_module(args, module="spanmeta.cli", **env):
     )
 
 
+_OOM_CHILD = """
+import os, resource, sys
+from spanmeta.cli import main
+# room for what the process maps now plus 32 MB; the corpus needs about twice that
+mapped = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+limit = mapped + 32 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["profile", sys.argv[1]]))
+"""
+
+
 class TestModuleEntry:
+    def test_running_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm to size the address-space limit")
+        # 100,000 distinct tokens: each is parsed, checked and kept
+        path = tmp_path / "distinct.jsonl"
+        with path.open("w") as f:
+            for d in range(0, 100_000, 50):
+                tokens = [{"surface": f"w{d + i}", "features": []} for i in range(50)]
+                spans = [{"type": "t", "start": 1, "end": 3}]
+                f.write(json.dumps({"id": f"d{d}", "tokens": tokens, "spans": spans}) + "\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", _OOM_CHILD, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == (
+            "spanmeta: error: out of memory: the input needs more memory "
+            "than this process may use\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

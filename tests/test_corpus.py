@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -25,6 +26,8 @@ from spanmeta import (
     read_corpus,
     write_corpus,
 )
+
+from spanmeta import corpus as corpus_mod
 
 from helpers import make_doc
 
@@ -135,6 +138,60 @@ class TestDataModel:
     def test_corpus_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):
             Corpus((), ("t",), partition="validation")
+
+
+def _indexed_corpus() -> Corpus:
+    docs = (
+        make_doc("d0", list("abcde"), [Span("t", 0, 1), Span("u", 1, 3), Span("t", 4, 5)]),
+        make_doc("d1", list("xy")),
+        make_doc("d2", list("xyz"), [Span("u", 0, 3)]),
+    )
+    return Corpus(docs, ("t", "u", "unused"))
+
+
+class TestSpanIndex:
+    def test_pairs_each_type_in_document_order(self):
+        corpus = _indexed_corpus()
+        d0, _, d2 = corpus.documents
+        assert corpus._spans_by_type == {
+            "t": ((d0, Span("t", 0, 1)), (d0, Span("t", 4, 5))),
+            "u": ((d0, Span("u", 1, 3)), (d2, Span("u", 0, 3))),
+        }
+        assert corpus._spans_by_type is corpus._spans_by_type
+
+    def test_index_changes_no_equality_hash_repr_or_asdict(self):
+        corpus, twin = _indexed_corpus(), _indexed_corpus()
+        before = (hash(corpus), repr(corpus), dataclasses.asdict(corpus))
+        corpus._spans_by_type
+        assert "_spans_by_type" in vars(corpus) and "_spans_by_type" not in vars(twin)
+        assert corpus == twin and twin == corpus
+        assert (hash(corpus), repr(corpus), dataclasses.asdict(corpus)) == before
+        assert (hash(twin), repr(twin), dataclasses.asdict(twin)) == before
+        assert [f.name for f in dataclasses.fields(Corpus)] == [
+            "documents", "span_type_inventory", "partition"
+        ]
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_pickle_and_copy_give_equal_corpora_with_the_same_index(self, built):
+        corpus = _indexed_corpus()
+        if built:
+            corpus._spans_by_type
+        clones = (
+            pickle.loads(pickle.dumps(corpus)), copy.copy(corpus), copy.deepcopy(corpus)
+        )
+        for clone in clones:
+            assert clone == corpus and hash(clone) == hash(corpus)
+            assert clone._spans_by_type == corpus._spans_by_type
+
+    def test_a_replaced_corpus_builds_its_own_index(self):
+        corpus = _indexed_corpus()
+        corpus._spans_by_type
+        fewer = dataclasses.replace(corpus, documents=corpus.documents[1:])
+        assert "_spans_by_type" not in vars(fewer)
+        assert fewer._spans_by_type == {"u": ((fewer.documents[1], Span("u", 0, 3)),)}
+        same = dataclasses.replace(corpus)
+        assert same == corpus and "_spans_by_type" not in vars(same)
+        assert same._spans_by_type == corpus._spans_by_type
 
 
 class TestBioLabels:
@@ -717,6 +774,76 @@ class TestWritersMatchTheDictEncoders:
         path = tmp_path_factory.getbasetemp() / "random-corpus"
         for fmt in _ORACLES:
             _assert_writes_as_oracle(corpus, path, fmt)
+
+
+_GOOD = {"jsonl": _jsonl_line("a", [("w", [])], [("t", 0, 1)]), "conll_tsv": "w\tB-t\n"}
+_MALFORMED = {"jsonl": '{"id": "a", "tokens": 3}\n', "conll_tsv": "w\n"}
+
+
+class TestGarbageCollectorState:
+    """``read_corpus`` pauses the cyclic collector for the parse and leaves
+    ``gc.isenabled()`` as it found it, whether the read succeeds or not."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_at_entry(self, request):
+        was = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_successful_read_pauses_then_restores(
+        self, tmp_path, monkeypatch, gc_at_entry, fmt
+    ):
+        path = tmp_path / "c"
+        path.write_text(_GOOD[fmt])
+        seen = []
+        parse = {"jsonl": "_parse_jsonl", "conll_tsv": "_parse_conll_tsv"}[fmt]
+        exact = getattr(corpus_mod, parse)
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return exact(*args)
+
+        def inventory(docs):
+            seen.append(gc.isenabled())
+            return ("t",)
+
+        monkeypatch.setattr(corpus_mod, parse, recording)
+        monkeypatch.setattr(corpus_mod, "_derive_inventory", inventory)
+        corpus = read_corpus(path, format=fmt)
+        assert corpus.span_type_inventory == ("t",)
+        assert seen == [False, False]
+        assert gc.isenabled() is gc_at_entry
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_format_error_restores(self, tmp_path, gc_at_entry, fmt):
+        path = tmp_path / "c"
+        path.write_text(_MALFORMED[fmt])
+        with pytest.raises(CorpusFormatError, match="^line 1: "):
+            read_corpus(path, format=fmt)
+        assert gc.isenabled() is gc_at_entry
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_file_that_is_not_utf8_restores(self, tmp_path, gc_at_entry, fmt):
+        path = tmp_path / "c"
+        path.write_bytes(b"w\xff\tO\n")
+        with pytest.raises(CorpusFormatError, match="not UTF-8"):
+            read_corpus(path, format=fmt)
+        assert gc.isenabled() is gc_at_entry
+
+    def test_a_corpus_that_breaks_an_invariant_restores(self, tmp_path, gc_at_entry):
+        path = tmp_path / "c"
+        path.write_text(_jsonl_line("a", [("w", [])], [("t", 0, 2)]))
+        with pytest.raises(CorpusFormatError, match="exceeds document length"):
+            read_corpus(path)
+        assert gc.isenabled() is gc_at_entry
 
 
 class TestBioSequence:

@@ -1,5 +1,8 @@
 """Exact-match scoring: hand-counted cases and structural properties."""
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from spanmeta.evaluation import (
     F1Report,
     PRF,
     TypeCounts,
+    _sum_counts,
     average_trials,
     count_matches,
     f1_report,
@@ -175,6 +179,44 @@ class TestEvalCounts:
         # every span lands in exactly one bucket
         assert total.tp + total.fn == len(gold)
         assert total.tp + total.fp == len(pred)
+
+
+_PARTS = st.lists(
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "d", "e"]),
+        st.tuples(*[st.integers(min_value=0, max_value=50)] * 3).map(TypeCounts._make),
+    ).map(EvalCounts),
+    max_size=12,
+)
+
+
+class TestSumCounts:
+    """``_sum_counts`` is the ``+`` fold over per-document counts, done once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PARTS)
+    def test_equals_the_plus_fold_in_values_and_type_order(self, parts):
+        folded = functools.reduce(operator.add, parts, EvalCounts())
+        summed = _sum_counts(iter(parts))
+        assert summed == folded
+        assert list(summed.per_type.items()) == list(folded.per_type.items())
+        assert all(type(c) is TypeCounts for c in summed.per_type.values())
+
+    def test_nothing_sums_to_empty_counts(self):
+        assert _sum_counts([]) == EvalCounts()
+
+    def test_per_document_match_counts_in_first_seen_order(self):
+        docs = [
+            (spans(("u", 0, 1)), spans(("u", 0, 1), ("t", 2, 3))),
+            (spans(("v", 0, 2)), []),
+            (spans(("t", 1, 2)), spans(("t", 1, 2))),
+        ]
+        summed = _sum_counts(count_matches(g, p) for g, p in docs)
+        assert list(summed.per_type.items()) == [
+            ("t", TypeCounts(1, 1, 0)),
+            ("u", TypeCounts(1, 0, 0)),
+            ("v", TypeCounts(0, 0, 1)),
+        ]
 
 
 class TestAverageTrials:

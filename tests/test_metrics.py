@@ -1,6 +1,7 @@
 """Span-type measurements against hand calculations and exact-arithmetic oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spanmeta import (
     span_distinctiveness,
     span_frequency,
 )
+from spanmeta import metrics
 from spanmeta.metrics import (
     boundary_token_distribution,
     corpus_unigram_distribution,
@@ -27,6 +29,7 @@ from spanmeta.metrics import (
 )
 
 from helpers import (
+    _spans_of as scan_spans_of,
     make_doc,
     oracle_boundary_distinctiveness,
     oracle_frequency,
@@ -263,3 +266,85 @@ class TestOracleAgreement:
         assert span_token_distribution(c, "t").probabilities == {"a": 1.0}
         full = corpus_unigram_distribution(c)
         assert full.probabilities == {"a": 0.5, "b": 0.25, "c": 0.25}
+
+
+@st.composite
+def _multi_type_corpora(draw):
+    """Corpora of several span types, some in the inventory with no spans."""
+    used = draw(st.lists(st.sampled_from(["p", "q", "r", "s"]), min_size=1, unique=True))
+    unused = draw(st.lists(st.sampled_from(["x", "y"]), unique=True))
+    docs = []
+    for d in range(draw(st.integers(min_value=1, max_value=5))):
+        n = draw(st.integers(min_value=0, max_value=10))
+        spans = []
+        pos = 0
+        while pos < n:
+            if draw(st.booleans()):
+                length = draw(st.integers(min_value=1, max_value=min(3, n - pos)))
+                spans.append(Span(draw(st.sampled_from(used)), pos, pos + length))
+                pos += length
+            else:
+                pos += 1
+        surfaces = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+        docs.append(make_doc(f"d{d}", surfaces, spans))
+    return _corpus(docs, used + unused)
+
+
+def _outcome(fn, corpus, type_id):
+    """What a measurement gives: its value, or its error's type and message."""
+    try:
+        value = fn(corpus, type_id)
+    except ValueError as e:
+        return type(e), str(e)
+    if isinstance(value, UnigramDistribution):  # in insertion order too
+        return list(value.probabilities.items())
+    return value
+
+
+_MEASUREMENTS = (
+    span_frequency,
+    geometric_mean_length,
+    span_distinctiveness,
+    boundary_distinctiveness,
+    span_token_distribution,
+    boundary_token_distribution,
+    profile_span_type,
+)
+
+
+def _scanning(corpus, type_id):
+    return tuple(scan_spans_of(corpus, type_id))
+
+
+class TestSpanIndex:
+    """The per-type index gives what a scan of every document gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_multi_type_corpora())
+    def test_every_measurement_equals_the_scanning_reference(self, corpus):
+        types = (*corpus.span_type_inventory, "absent")
+        indexed = [_outcome(fn, corpus, t) for t in types for fn in _MEASUREMENTS]
+        with mock.patch.object(metrics, "_spans_of", _scanning):
+            scanned = [_outcome(fn, corpus, t) for t in types for fn in _MEASUREMENTS]
+        assert indexed == scanned
+        for t in types:
+            assert metrics._spans_of(corpus, t) == _scanning(corpus, t)
+        for t in corpus.span_type_inventory:
+            assert span_frequency(corpus, t) == oracle_frequency(corpus, t)
+            _agree(geometric_mean_length, oracle_geometric_length, corpus, t, 1e-12)
+            _agree(span_distinctiveness, oracle_span_distinctiveness, corpus, t, 1e-12)
+            _agree(
+                boundary_distinctiveness, oracle_boundary_distinctiveness, corpus, t, 1e-12
+            )
+
+    def test_types_the_corpus_lacks_fail_as_before(self):
+        corpus = _corpus([make_doc("d", ["a", "b"], [Span("t", 0, 1)])], ["t", "none"])
+        with pytest.raises(ValueError, match="^unknown span type 'absent'$"):
+            span_frequency(corpus, "absent")
+        assert span_frequency(corpus, "none") == 0
+        with pytest.raises(ValueError, match="'none' has no spans; geometric mean"):
+            geometric_mean_length(corpus, "none")
+        with pytest.raises(ValueError, match="^span type 'none' has no spans$"):
+            span_distinctiveness(corpus, "none")
+        with pytest.raises(ValueError, match="^span type 'absent' has no spans$"):
+            span_token_distribution(corpus, "absent")
