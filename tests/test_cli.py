@@ -230,7 +230,7 @@ def run_cli(argv, capsys):
 
 
 def _plus_fold(parts) -> EvalCounts:
-    """Per-document counts summed one ``+`` at a time, as eval and dev F1 once did."""
+    """The reference sum: per-document counts folded one ``+`` at a time."""
     counts = EvalCounts()
     for part in parts:
         counts = counts + part
@@ -1386,7 +1386,7 @@ def _run_module(args, module="spanmeta.cli", **env):
 _OOM_CHILD = """
 import os, resource, sys
 from spanmeta.cli import main
-# room for what the process maps now plus 32 MB; the corpus needs about twice that
+# room for what the process maps now plus 32 MB; either input needs more
 mapped = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
 limit = mapped + 32 * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -1394,18 +1394,31 @@ sys.exit(main(["profile", sys.argv[1]]))
 """
 
 
+def _distinct_tokens(path: Path) -> None:
+    """100,000 distinct tokens, each parsed, checked and kept: about 80 MB."""
+    with path.open("w") as f:
+        for d in range(0, 100_000, 50):
+            tokens = [{"surface": f"w{d + i}", "features": []} for i in range(50)]
+            spans = [{"type": "t", "start": 1, "end": 3}]
+            f.write(json.dumps({"id": f"d{d}", "tokens": tokens, "spans": spans}) + "\n")
+
+
+def _larger_than_the_limit(path: Path) -> None:
+    """A 128 MB file, sparse where the file system allows, that is read whole."""
+    with path.open("wb") as f:
+        f.truncate(128 * 2**20)
+
+
 class TestModuleEntry:
-    def test_running_out_of_memory_exits_2_with_one_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "write", [_distinct_tokens, _larger_than_the_limit], ids=["parse", "read"]
+    )
+    def test_running_out_of_memory_exits_2_with_one_line(self, tmp_path, write):
         pytest.importorskip("resource")
         if not os.path.exists("/proc/self/statm"):
             pytest.skip("needs /proc/self/statm to size the address-space limit")
-        # 100,000 distinct tokens: each is parsed, checked and kept
-        path = tmp_path / "distinct.jsonl"
-        with path.open("w") as f:
-            for d in range(0, 100_000, 50):
-                tokens = [{"surface": f"w{d + i}", "features": []} for i in range(50)]
-                spans = [{"type": "t", "start": 1, "end": 3}]
-                f.write(json.dumps({"id": f"d{d}", "tokens": tokens, "spans": spans}) + "\n")
+        path = tmp_path / "corpus.jsonl"
+        write(path)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run(
             [sys.executable, "-c", _OOM_CHILD, str(path)],
@@ -1414,6 +1427,10 @@ class TestModuleEntry:
             env=env,
             timeout=120,
         )
+        if "returned NULL without setting an exception" in done.stderr:
+            # CPython 3.12.1 can fail to raise MemoryError when a new frame
+            # finds no memory; no Python code can catch what it raises instead
+            pytest.xfail("the interpreter raised SystemError, not MemoryError")
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr == (
             "spanmeta: error: out of memory: the input needs more memory "
