@@ -274,9 +274,9 @@ def _observations(args):
         from .meta import observations_from_csv
 
         return observations_from_csv(args.obs)
-    from .reference import load_embedded, to_observations
+    from .reference import _BundledObservations, load_embedded
 
-    return to_observations(load_embedded())
+    return _BundledObservations(load_embedded())
 
 
 def _cv_to_dict(result) -> dict:

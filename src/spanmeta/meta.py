@@ -33,7 +33,10 @@ their products), the span-type groups and the F1 vector on first use,
 and per predictor set the standardized design, whose QR the design keeps,
 and the batched fold systems. Every public function takes the holder
 through its observation parameter and wraps a plain sequence in a new
-one, so nothing outlives the call that made it.
+one, so nothing outlives the call that made it. A command on the bundled
+study builds its holder from the tables' columns instead (see
+``spanmeta.reference``), and builds :class:`Observation` objects only
+when one is asked for.
 """
 
 from __future__ import annotations
@@ -253,6 +256,12 @@ class DesignMatrix:
         return _factor(self)
 
 
+def _with_products(raw: np.ndarray) -> np.ndarray:
+    """The eight raw mains followed by their products, one per interaction."""
+    col = dict(zip(MAIN_COLUMNS, raw.T))
+    return np.column_stack([raw, *(col[a] * col[b] for a, b in INTERACTION_PAIRS)])
+
+
 class _SharedObservations(SequenceABC):
     """One command's observations, with the work its calls have in common.
 
@@ -260,6 +269,11 @@ class _SharedObservations(SequenceABC):
     the span-type groups and the F1 vector are computed on first use, and
     so, per predictor set, are the standardized design and the batched
     LOSO fold systems; each is then kept for the holder's lifetime.
+
+    Commands on the bundled study use a subclass,
+    ``spanmeta.reference._BundledObservations``, that takes the catalogue,
+    groups and F1 vector from the tables' columns, and builds the
+    observations themselves only when an item is asked for.
     """
 
     def __init__(self, observations: Iterable[Observation]) -> None:
@@ -279,9 +293,7 @@ class _SharedObservations(SequenceABC):
     @cached_property
     def catalogue(self) -> np.ndarray:
         """The eight raw mains followed by their products, one per interaction."""
-        raw = raw_predictors(self._items)
-        col = dict(zip(MAIN_COLUMNS, raw.T))
-        return np.column_stack([raw, *(col[a] * col[b] for a, b in INTERACTION_PAIRS)])
+        return _with_products(raw_predictors(self._items))
 
     def columns(self, predictor_set: str) -> np.ndarray:
         """Raw values of a predictor set's columns, selected from the catalogue."""

@@ -17,6 +17,13 @@ The two data tables live in committed CSV fixtures guarded by sha256
 checksums, so a transcription edit cannot slip through silently. Span
 type ids are dataset-qualified ("parc/Cue" and "riqua/Cue" are distinct
 types).
+
+:func:`to_observations` flattens the tables into the 432 cells the
+meta-model's public functions take. The commands that run on the bundled
+study (``meta`` without ``--obs``, and ``reproduce``) skip that step: they
+hand the meta-model a private holder built from the tables' columns,
+which gives the same numbers and builds the :class:`Observation` objects
+only if one is asked for.
 """
 
 from __future__ import annotations
@@ -24,12 +31,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .meta import ArchitectureFeatures, Observation
+from .meta import ArchitectureFeatures, Observation, _SharedObservations, _with_products
 from .metrics import DatasetMetrics, SpanTypeProfile
 
 __all__ = [
@@ -125,6 +134,12 @@ def export_table(table: str) -> str:
     raise ValueError(f"table must be 'profiles' or 'f1', got {table!r}")
 
 
+def _fixture_rows(name: str, expected_sha256: str) -> tuple[dict[str, int], list[list[str]]]:
+    """A checksummed fixture's column positions by name, and its non-blank rows."""
+    header, *rows = csv.reader(io.StringIO(_read_fixture(name, expected_sha256)))
+    return {column: i for i, column in enumerate(header)}, [row for row in rows if row]
+
+
 def load_embedded() -> EmbeddedTables:
     """Load and validate the bundled tables.
 
@@ -132,40 +147,43 @@ def load_embedded() -> EmbeddedTables:
         ValueError: if a fixture fails its checksum or the tables do not
             line up (row counts, dataset sizes, value ranges).
     """
-    profile_rows = list(
-        csv.DictReader(io.StringIO(_read_fixture(_PROFILE_FILE, _PROFILE_SHA256)))
-    )
-    f1_rows = list(csv.DictReader(io.StringIO(_read_fixture(_F1_FILE, _F1_SHA256))))
+    pcol, profile_rows = _fixture_rows(_PROFILE_FILE, _PROFILE_SHA256)
+    fcol, f1_rows = _fixture_rows(_F1_FILE, _F1_SHA256)
     if len(profile_rows) != 36 or len(f1_rows) != 36:
         raise ValueError("bundled tables must each have 36 rows")
 
     profiles = []
+    per_dataset = dict.fromkeys(DATASETS, 0)
     for row in profile_rows:
-        if row["dataset"] not in DATASETS:
-            raise ValueError(f"unknown dataset {row['dataset']!r} in profiles table")
+        ds = row[pcol["dataset"]]
+        if ds not in DATASETS:
+            raise ValueError(f"unknown dataset {ds!r} in profiles table")
+        per_dataset[ds] += 1
         profiles.append(
             SpanTypeProfile(
-                type_id=f"{row['dataset']}/{row['span_type']}",
-                frequency=int(row["frequency"]),
-                span_length=float(row["span_length"]),
-                span_distinctiveness=float(row["span_distinctiveness"]),
-                boundary_distinctiveness=float(row["boundary_distinctiveness"]),
+                type_id=f"{ds}/{row[pcol['span_type']]}",
+                frequency=int(row[pcol["frequency"]]),
+                span_length=float(row[pcol["span_length"]]),
+                span_distinctiveness=float(row[pcol["span_distinctiveness"]]),
+                boundary_distinctiveness=float(row[pcol["boundary_distinctiveness"]]),
             )
         )
     ids = [p.type_id for p in profiles]
     if len(set(ids)) != 36:
         raise ValueError("span type ids are not unique across datasets")
     for ds, expected in DATASETS.items():
-        got = sum(1 for p in profiles if dataset_of(p.type_id) == ds)
-        if got != expected:
-            raise ValueError(f"dataset {ds} has {got} span types, expected {expected}")
+        if per_dataset[ds] != expected:
+            raise ValueError(
+                f"dataset {ds} has {per_dataset[ds]} span types, expected {expected}"
+            )
 
+    arch_cols = [(arch, fcol[arch]) for arch in ARCHITECTURE_NAMES]
     by_id: dict[str, list[float]] = {}
     for row in f1_rows:
-        key = f"{row['dataset']}/{row['span_type']}"
+        key = f"{row[fcol['dataset']]}/{row[fcol['span_type']]}"
         values = []
-        for arch in ARCHITECTURE_NAMES:
-            v = float(row[arch])
+        for arch, col in arch_cols:
+            v = float(row[col])
             if not 0.0 <= v <= 100.0:
                 raise ValueError(f"F1 out of range for {key}/{arch}: {v}")
             values.append(v)
@@ -195,6 +213,70 @@ def to_observations(tables: EmbeddedTables) -> list[Observation]:
                 )
             )
     return out
+
+
+def _table_predictors(tables: EmbeddedTables) -> np.ndarray:
+    """``meta.raw_predictors`` of :func:`to_observations`, from the tables' columns.
+
+    Each type's four measurements are taken once, the logs through
+    ``math.log`` as ``raw_predictors`` takes them, and repeated for its
+    twelve rows, beside the architectures' flags tiled once per type.
+    """
+    per_type = np.array(
+        [
+            [
+                math.log(p.frequency),
+                math.log(p.span_length),
+                p.span_distinctiveness,
+                p.boundary_distinctiveness,
+            ]
+            for p in tables.profiles
+        ]
+    )
+    flags = np.array([arch.flags() for _, arch in ARCHITECTURES])
+    return np.hstack(
+        [np.tile(flags, (len(per_type), 1)), np.repeat(per_type, len(flags), axis=0)]
+    )
+
+
+class _BundledObservations(_SharedObservations):
+    """The holder of :func:`to_observations` of validated tables, built from their columns.
+
+    The raw catalogue comes from :func:`_table_predictors`, the groups are
+    the contiguous blocks of twelve rows in profile order, and the F1
+    vector is a copy of the flattened matrix; these equal what the
+    observations would give, bit for bit. The 432 observations are built
+    only when one is asked for: by indexing, by iteration, or by the
+    alpha-0 error that names the first cell with an infinite logit.
+    """
+
+    def __init__(self, tables: EmbeddedTables) -> None:
+        self._tables = tables
+        self._designs = {}
+        self._folds = {}
+
+    def __len__(self) -> int:
+        return self._tables.f1_matrix.size
+
+    @cached_property
+    def _items(self) -> list[Observation]:
+        return to_observations(self._tables)
+
+    @cached_property
+    def catalogue(self) -> np.ndarray:
+        return _with_products(_table_predictors(self._tables))
+
+    @cached_property
+    def groups(self) -> dict[str, np.ndarray]:
+        n = len(ARCHITECTURES)
+        return {
+            p.type_id: np.arange(i * n, (i + 1) * n)
+            for i, p in enumerate(self._tables.profiles)
+        }
+
+    @cached_property
+    def f1(self) -> np.ndarray:
+        return self._tables.f1_matrix.ravel().copy()
 
 
 # ---------------------------------------------------------------------------

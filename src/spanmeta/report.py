@@ -20,7 +20,6 @@ from .meta import (
     DEFAULT_ALPHA,
     DEFAULT_ALPHA_GRID,
     CrossValidationResult,
-    _SharedObservations,
     ablate,
     alpha_mae_curve,
     best_alpha,
@@ -32,9 +31,9 @@ from .reference import (
     REFERENCE_CV_SCORES,
     REFERENCE_DATASET_METRICS,
     REFERENCE_PREDICTOR_CORRELATION,
+    _BundledObservations,
     dataset_of,
     load_embedded,
-    to_observations,
 )
 
 __all__ = [
@@ -213,9 +212,9 @@ class ReproductionRun:
 def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
     """Recompute the study's headline numbers from the embedded tables."""
     tables = load_embedded()
-    # one holder, so the ablation, the fit and the sweep share each design,
-    # its QR and its folds
-    observations = _SharedObservations(to_observations(tables))
+    # one holder, built from the tables' columns, so the ablation, the fit
+    # and the sweep share the catalogue and each design, its QR and its folds
+    observations = _BundledObservations(tables)
 
     table1 = []
     for ds, ref in REFERENCE_DATASET_METRICS.items():

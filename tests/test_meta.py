@@ -17,6 +17,7 @@ import pytest
 from scipy import special
 
 import spanmeta.meta as meta_module
+import spanmeta.reference as reference_module
 from spanmeta import (
     ArchitectureFeatures,
     Observation,
@@ -53,6 +54,7 @@ from spanmeta.meta import (
     predict,
     raw_predictors,
 )
+from spanmeta.reference import EmbeddedTables, _BundledObservations
 from spanmeta.report import build_reproduction_report
 
 mpmath.mp.dps = 50
@@ -793,32 +795,183 @@ class TestSharedObservations:
 
 
 class TestSharedWork:
-    """Counting wrappers around the catalogue and the QR."""
+    """Counting wrappers around the two catalogue builders and the QR.
+
+    Every count is exact: a builder missing from ``counts`` ran 0 times.
+    """
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        for name in ("raw_predictors", "_factor"):
-            original = getattr(meta_module, name)
+        for module, name in (
+            (meta_module, "raw_predictors"),
+            (meta_module, "_factor"),
+            (reference_module, "_table_predictors"),
+        ):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(meta_module, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_reproduction_report_builds_each_design_once(self, counts):
         # four non-empty predictor sets, one QR each; a second report
-        # recomputes everything, so nothing is kept between calls
+        # recomputes everything, so nothing is kept between calls; the
+        # catalogue comes from the tables' columns, not from observations
         for _ in range(2):
             counts.clear()
             build_reproduction_report()
-            assert counts == {"raw_predictors": 1, "_factor": 4}
+            assert counts == {"_table_predictors": 1, "_factor": 4}
 
     def test_meta_cv_computes_the_catalogue_once(self, counts, capsys):
         assert main(["meta", "cv"]) == 0
+        assert counts == {"_table_predictors": 1, "_factor": 1}
+
+    def test_meta_cv_on_a_csv_computes_the_catalogue_once(self, counts, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        observations_to_csv(to_observations(load_embedded()), path)
+        assert main(["meta", "cv", "--obs", str(path)]) == 0
         assert counts == {"raw_predictors": 1, "_factor": 1}
+
+
+def _random_tables(rng) -> EmbeddedTables:
+    """Tables shaped like the bundled ones, with random measurements and scores."""
+    profiles = tuple(
+        SpanTypeProfile(
+            f"d{i % 3}/t{i}",
+            int(rng.integers(1, 100_000)),
+            float(rng.uniform(1.0, 12.0)),
+            float(rng.uniform(0.1, 5.0)),
+            float(rng.uniform(0.1, 3.0)),
+        )
+        for i in range(36)
+    )
+    return EmbeddedTables(profiles, rng.uniform(0.0, 100.0, size=(36, 12)))
+
+
+class TestBundledObservations:
+    """The holder built from the tables' columns against one built from observations."""
+
+    @pytest.fixture(scope="class", params=["bundled", "random"])
+    def tables(self, request):
+        if request.param == "bundled":
+            return load_embedded()
+        return _random_tables(np.random.default_rng(44))
+
+    def test_columns_equal_the_observation_built_ones(self, tables):
+        bundled = _BundledObservations(tables)
+        plain = _SharedObservations(to_observations(tables))
+        assert len(bundled) == len(plain) == 432
+        for name in ("catalogue", "f1"):
+            got, want = getattr(bundled, name), getattr(plain, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert list(bundled.groups) == list(plain.groups)
+        for type_id, rows in plain.groups.items():
+            assert bundled.groups[type_id].dtype == rows.dtype
+            assert bundled.groups[type_id].tobytes() == rows.tobytes()
+        assert "_items" not in vars(bundled)
+
+    def test_f1_does_not_alias_the_tables(self, tables):
+        assert not np.shares_memory(_BundledObservations(tables).f1, tables.f1_matrix)
+
+    def test_results_build_no_observation_and_equal_the_plain_ones(self, tables):
+        bundled = _BundledObservations(tables)
+        observations = to_observations(tables)
+        cv = ablate(bundled)
+        for name, result in ablate(observations).items():
+            assert np.array_equal(cv[name].predictions, result.predictions)
+            assert (cv[name].mae, cv[name].r2) == (result.mae, result.r2)
+            model = fit_meta_model(bundled, DEFAULT_ALPHA, name)
+            want = fit_meta_model(observations, DEFAULT_ALPHA, name)
+            assert model.coefficients.tobytes() == want.coefficients.tobytes()
+            assert model.p_values.tobytes() == want.p_values.tobytes()
+        assert alpha_mae_curve(bundled) == alpha_mae_curve(observations)
+        assert "_items" not in vars(bundled)
+
+    def test_items_are_built_on_demand(self, tables):
+        want = to_observations(tables)
+        bundled = _BundledObservations(tables)
+        assert bundled[17] == want[17]
+        assert bundled[-3:] == want[-3:]
+        assert list(bundled) == want
+        assert bundled[17] is bundled[17]
+
+    def test_alpha_zero_names_the_same_cell(self, tables):
+        tables = dataclasses.replace(tables, f1_matrix=tables.f1_matrix.copy())
+        tables.f1_matrix[30, 5] = 100.0
+        with pytest.raises(ValueError) as plain:
+            loso_cv(to_observations(tables), 0.0)
+        bundled = _BundledObservations(tables)
+        with pytest.raises(ValueError) as info:
+            loso_cv(bundled, 0.0)
+        assert str(info.value) == str(plain.value)
+        assert "_items" in vars(bundled)
+
+
+_PREDICT_TAIL = ["--freq", "500", "--length", "2.5", "--sd", "3", "--bd", "1"]
+
+
+class TestBundledMatchesCsv:
+    """A meta command on the bundled study prints what it prints with ``--obs``
+    pointing at the same observations, written as CSV."""
+
+    @pytest.fixture(scope="class")
+    def bundled_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundled") / "bundled.csv"
+        observations_to_csv(to_observations(load_embedded()), path)
+        return str(path)
+
+    def _both(self, argv, bundled_csv, capsys):
+        outcomes = []
+        for extra in ([], ["--obs", bundled_csv]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*argv, *extra])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["meta", command, "--set", name] for command in ("cv", "fit")
+              for name in PREDICTOR_SETS),
+            ["meta", "cv", "--set", "empty", "--alpha", "0"],
+            ["meta", "fit", "--alpha", "0.35"],
+            ["meta", "ablate"],
+            ["meta", "ablate", "--alpha", "0.1"],
+            ["meta", "select-alpha"],
+            ["meta", "select-alpha", "--grid", "0.3,0.05"],
+            ["meta", "predict", *_PREDICT_TAIL],
+            ["meta", "predict", "--feat", "--crf", "--lstm", "--bert", *_PREDICT_TAIL],
+            ["meta", "predict", "--alpha", "0.1", "--lstm", *_PREDICT_TAIL],
+        ],
+        ids=lambda argv: "-".join(argv[1:]),
+    )
+    def test_same_output(self, argv, bundled_csv, capsys):
+        code, out, err = self._both(argv, bundled_csv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("{")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["meta", command, "--set", name, "--alpha", "0"] for command in ("cv", "fit")
+              for name in PREDICTOR_SETS if (command, name) != ("cv", "empty")),
+            ["meta", "ablate", "--alpha", "0"],
+            ["meta", "select-alpha", "--grid", "0.1,0"],
+            ["meta", "predict", "--alpha", "0", *_PREDICT_TAIL],
+        ],
+        ids=lambda argv: "-".join(argv[1:]),
+    )
+    def test_same_alpha_zero_refusal(self, argv, bundled_csv, capsys):
+        code, out, err = self._both(argv, bundled_csv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"spanmeta: error: {TestAlphaZero.BUNDLED}\n"
 
 
 class TestAlphaZero:
