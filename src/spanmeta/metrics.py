@@ -266,12 +266,15 @@ def dataset_profile(profiles: Iterable[SpanTypeProfile]) -> DatasetMetrics:
     Every metric is weighted by the type's span frequency; frequency
     itself is also weighted by frequency, i.e. ``sum(f^2) / sum(f)``, so
     the aggregate reflects the span a randomly drawn span lives under.
+    The weighted sums go through ``math.fsum``, which rounds once and so
+    gives the same value on every Python version; the built-in ``sum``
+    of floats rounds differently from 3.12 on.
     """
     rows = list(profiles)
     if not rows:
         raise ValueError("no profiles to aggregate")
     total = float(sum(p.frequency for p in rows))
     return DatasetMetrics._make(
-        sum(p.frequency * getattr(p, name) for p in rows) / total
+        math.fsum(p.frequency * getattr(p, name) for p in rows) / total
         for name in DatasetMetrics._fields
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spanmeta import (
     Corpus,
+    DatasetMetrics,
     Span,
     SpanTypeProfile,
     UnigramDistribution,
@@ -17,11 +18,13 @@ from spanmeta import (
     dataset_profile,
     geometric_mean_length,
     kl_divergence,
+    load_embedded,
     profile_span_type,
     span_distinctiveness,
     span_frequency,
 )
 from spanmeta import metrics
+from spanmeta.reference import dataset_of
 from spanmeta.metrics import (
     boundary_token_distribution,
     corpus_unigram_distribution,
@@ -214,6 +217,17 @@ class TestDatasetProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no profiles"):
             dataset_profile([])
+
+    def test_bundled_chemdner_sums_are_correctly_rounded(self):
+        # the built-in sum of floats rounds differently from Python 3.12 on;
+        # math.fsum rounds once, so the aggregate is the same on every version
+        rows = [p for p in load_embedded().profiles if dataset_of(p.type_id) == "chemdner"]
+        total = float(sum(p.frequency for p in rows))
+        agg = dataset_profile(rows)
+        for name in DatasetMetrics._fields:
+            want = math.fsum(p.frequency * getattr(p, name) for p in rows) / total
+            assert getattr(agg, name) == want
+        assert agg.span_length == 1.6188861705742439
 
 
 def _agree(module_fn, oracle_fn, corpus, type_id, tol):
