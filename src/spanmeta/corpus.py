@@ -203,6 +203,16 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
+    def __getstate__(self) -> dict:
+        """The instance state less the span index, which a copy rebuilds on first use.
+
+        So a pickle, a copy and a deep copy are the same whether or not
+        the index was built.
+        """
+        state = dict(vars(self))
+        state.pop("_spans_by_type", None)
+        return state
+
     @cached_property
     def _spans_by_type(self) -> dict[str, tuple[tuple[Document, Span], ...]]:
         """Each span type's ``(document, span)`` pairs, in document order.

@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from spanmeta import (
 
 from spanmeta import corpus as corpus_mod
 
-from helpers import make_doc
+from helpers import make_doc, random_corpus
 
 
 class TestDataModel:
@@ -181,7 +182,21 @@ class TestSpanIndex:
         )
         for clone in clones:
             assert clone == corpus and hash(clone) == hash(corpus)
+            assert "_spans_by_type" not in vars(clone)  # rebuilt, not carried over
             assert clone._spans_by_type == corpus._spans_by_type
+
+    @pytest.mark.parametrize(
+        "make",
+        [_indexed_corpus, lambda: random_corpus(np.random.default_rng(1), max_types=4)],
+        ids=["indexed", "random"],
+    )
+    def test_a_pickle_leaves_the_index_out(self, make):
+        corpus = make()
+        before = pickle.dumps(corpus)
+        corpus._spans_by_type
+        assert "_spans_by_type" in vars(corpus)
+        assert pickle.dumps(corpus) == before
+        assert "_spans_by_type" in vars(corpus)  # pickling keeps the original's index
 
     def test_a_replaced_corpus_builds_its_own_index(self):
         corpus = _indexed_corpus()
