@@ -33,10 +33,7 @@ their products), the span-type groups and the F1 vector on first use,
 and per predictor set the standardized design, whose QR the design keeps,
 and the batched fold systems. Every public function takes the holder
 through its observation parameter and wraps a plain sequence in a new
-one, so nothing outlives the call that made it. A command on the bundled
-study builds its holder from the tables' columns instead (see
-``spanmeta.reference``), and builds :class:`Observation` objects only
-when one is asked for.
+one, so nothing outlives the call that made it.
 """
 
 from __future__ import annotations
