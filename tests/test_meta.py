@@ -795,9 +795,9 @@ class TestSharedObservations:
 
 
 class TestSharedWork:
-    """Counting wrappers around the two catalogue builders and the QR.
+    """Counting wrappers around the two raw-catalogue functions and the QR.
 
-    Every count is exact: a builder missing from ``counts`` ran 0 times.
+    Every count is exact: a function missing from ``counts`` ran 0 times.
     """
 
     @pytest.fixture

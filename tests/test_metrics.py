@@ -24,12 +24,12 @@ from spanmeta import (
     span_frequency,
 )
 from spanmeta import metrics
-from spanmeta.reference import dataset_of
 from spanmeta.metrics import (
     boundary_token_distribution,
     corpus_unigram_distribution,
     span_token_distribution,
 )
+from spanmeta.reference import dataset_of
 
 from helpers import (
     _spans_of as scan_spans_of,
