@@ -4,10 +4,14 @@ text, JSON or CSV rows go into a file.
 Reading. :func:`read_text` decodes a file as UTF-8, drops a byte-order
 mark at its start, as Windows editors write one, and, by default,
 turns ``\\r\\n`` and ``\\r`` line ends into ``\\n``, as ``open`` does;
-bytes that are not UTF-8 raise ``ValueError`` naming the file and the
-line. :func:`parse_json` is ``json.loads`` whose every refusal (a syntax
-error, nesting too deep for the parser, an integer longer than
-``sys.get_int_max_str_digits()`` digits) is one ``ValueError``.
+bytes that are not UTF-8 raise :class:`InputError`. :func:`parse_json`
+is ``json.loads`` whose every refusal (a syntax error, nesting too deep
+for the parser, an integer longer than ``sys.get_int_max_str_digits()``
+digits) is one ``ValueError``.
+
+Refusing. :class:`InputError` is the one error a reader raises for a
+file it refuses, and the one place that words it: ``<path>: line N:
+<reason>``, or ``<path>: <reason>`` when no line is at fault.
 
 Writing. :func:`json_text` writes ``json.dumps(indent=2, sort_keys=True)``
 text for model files, reports and command output. ``json.dumps`` with an
@@ -37,9 +41,28 @@ import stat
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-__all__ = ["csv_text", "json_text", "parse_json", "read_text", "write_text"]
+__all__ = ["InputError", "csv_text", "json_text", "parse_json", "read_text", "write_text"]
 
 _INDENT = "  "
+
+
+class InputError(ValueError):
+    """A reader refused the file at ``path``, for ``reason``, at ``line``
+    if one line is at fault.
+
+    ``str()`` of it, ``<path>: line N: <reason>`` or ``<path>: <reason>``,
+    is the only wording of a refused file. The three fields are the
+    exception's ``args``, so it pickles and copies as any exception does.
+    """
+
+    def __init__(self, path, reason: str, line: int | None = None) -> None:
+        super().__init__(path, reason, line)
+        self.path, self.reason, self.line = path, reason, line
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return f"{self.path}: {self.reason}"
+        return f"{self.path}: line {self.line}: {self.reason}"
 
 
 def json_text(obj) -> str:
@@ -140,7 +163,7 @@ def read_text(path, newline: str | None = None) -> str:
     ``csv`` module needs.
 
     Raises:
-        ValueError: naming ``path`` and the line (``\\n``, ``\\r\\n`` and
+        InputError: naming ``path`` and the line (``\\n``, ``\\r\\n`` and
             ``\\r`` each end one) of the first byte that is not UTF-8.
         OSError: if the file cannot be read.
     """
@@ -151,7 +174,7 @@ def read_text(path, newline: str | None = None) -> str:
     except UnicodeDecodeError as e:  # read() decodes the whole file in one call
         head = e.object[: e.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from None
+        raise InputError(path, f"not UTF-8 text ({e.reason})", line) from None
 
 
 def parse_json(text: str):

@@ -16,7 +16,8 @@ it names (see :func:`build_parser`): ``meta cv`` builds those of
 
 Exit codes: 0 on success, 1 on any validation problem (bad flags, bad
 file contents, bad values), 2 on I/O failure or when the process runs out
-of memory. An error in an input file names the file. No failure prints a
+of memory. An error in an input file names the file, and the line when one
+is at fault, as ``<path>: line N: <reason>``. No failure prints a
 traceback.
 """
 
@@ -28,9 +29,9 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from ._jsontext import csv_text, json_text, parse_json, read_text, write_text
+from ._jsontext import InputError, csv_text, json_text, parse_json, read_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
-from .corpus import Corpus, CorpusFormatError, read_corpus
+from .corpus import Corpus, read_corpus
 from .evaluation import PRF, F1Report, _sum_counts, count_matches, f1_report
 from .metrics import (
     DatasetMetrics,
@@ -63,16 +64,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _read_corpus(path: str, **kwargs) -> Corpus:
-    """``read_corpus``, whose refusal names ``path`` once."""
-    try:
-        return read_corpus(path, **kwargs)
-    except CorpusFormatError as e:
-        if str(e).startswith(f"{path}: line "):  # bytes that are not UTF-8
-            raise
-        raise CorpusFormatError(f"{path}: {e}") from e
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -85,7 +76,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_profile(args) -> None:
-    corpus = _read_corpus(args.corpus, format=args.input_format)
+    corpus = read_corpus(args.corpus, format=args.input_format)
     # the inventory is derived from the spans, so every type in it has some
     types = corpus.span_type_inventory
     if args.type:
@@ -165,16 +156,14 @@ def _train_config(args):
             key, sep, value = line.partition("=")
             key = key.strip()
             if not sep or not key:
-                raise ValueError(f"{args.config}:{lineno}: expected key=value")
+                raise InputError(args.config, "expected key=value", lineno)
             if key not in options:
-                raise ValueError(
-                    f"{args.config}:{lineno}: unknown training option {key!r}"
-                )
+                raise InputError(args.config, f"unknown training option {key!r}", lineno)
             try:
                 value = _coerce_option(value.strip(), getattr(config, key))
                 config = dataclasses.replace(config, **{key: value})
             except ValueError as exc:
-                raise ValueError(f"{args.config}:{lineno}: option {key}: {exc}") from None
+                raise InputError(args.config, f"option {key}: {exc}", lineno) from None
     if args.seed is not None:  # flag beats config file
         config = dataclasses.replace(config, seed=args.seed)
     if args.max_epochs is not None:
@@ -186,10 +175,10 @@ def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
 
     config = _train_config(args)
-    train_corpus = _read_corpus(args.train, format=args.input_format)
+    train_corpus = read_corpus(args.train, format=args.input_format)
     dev_corpus = None
     if args.dev:
-        dev_corpus = _read_corpus(args.dev, format=args.input_format, partition="dev")
+        dev_corpus = read_corpus(args.dev, format=args.input_format, partition="dev")
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
@@ -235,9 +224,9 @@ def _report_to_json(report: F1Report) -> dict:
 
 
 def _cmd_eval(args) -> None:
-    gold = _read_corpus(args.gold, format=args.input_format)
+    gold = read_corpus(args.gold, format=args.input_format)
     # model output may contain stray continuation labels
-    pred = _read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
+    pred = read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
     counts = _sum_counts(
         count_matches(g.spans, p.spans) for g, p in _pair_documents(gold, pred)
     )
@@ -325,10 +314,9 @@ def _cmd_meta_predict(args) -> None:
             raise ValueError(f"--model cannot be combined with {' or '.join(clash)}")
         text = read_text(args.model)
         try:
-            payload = parse_json(text)
+            model = meta_model_from_dict(parse_json(text))
         except ValueError as e:
-            raise ValueError(f"{args.model}: {e}") from e
-        model = meta_model_from_dict(payload)
+            raise InputError(args.model, str(e)) from e
     else:
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
         model = fit_meta_model(_observations(args), alpha)

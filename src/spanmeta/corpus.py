@@ -46,7 +46,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ._jsontext import parse_json, read_text, write_text
+from ._jsontext import InputError, parse_json, read_text, write_text
 
 __all__ = [
     "PARTITIONS",
@@ -73,8 +73,12 @@ _FORMATS = ("jsonl", "conll_tsv")
 _DECODE_MODES = ("strict", "lenient")
 
 
-class CorpusFormatError(ValueError):
-    """A corpus file does not parse under the declared format."""
+class CorpusFormatError(InputError):
+    """A corpus file does not parse under the declared format.
+
+    Its text is ``<path>: line N: <reason>``, as for every refused file
+    (see ``_jsontext.InputError``).
+    """
 
 
 @dataclass(frozen=True)
@@ -378,21 +382,22 @@ def read_corpus(
         decode_mode: BIO decode mode for the TSV label column.
 
     Raises:
-        CorpusFormatError: on malformed content, with the offending line
-            number; span errors carry the document id, and bytes that are
-            not UTF-8 the path.
+        CorpusFormatError: on bytes that are not UTF-8 or malformed
+            content, naming ``path`` and the line at fault: for a TSV
+            label sequence that does not decode, the line of its
+            document's first row. Span errors also carry the document id.
     """
     if format not in _FORMATS:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
     try:
         text = read_text(path)
-    except ValueError as e:  # bytes that are not UTF-8, with the path and line
-        raise CorpusFormatError(str(e)) from None
+    except InputError as e:  # bytes that are not UTF-8
+        raise CorpusFormatError(*e.args) from None
     with _gc_paused():
         if format == "jsonl":
-            docs = _parse_jsonl(text)
+            docs = _parse_jsonl(text, path)
         else:
-            docs = _parse_conll_tsv(text, decode_mode)
+            docs = _parse_conll_tsv(text, path, decode_mode)
         return Corpus(tuple(docs), _derive_inventory(docs), partition)
 
 
@@ -471,7 +476,7 @@ def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
     return token
 
 
-def _parse_jsonl(text: str) -> list[Document]:
+def _parse_jsonl(text: str, path) -> list[Document]:
     docs: list[Document] = []
     seen: dict[tuple, Token] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -480,7 +485,7 @@ def _parse_jsonl(text: str) -> list[Document]:
         try:
             docs.append(_document_from_obj(parse_json(line), seen))
         except ValueError as e:
-            raise CorpusFormatError(f"line {lineno}: {e}") from e
+            raise CorpusFormatError(path, str(e), lineno) from e
     return docs
 
 
@@ -556,7 +561,7 @@ def _to_conll_tsv(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _parse_conll_tsv(text: str, decode_mode: str) -> list[Document]:
+def _parse_conll_tsv(text: str, path, decode_mode: str) -> list[Document]:
     docs: list[Document] = []
     rows: list[tuple[Token, str]] = []
     first_row_line = 0
@@ -571,9 +576,7 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> list[Document]:
         try:
             spans = bio_decode(labels, mode=decode_mode)
         except ValueError as e:
-            raise CorpusFormatError(
-                f"document starting at line {first_row_line}: {e}"
-            ) from None
+            raise CorpusFormatError(path, str(e), first_row_line) from None
         docs.append(Document(f"doc-{len(docs)}", tokens, tuple(spans)))
         rows = []
 
@@ -584,15 +587,14 @@ def _parse_conll_tsv(text: str, decode_mode: str) -> list[Document]:
         cols = line.split("\t")
         if len(cols) < 2:
             raise CorpusFormatError(
-                f"line {lineno}: expected at least 2 tab-separated columns, "
-                f"got {len(cols)}"
+                path, f"expected at least 2 tab-separated columns, got {len(cols)}", lineno
             )
         if not rows:
             first_row_line = lineno
         try:
             token = _token(seen, cols[0], cols[2:])
         except ValueError as e:
-            raise CorpusFormatError(f"line {lineno}: {e}") from None
+            raise CorpusFormatError(path, str(e), lineno) from None
         rows.append((token, cols[1]))
     flush()
     return docs

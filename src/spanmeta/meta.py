@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._jsontext import csv_text, read_text, write_text
+from ._jsontext import InputError, csv_text, read_text, write_text
 from ._numbers import finite_floats
 from ._options import (
     ARCH_MAINS,
@@ -992,16 +992,14 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
     """Read observations from the flat CSV interchange format.
 
     Raises:
-        ValueError: on bytes that are not UTF-8, naming ``path`` and the
-            line; on a header other than the format's; on a malformed row,
-            naming its line.
+        InputError: naming ``path`` and the line at fault, on bytes that
+            are not UTF-8, a header other than the format's (line 1), or a
+            malformed row.
     """
     # newline="": the csv module reads line ends, quoted ones included
     reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
     if reader.fieldnames is None or list(reader.fieldnames) != _CSV_HEADER:
-        raise ValueError(
-            f"observation CSV must have header {','.join(_CSV_HEADER)}"
-        )
+        raise InputError(path, f"observation CSV must have header {','.join(_CSV_HEADER)}", 1)
     out = []
     for row in reader:
         try:
@@ -1025,5 +1023,5 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
             )
         except (TypeError, ValueError, KeyError) as e:
             # physical lines: a quoted field may hold a line break
-            raise ValueError(f"observation CSV line {reader.line_num}: {e}") from e
+            raise InputError(path, str(e), reader.line_num) from e
     return out

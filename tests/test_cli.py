@@ -694,7 +694,7 @@ class TestTrain:
             capsys,
         )
         assert code == 1
-        assert f"{cfg}:2: unknown training option" in err
+        assert err == f"spanmeta: error: {cfg}: line 2: unknown training option 'warmup'\n"
 
     @pytest.mark.parametrize(
         "line", ["seed = eleven", "betas = 0.9", "batch_size = 2.5", "learning_rate = -1"]
@@ -708,7 +708,8 @@ class TestTrain:
         )
         assert code == 1
         option = line.split()[0]
-        assert f"{cfg}:2: option {option}: " in err
+        assert err.startswith(f"spanmeta: error: {cfg}: line 2: option {option}: ")
+        assert err.count("\n") == 1
 
     def test_negative_seed_fails_before_reading_corpora(self, capsys):
         argv = ["train", "--arch", "crf", "--train", "/nonexistent.jsonl", "--seed", "-1"]
@@ -1185,7 +1186,7 @@ class TestMeta:
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(["meta", "cv", "--obs", str(path)], capsys)
         assert (code, out) == (1, "")
-        assert err == f"spanmeta: error: observation CSV line 3: {message}\n"
+        assert err == f"spanmeta: error: {path}: line 3: {message}\n"
 
     def test_missing_obs_is_io_error(self, capsys):
         code, _, err = run_cli(["meta", "cv", "--obs", "/nonexistent.csv"], capsys)
@@ -1234,6 +1235,11 @@ class TestMeta:
 
 
 _PREDICT = ["meta", "predict", "--freq", "50", "--length", "2", "--sd", "1", "--bd", "1"]
+_TSV = ["--input-format", "conll_tsv"]
+_BAD_JSONL = '{"id": "d0", "tokens": [], "spans": []}\n{oops\n'
+_BAD_TSV = "a\tO\nb\n"
+_BAD_OBS_HEADER = "span_type,feat\nt,0\n"
+_BAD_OBS_ROW = "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\nt,0,0,0,0,many,2,1,1,50\n"
 
 
 class TestInputFiles:
@@ -1281,6 +1287,43 @@ class TestInputFiles:
         assert (code, out) == (1, "")
         assert err.startswith(f"spanmeta: error: {bad}: line 2: invalid JSON: ")
         assert err.count(str(bad)) == 1 and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (_BAD_JSONL, lambda bad, f: ["profile", bad]),
+            (_BAD_JSONL, lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
+            (_BAD_JSONL, lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (_BAD_TSV, lambda bad, f: ["profile", bad, *_TSV]),
+            (_BAD_TSV, lambda bad, f: ["eval", "--gold", bad, "--pred", f["tsv"], *_TSV]),
+            (_BAD_TSV, lambda bad, f: ["eval", "--gold", f["tsv"], "--pred", bad, *_TSV]),
+            (_BAD_JSONL, lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
+            (_BAD_JSONL, lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
+                                         "--dev", bad]),
+            ("seed = 1\nwarmup = 5\n",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
+                             "--config", bad]),
+            (_BAD_OBS_ROW, lambda bad, f: ["meta", "fit", "--obs", bad]),
+            (_BAD_OBS_HEADER, lambda bad, f: ["meta", "fit", "--obs", bad]),
+            (_BAD_OBS_ROW, lambda bad, f: ["meta", "cv", "--obs", bad]),
+            (_BAD_OBS_HEADER, lambda bad, f: ["meta", "cv", "--obs", bad]),
+            ("{oops\n", lambda bad, f: [*_PREDICT, "--model", bad]),
+            ("{}\n", lambda bad, f: [*_PREDICT, "--model", bad]),
+        ],
+        ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
+             "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-config",
+             "meta-fit-obs-row", "meta-fit-obs-header", "meta-cv-obs-row",
+             "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty"],
+    )
+    def test_every_refused_file_is_named_once(self, files, tmp_path, capsys, text, argv):
+        bad, good_tsv = tmp_path / "bad", tmp_path / "good.tsv"
+        bad.write_text(text, encoding="utf-8")
+        good_tsv.write_text("a\tB-t\nb\tO\n", encoding="utf-8")
+        code, out, err = run_cli(argv(str(bad), {**files, "tsv": str(good_tsv)}), capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spanmeta: error: {bad}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.count(str(bad)) == 1
 
     @pytest.mark.parametrize(
         "text, argv",

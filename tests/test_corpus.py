@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -409,13 +410,15 @@ class TestReadErrors:
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "tokens": [], "spans": []}\n{oops\n')
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
+        assert (info.value.path, info.value.line) == (path, 2)
+        assert str(info.value).startswith(f"{path}: line 2: invalid JSON: Expecting ")
 
     def test_deeply_nested_json_reports_line(self, tmp_path):
         path = tmp_path / "deep.jsonl"
         path.write_text('{"id": "a", "tokens": [], "spans": []}\n' + "[" * 100_000 + "\n")
-        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: "):
+        with pytest.raises(CorpusFormatError, match=_at(path, 2) + "invalid JSON: "):
             read_corpus(path)
 
     def test_over_long_integer_reports_line(self, tmp_path):
@@ -426,7 +429,9 @@ class TestReadErrors:
             '{"id": "a", "tokens": [], "spans": []}\n'
             '{"id": "b", "tokens": [], "spans": [], "n": 1' + "0" * 5000 + "}\n"
         )
-        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: Exceeds the limit"):
+        with pytest.raises(
+            CorpusFormatError, match=_at(path, 2) + "invalid JSON: Exceeds the limit"
+        ):
             read_corpus(path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
@@ -436,6 +441,8 @@ class TestReadErrors:
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format=fmt)
         assert str(info.value) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (type(back), str(back)) == (CorpusFormatError, str(info.value))
 
     @pytest.mark.parametrize(
         "features,message",
@@ -452,7 +459,7 @@ class TestReadErrors:
             '{"id": "a", "tokens": [], "spans": []}\n'
             f'{{"id": "b", "tokens": [{{"surface": "x", "features": {features}}}]}}\n'
         )
-        with pytest.raises(CorpusFormatError, match=f"line 2: .*{message}"):
+        with pytest.raises(CorpusFormatError, match=_at(path, 2) + f".*{message}"):
             read_corpus(path)
 
     def test_span_past_end_reports_document(self, tmp_path):
@@ -491,7 +498,7 @@ class TestReadErrors:
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
-        assert str(info.value) == f"line 2: {message}"
+        assert str(info.value) == f"{path}: line 2: {message}"
 
     @pytest.mark.parametrize(
         "span, message",
@@ -511,7 +518,7 @@ class TestReadErrors:
         path.write_text(_jsonl_line("a", [("x", [])]) + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
-        assert str(info.value).startswith("line 2: document 'd': ")
+        assert str(info.value).startswith(f"{path}: line 2: document 'd': ")
         assert str(info.value).endswith(f" span {message}")
 
     def test_tsv_empty_surface_reports_line(self, tmp_path):
@@ -519,21 +526,28 @@ class TestReadErrors:
         path.write_text("a\tO\n\tB-t\n")
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format="conll_tsv")
-        assert str(info.value) == "line 2: token surface must be a non-empty string"
+        assert str(info.value) == f"{path}: line 2: token surface must be a non-empty string"
 
     def test_tsv_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("only_one_column\n")
-        with pytest.raises(CorpusFormatError, match="line 1"):
+        path.write_text("a\tO\nonly_one_column\n")
+        with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format="conll_tsv")
+        assert str(info.value) == (
+            f"{path}: line 2: expected at least 2 tab-separated columns, got 1"
+        )
 
     def test_tsv_stray_continuation_strict_vs_lenient(self, tmp_path):
         path = tmp_path / "c.tsv"
-        path.write_text("a\tO\nb\tI-t\n")
-        with pytest.raises(CorpusFormatError):
+        path.write_text("a\tO\n\nb\tO\nc\tI-t\n")
+        with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format="conll_tsv")
+        # the line of the document's first row, then the label's position in it
+        assert str(info.value) == (
+            f"{path}: line 3: position 1: stray continuation label 'I-t' (open span: None)"
+        )
         loaded = read_corpus(path, format="conll_tsv", decode_mode="lenient")
-        assert loaded.documents[0].spans == (Span("t", 1, 2),)
+        assert loaded.documents[1].spans == (Span("t", 1, 2),)
 
     def test_tsv_features_in_extra_columns(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -546,6 +560,11 @@ class TestReadErrors:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert len(read_corpus(path)) == 0
+
+
+def _at(path, line: int) -> str:
+    """The pattern of a refusal's text up to its reason."""
+    return "^" + re.escape(f"{path}: line {line}: ")
 
 
 def _jsonl_line(doc_id, tokens, spans=()):
@@ -604,7 +623,7 @@ class TestInterning:
         )  # fmt: skip
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
-        assert str(info.value) == "line 3: feature names must be non-empty strings"
+        assert str(info.value) == f"{path}: line 3: feature names must be non-empty strings"
 
     @pytest.mark.parametrize("bad", [["f", ""], [""]], ids=["trailing_tab", "empty"])
     def test_tsv_malformed_repeat_reports_its_own_line(self, tmp_path, bad):
@@ -613,7 +632,7 @@ class TestInterning:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format="conll_tsv")
-        assert str(info.value) == "line 4: feature names must be non-empty strings"
+        assert str(info.value) == f"{path}: line 4: feature names must be non-empty strings"
 
     @pytest.mark.parametrize("entry", [["f"], {"f": 1}], ids=["list", "object"])
     def test_unhashable_feature_entry_reports_its_line(self, tmp_path, entry):
@@ -624,7 +643,7 @@ class TestInterning:
         )  # fmt: skip
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path)
-        assert str(info.value) == "line 2: feature names must be non-empty strings"
+        assert str(info.value) == f"{path}: line 2: feature names must be non-empty strings"
         assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -841,7 +860,7 @@ class TestGarbageCollectorState:
     def test_a_format_error_restores(self, tmp_path, gc_at_entry, fmt):
         path = tmp_path / "c"
         path.write_text(_MALFORMED[fmt])
-        with pytest.raises(CorpusFormatError, match="^line 1: "):
+        with pytest.raises(CorpusFormatError, match=_at(path, 1)):
             read_corpus(path, format=fmt)
         assert gc.isenabled() is gc_at_entry
 

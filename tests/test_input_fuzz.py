@@ -6,7 +6,10 @@ The command line exits 0, 1 or 2 with no traceback, and on exit 0 what it
 printed parses as strict JSON; that is checked for corpora, meta-model
 files, observation CSVs, ``train --config`` files and the numeric flags of
 ``meta predict`` and ``meta select-alpha --grid``. A refusal leaves an
-earlier ``--out`` file as it was.
+earlier ``--out`` file as it was. Where ``read_corpus``,
+``observations_from_csv`` or ``meta_model_from_dict`` refuses a file in
+process, the command line prints that refusal, named by the file, as its
+one error line.
 
 A JSONL file is a few documents whose ids, span types and offsets are now
 and then a look-alike of another JSON type, in which one value anywhere may
@@ -28,7 +31,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from spanmeta import Corpus, CorpusFormatError, Span, read_corpus, write_corpus
+from spanmeta._jsontext import parse_json
 from spanmeta.cli import main
+from spanmeta.meta import meta_model_from_dict, observations_from_csv
 from spanmeta.seqlab import TrainConfig
 
 from helpers import make_doc
@@ -137,10 +142,29 @@ def _read(path, fmt):
     """The corpus read, or None if the reader refused the file."""
     try:
         corpus = read_corpus(path, format=fmt)
-    except CorpusFormatError:
+    except CorpusFormatError as e:
+        assert str(e).startswith(f"{path}: "), e
         return None
     assert isinstance(corpus, Corpus)
     return corpus
+
+
+def _refusal(read, path) -> str | None:
+    """The text of ``read()``'s refusal, which must name ``path`` first;
+    None if ``read()`` returns."""
+    try:
+        read()
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: "), e
+        return str(e)
+    return None
+
+
+def _assert_refused_as(refusal: str | None, code, err: str) -> None:
+    """A file the reader refused in process is refused by the command line
+    with that refusal as its one error line."""
+    if refusal is not None:
+        assert (code, err) == (1, f"spanmeta: error: {refusal}\n")
 
 
 def _assert_round_trips(corpus: Corpus, path, fmt: str) -> None:
@@ -179,6 +203,8 @@ def _assert_clean(code, out: str, err: str) -> None:
 
 
 def _assert_cli_handles(path, fmt: str) -> None:
+    # eval reads its gold file first, and strictly, as read_corpus does here
+    refusal = _refusal(lambda: read_corpus(path, format=fmt), path)
     for argv in (
         ["profile", str(path)],
         ["eval", "--gold", str(path), "--pred", str(path)],
@@ -188,6 +214,7 @@ def _assert_cli_handles(path, fmt: str) -> None:
         _assert_clean(code, out, err)
         if code:
             assert err.startswith("spanmeta: error: ")
+        _assert_refused_as(refusal, code, err)
 
 
 class TestJsonl:
@@ -299,7 +326,12 @@ class TestMetaModelFiles:
         path.write_text(text, encoding="utf-8")
         argv = ["meta", "predict", "--model", str(path), "--freq", "50", "--length", "2",
                 "--sd", "1", "--bd", "1", *data.draw(_ARCH_FLAGS)]
-        _assert_clean(*_run(argv))
+        code, out, err = _run(argv)
+        _assert_clean(code, out, err)
+        try:  # the dict reader knows no path: the command line puts it first
+            meta_model_from_dict(parse_json(text))
+        except ValueError as e:
+            _assert_refused_as(f"{path}: {e}", code, err)
 
 
 class TestNumericFlags:
@@ -356,7 +388,9 @@ class TestObservationCsv:
         path = meta_files["root"] / "fuzz-obs.csv"
         path.write_text(data.draw(_obs_csv(meta_files["obs"].read_text("utf-8"))))
         command = data.draw(st.sampled_from(["fit", "cv"]))
-        _assert_clean(*_run(["meta", command, "--obs", str(path)]))
+        code, out, err = _run(["meta", command, "--obs", str(path)])
+        _assert_clean(code, out, err)
+        _assert_refused_as(_refusal(lambda: observations_from_csv(path), path), code, err)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -367,6 +401,7 @@ class TestObservationCsv:
         out.write_bytes(b"earlier\n")
         code, stdout, err = _run(["meta", "fit", "--obs", str(path), "--out", str(out)])
         _assert_clean(code, "{}" if code == 0 else stdout, err)
+        _assert_refused_as(_refusal(lambda: observations_from_csv(path), path), code, err)
         if code == 0:
             json.loads(out.read_text("utf-8"), parse_constant=_reject_constant)
         else:

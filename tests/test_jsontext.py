@@ -1,10 +1,12 @@
 """The file boundary: the indent-2 JSON writer against ``json.dumps``, byte
 for byte; the reader against ``open``; and the atomic file writer."""
 
+import copy
 import errno
 import json
 import math
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanmeta._jsontext import json_text, parse_json, read_text, write_text
+from spanmeta._jsontext import InputError, json_text, parse_json, read_text, write_text
 
 
 def _reference(value) -> str:
@@ -160,10 +162,23 @@ def test_bytes_that_are_not_utf8_name_the_path_and_line(tmp_path, newline, lines
     path = tmp_path / "latin1.txt"
     # \r\n, \r and \n each end one line, for the csv module as for open()
     path.write_bytes(b"x\n" * lines_before + b"one\r\ntwo\rthree\nfour \xe9t\xe9\n")
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InputError) as info:
         read_text(path, newline=newline)
     line = lines_before + 4
     assert str(info.value) == f"{path}: line {line}: not UTF-8 text (invalid continuation byte)"
+    assert (info.value.path, info.value.line) == (path, line)
+
+
+@pytest.mark.parametrize(
+    "line, text", [(3, "in.csv: line 3: bad row"), (None, "in.csv: bad row")]
+)
+def test_an_input_error_names_the_path_and_any_line(line, text):
+    e = InputError("in.csv", "bad row", line)
+    assert isinstance(e, ValueError)
+    assert (str(e), e.args) == (text, ("in.csv", "bad row", line))
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(back) is InputError
+        assert (str(back), back.path, back.reason, back.line) == (text, "in.csv", "bad row", line)
 
 
 @pytest.mark.parametrize(

@@ -1075,8 +1075,12 @@ class TestObservationCsv:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError) as info:
             observations_from_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: observation CSV must have header "
+            "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1"
+        )
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1085,8 +1089,11 @@ class TestObservationCsv:
             "t,0,0,0,0,10,2.0,0.5,0.5,55.0\n"
             "u,0,0,0,0,not_a_number,2.0,0.5,0.5,55.0\n"
         )
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError) as info:
             observations_from_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: invalid literal for int() with base 10: 'not_a_number'"
+        )
 
     def test_line_number_counts_line_breaks_inside_quoted_fields(self, tmp_path):
         # the first record spans lines 2 and 3, so the bad freq is on line 4
@@ -1098,7 +1105,7 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError) as info:
             observations_from_csv(path)
-        assert str(info.value).startswith("observation CSV line 4: ")
+        assert str(info.value).startswith(f"{path}: line 4: invalid literal for int() ")
 
     @pytest.mark.parametrize("flag", ["2", "-1", "", " 1", "true", "1.0"])
     def test_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
@@ -1111,7 +1118,7 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError) as info:
             observations_from_csv(path)
-        assert str(info.value) == f"observation CSV line 3: lstm must be 0 or 1, got {flag!r}"
+        assert str(info.value) == f"{path}: line 3: lstm must be 0 or 1, got {flag!r}"
 
     def test_row_longer_than_the_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1121,7 +1128,7 @@ class TestObservationCsv:
         )
         with pytest.raises(ValueError) as info:
             observations_from_csv(path)
-        assert str(info.value) == "observation CSV line 2: 2 more field(s) than the header"
+        assert str(info.value) == f"{path}: line 2: 2 more field(s) than the header"
 
     @pytest.mark.parametrize("column", ["length", "sd", "bd"])
     def test_non_finite_measurement_rejected(self, tmp_path, column):
@@ -1132,8 +1139,11 @@ class TestObservationCsv:
             "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\n"
             f"t,0,0,0,0,10,{values['length']},{values['sd']},{values['bd']},55.0\n"
         )
-        with pytest.raises(ValueError, match="line 2.*finite"):
+        with pytest.raises(ValueError) as info:
             observations_from_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 2: span length and distinctiveness values must be finite"
+        )
 
     def test_unencodable_span_type_leaves_the_file_intact(self, tmp_path):
         path = tmp_path / "obs.csv"
