@@ -1005,6 +1005,8 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
         try:
             if None in row:  # DictReader's key for fields past the header
                 raise ValueError(f"{len(row[None])} more field(s) than the header")
+            if not row["span_type"]:  # "" would pass as one more span type
+                raise ValueError("span type must be a non-empty string")
             arch = ArchitectureFeatures(
                 _csv_flag(row, "feat"),
                 _csv_flag(row, "crf"),
