@@ -1241,6 +1241,10 @@ _BAD_JSONL = '{"id": "d0", "tokens": [], "spans": []}\n{oops\n'
 _BAD_TSV = "a\tO\nb\n"
 _BAD_OBS_HEADER = "span_type,feat\nt,0\n"
 _BAD_OBS_ROW = "span_type,feat,crf,lstm,bert,freq,length,sd,bd,f1\nt,0,0,0,0,many,2,1,1,50\n"
+_JSON_AT_2 = "line 2: invalid JSON: "
+_TSV_AT_2 = "line 2: expected at least 2 tab-separated columns, got 1"
+_OBS_ROW_AT_2 = "line 2: invalid literal for int() with base 10: 'many'"
+_OBS_HEADER_AT_1 = "line 1: observation CSV must have header span_type,feat,crf,"
 
 
 class TestInputFiles:
@@ -1271,58 +1275,45 @@ class TestInputFiles:
         assert err == f"spanmeta: error: {bad}: line 2: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "text, reason, argv",
         [
-            lambda bad, f: ["profile", bad],
-            lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]],
-            lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad],
-            lambda bad, f: ["train", "--arch", "baseline", "--train", bad],
-            lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad],
-        ],
-        ids=["profile", "eval-gold", "eval-pred", "train", "train-dev"],
-    )
-    def test_a_malformed_corpus_is_named_once(self, files, tmp_path, capsys, argv):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"id": "d0", "tokens": [], "spans": []}\n{oops\n', encoding="utf-8")
-        code, out, err = run_cli(argv(str(bad), files), capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith(f"spanmeta: error: {bad}: line 2: invalid JSON: ")
-        assert err.count(str(bad)) == 1 and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "text, argv",
-        [
-            (_BAD_JSONL, lambda bad, f: ["profile", bad]),
-            (_BAD_JSONL, lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
-            (_BAD_JSONL, lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
-            (_BAD_TSV, lambda bad, f: ["profile", bad, *_TSV]),
-            (_BAD_TSV, lambda bad, f: ["eval", "--gold", bad, "--pred", f["tsv"], *_TSV]),
-            (_BAD_TSV, lambda bad, f: ["eval", "--gold", f["tsv"], "--pred", bad, *_TSV]),
-            (_BAD_JSONL, lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
-            (_BAD_JSONL, lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
-                                         "--dev", bad]),
-            ("seed = 1\nwarmup = 5\n",
+            (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["profile", bad]),
+            (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
+            (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (_BAD_TSV, _TSV_AT_2, lambda bad, f: ["profile", bad, *_TSV]),
+            (_BAD_TSV, _TSV_AT_2,
+             lambda bad, f: ["eval", "--gold", bad, "--pred", f["tsv"], *_TSV]),
+            (_BAD_TSV, _TSV_AT_2,
+             lambda bad, f: ["eval", "--gold", f["tsv"], "--pred", bad, *_TSV]),
+            (_BAD_JSONL, _JSON_AT_2,
+             lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
+            (_BAD_JSONL, _JSON_AT_2,
+             lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
+            ("seed = 1\nwarmup = 5\n", "line 2: unknown training option 'warmup'",
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
                              "--config", bad]),
-            (_BAD_OBS_ROW, lambda bad, f: ["meta", "fit", "--obs", bad]),
-            (_BAD_OBS_HEADER, lambda bad, f: ["meta", "fit", "--obs", bad]),
-            (_BAD_OBS_ROW, lambda bad, f: ["meta", "cv", "--obs", bad]),
-            (_BAD_OBS_HEADER, lambda bad, f: ["meta", "cv", "--obs", bad]),
-            ("{oops\n", lambda bad, f: [*_PREDICT, "--model", bad]),
-            ("{}\n", lambda bad, f: [*_PREDICT, "--model", bad]),
+            (_BAD_OBS_ROW, _OBS_ROW_AT_2, lambda bad, f: ["meta", "fit", "--obs", bad]),
+            (_BAD_OBS_HEADER, _OBS_HEADER_AT_1, lambda bad, f: ["meta", "fit", "--obs", bad]),
+            (_BAD_OBS_ROW, _OBS_ROW_AT_2, lambda bad, f: ["meta", "cv", "--obs", bad]),
+            (_BAD_OBS_HEADER, _OBS_HEADER_AT_1, lambda bad, f: ["meta", "cv", "--obs", bad]),
+            ("{oops\n", "invalid JSON: ", lambda bad, f: [*_PREDICT, "--model", bad]),
+            ("{}\n", "meta-model file lacks alpha, ",
+             lambda bad, f: [*_PREDICT, "--model", bad]),
         ],
         ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
              "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-config",
              "meta-fit-obs-row", "meta-fit-obs-header", "meta-cv-obs-row",
              "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty"],
     )
-    def test_every_refused_file_is_named_once(self, files, tmp_path, capsys, text, argv):
+    def test_every_refused_file_is_named_once(
+        self, files, tmp_path, capsys, text, reason, argv
+    ):
         bad, good_tsv = tmp_path / "bad", tmp_path / "good.tsv"
         bad.write_text(text, encoding="utf-8")
         good_tsv.write_text("a\tB-t\nb\tO\n", encoding="utf-8")
         code, out, err = run_cli(argv(str(bad), {**files, "tsv": str(good_tsv)}), capsys)
         assert (code, out) == (1, "")
-        assert err.startswith(f"spanmeta: error: {bad}: ")
+        assert err.startswith(f"spanmeta: error: {bad}: {reason}")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert err.count(str(bad)) == 1
 
