@@ -13,20 +13,20 @@ with one ``np.add.at``, since indicator ids repeat across tokens.
 The CRF's forward-backward runs once per batch, over a padded
 (T, B, L) grid whose rows hold the sequences longest first: the Python
 loop runs over the positions of the longest sequence, and padded cells
-are never computed or read. Each step is rescaled rather than taken in
-log space. The messages are shifted by their row maximum and
-exponentiated once, then multiplied in one BLAS product by
-``E = exp(transitions - column maxima)``, whose entries lie in [0, 1].
-The label-pair marginals are summed the same way, as
-``E * (A.T @ diag(w) @ B)``, with no (T, L, L) pair tensor.
-A row whose rescaled sum falls below ``_TINY`` (where underflow would
-lose it), or a cell whose pair scale ``w`` exceeds ``1 / _TINY``, is
-recomputed in log space inside the same step, so results stay exact for
-any finite weights.
+are never computed or read. It runs on probabilities rather than in log
+space (the scaled recursion of Rabiner, 1989, section V.A): each message
+is normalised to sum 1 at every step, and one BLAS product with
+``E = exp(transitions - column maxima)``, whose entries lie in [0, 1],
+advances the forward and the backward message together. The step sums
+give the log partition, and the scaled messages give the node marginals
+and the label-pair marginals, the latter as one (L, L) product with no
+(T, L, L) pair tensor. A batch in which any step sum or node normaliser
+falls below ``_TINY``, where underflow would cost precision, is redone in
+log space, so results stay exact for any finite weights.
 
 Viterbi decoding runs on the same grid, with max and argmax in place of
 the scaled sum; max-product cannot underflow, so it needs neither the
-rescaling nor the guard. Each step scores a (rows, next, prev) array, so
+scaling nor the guard. Each step scores a (rows, next, prev) array, so
 the argmax over previous labels runs along its contiguous last axis, and
 the backtrack moves every row at once. A corpus is decoded in chunks of
 consecutive documents whose padded cells, the (T, rows, L) grid and the
@@ -72,8 +72,9 @@ __all__ = [
 # Additive penalty standing in for -inf; keeps every log-space entry finite.
 NEG_INF = -1e30
 
-# Rescaled sums at or above this keep full relative precision (it is far
-# above the subnormal range); smaller ones are recomputed in log space.
+# Step sums and node normalisers at or above this keep full relative precision
+# (it is far above the subnormal range); a batch with a smaller one is redone
+# in log space.
 _TINY = 1e-300
 
 # Padded cells one decoding chunk may hold, in its (T, rows, L) grid and
@@ -268,36 +269,6 @@ def _chain(model: LinearChainCrfModel, docs: Sequence[Encoded]) -> tuple:
     return tokens, _emissions(model.emission_weights, tokens), *_potentials(model)
 
 
-class _Rescaled(NamedTuple):
-    """Label-pair scores ``log`` [from, to] and ``scale = exp(log - shift)``,
-    where ``shift`` holds the column maxima, so every entry of ``scale``
-    lies in [0, 1]."""
-
-    log: np.ndarray
-    scale: np.ndarray
-    shift: np.ndarray
-
-
-def _rescale(log: np.ndarray) -> _Rescaled:
-    shift = log.max(axis=0)
-    return _Rescaled(log, np.exp(log - shift), shift)
-
-
-def _step(msg: np.ndarray, scores: _Rescaled) -> np.ndarray:
-    """``log sum_i exp(msg[b, i] + scores.log[i, j])`` for every row b.
-
-    One exp over ``msg`` and one BLAS product; a row with a rescaled sum
-    below ``_TINY`` is recomputed in log space.
-    """
-    top = msg.max(axis=1, keepdims=True)
-    sums = np.exp(msg - top) @ scores.scale
-    out = top + scores.shift + np.log(np.maximum(sums, _TINY))
-    low = (sums < _TINY).any(axis=1)
-    if low.any():
-        out[low] = _logsumexp(msg[low, :, None] + scores.log, axis=1)
-    return out
-
-
 class _Grid(NamedTuple):
     """Per-token rows of a batch on a padded (T, B, L) grid.
 
@@ -328,29 +299,91 @@ def _pad(em: np.ndarray, tokens: _Tokens) -> _Grid:
 
 
 def _forward_backward(
-    em: np.ndarray, tokens: _Tokens, trans: _Rescaled, start, stop
+    em: np.ndarray, tokens: _Tokens, trans: np.ndarray, start, stop
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log forward and backward messages of every token of a batch, and the
-    log partition of every sequence.
+    """Node marginals of every token, label-pair marginals summed over the
+    batch, and the log partition of every sequence.
 
-    ``alpha[k, j]`` sums the prefixes ending in label j at token k;
-    ``beta[k, i]`` sums the continuations after label i at k, stop included.
+    The scaled pass runs first; a batch it cannot hold to full precision is
+    redone in log space.
     """
-    grid, live, slots = _pad(em, tokens)
-    alpha = np.zeros_like(grid)
-    beta = np.zeros_like(grid) + stop  # the value at every last token
-    back = _rescale(trans.log.T)
-    alpha[0] = start + grid[0]
+    with np.errstate(all="ignore"):  # whatever is lost fails the pass's guard
+        out = _scaled_pass(em, tokens, trans, start, stop)
+    return _log_pass(em, tokens, trans, start, stop) if out is None else out
+
+
+def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
+    """:func:`_forward_backward` on probabilities scaled to sum 1 at every
+    step; None if a step sum or node normaliser falls below ``_TINY``.
+
+    With ``E = exp(trans - column maxima)`` and ``q = exp(x - row max)``,
+    where ``x`` is a token's emissions plus those maxima (plus ``start`` in
+    their place at a head), the forward message ``f`` before each token's
+    emission and the backward message ``b`` after it are
+    ``f[t] ~ (f[t-1] * q[t-1]) @ E`` from ``f = 1`` at the head and
+    ``b[t] ~ (q[t+1] * b[t+1]) @ E.T`` from ``b = exp(stop - max)`` at the
+    tail. Token t's marginals are ``f * q * b`` and, with the token after
+    it, ``E * outer(f * q, q * b)``, each over its normaliser. Both
+    directions advance in one (2, rows, L) product per step ``u``: the
+    backward one counts steps from each sequence's tail, so the rows still
+    running are ``:live[u]`` in both.
+    """
+    _, live, slots = _pad(em, tokens)
+    n_seq = len(tokens.lengths)
+    t, row = np.divmod(slots, n_seq)
+    back = np.repeat(tokens.lengths, tokens.lengths) - 1 - t  # steps from the tail
+    shift = trans.max(axis=0)
+    scale = np.exp(trans - shift)
+    x = em + shift
+    x[tokens.heads] = em[tokens.heads] + start
+    top = x.max(axis=1)
+    q = np.exp(x - top[:, None])
+    grid = np.empty((len(live), 2, n_seq, em.shape[1]))  # [step, direction, row]
+    grid[t, 0, row] = grid[back, 1, row] = q
+    msg = np.empty_like(grid)
+    msg[0, 0] = 1.0
+    msg[0, 1] = np.exp(stop - stop.max())  # the value at every last token
+    sums = np.ones(grid.shape[:3])
+    both = np.stack([scale, scale.T])
+    for u in range(1, len(live)):
+        k = live[u]
+        np.matmul(msg[u - 1, :, :k] * grid[u - 1, :, :k], both, out=msg[u, :, :k])
+        sums[u, :, :k] = msg[u, :, :k].sum(axis=2)
+        msg[u, :, :k] /= sums[u, :, :k, None]
+    a, b = msg[t, 0, row] * q, msg[back, 1, row]  # scaled alpha and beta
+    node = a * b
+    z = node.sum(axis=1)
+    # the forward step sums, and the backward ones times z (z alone at a tail)
+    steps = np.stack([sums[t, 0, row], sums[back, 1, row] * z])
+    if not steps.min(initial=1.0) >= _TINY:  # false on NaN too
+        return None
+    a /= steps[1, :, None]
+    a[tokens.tails] = 0.0  # a last token pairs with no next one
+    pair = scale * (a[:-1].T @ (q * b)[1:])
+    log_z = np.add.reduceat(np.log(steps[0]) + top, tokens.heads)
+    return node / z[:, None], pair, log_z + np.log(z[tokens.tails]) + stop.max()
+
+
+def _log_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
+    """:func:`_forward_backward` with log messages summed by ``_logsumexp``."""
+    cells, live, slots = _pad(em, tokens)
+    alpha = np.zeros_like(cells)
+    beta = np.zeros_like(cells) + stop  # the value at every last token
+    alpha[0] = start + cells[0]
     for t in range(1, len(live)):
         k = live[t]
-        alpha[t, :k] = grid[t, :k] + _step(alpha[t - 1, :k], trans)
+        alpha[t, :k] = cells[t, :k] + _logsumexp(alpha[t - 1, :k, :, None] + trans, axis=1)
+    log_z = _logsumexp(alpha.reshape(-1, em.shape[1])[slots][tokens.tails] + stop, axis=1)
+    rows = np.empty_like(log_z)
+    rows[slots[tokens.heads]] = log_z  # in grid row order
+    pair = np.zeros_like(trans)
     for t in range(len(live) - 2, -1, -1):
         k = live[t + 1]
-        beta[t, :k] = _step(grid[t + 1, :k] + beta[t + 1, :k], back)
-
-    alpha = alpha.reshape(-1, em.shape[1])[slots]
-    beta = beta.reshape(-1, em.shape[1])[slots]
-    return alpha, beta, _logsumexp(alpha[tokens.tails] + stop, axis=1)
+        after = trans + (cells[t + 1, :k] + beta[t + 1, :k])[:, None, :]
+        beta[t, :k] = _logsumexp(after, axis=2)
+        pair += np.exp(alpha[t, :k, :, None] + after - rows[:k, None, None]).sum(axis=0)
+    node = (alpha + beta - rows[:, None]).reshape(-1, em.shape[1])[slots]
+    return np.exp(node), pair, log_z
 
 
 def _viterbi(model: LinearChainCrfModel, tokens: _Tokens) -> np.ndarray:
@@ -377,30 +410,6 @@ def _viterbi(model: LinearChainCrfModel, tokens: _Tokens) -> np.ndarray:
         label[:k] = back[t, np.arange(k), label[:k]]
     ids[0] = label
     return ids.reshape(-1)[slots]
-
-
-def _pair_marginals(
-    prev: np.ndarray, after: np.ndarray, log_z: np.ndarray, trans: _Rescaled
-) -> np.ndarray:
-    """``sum_k exp(prev[k, i] + trans.log[i, j] + after[k, j] - log_z[k])``.
-
-    Computed as ``E * (A.T @ diag(w) @ B)`` with ``A`` and ``B`` the
-    max-shifted exponentials of ``prev`` and of ``after + trans.shift``;
-    rows k whose scale ``w`` would exceed ``1 / _TINY`` are summed in log
-    space instead.
-    """
-    shifted = after + trans.shift
-    top_a = prev.max(axis=1, keepdims=True)
-    top_b = shifted.max(axis=1, keepdims=True)
-    log_w = top_a[:, 0] + top_b[:, 0] - log_z
-    big = log_w > -np.log(_TINY)
-    w = np.exp(np.where(big, -np.inf, log_w))
-    left = np.exp(prev - top_a) * w[:, None]
-    out = trans.scale * (left.T @ np.exp(shifted - top_b))
-    if big.any():
-        cells = prev[big, :, None] + trans.log + after[big, None, :]
-        out += np.exp(_logsumexp(cells - log_z[big, None, None], axis=0))
-    return out
 
 
 def _path_score(em, trans, start, stop, ids, tokens: _Tokens) -> float:
@@ -434,7 +443,7 @@ def _gold_ids(labels: Sequence[str], batch: Batch) -> np.ndarray:
 def crf_log_partition(model: LinearChainCrfModel, encoded: Encoded) -> float:
     """Log of the sum over all label sequences of exp(sequence score)."""
     tokens, em, trans, start, stop = _chain(model, [encoded])
-    return float(_forward_backward(em, tokens, _rescale(trans), start, stop)[2][0])
+    return float(_forward_backward(em, tokens, trans, start, stop)[2][0])
 
 
 def crf_viterbi(
@@ -478,19 +487,14 @@ def crf_nll_gradient(
     """
     tokens, em, trans, start, stop = _chain(model, [encoded for encoded, _ in batch])
     ids = _gold_ids(model.labels, batch)
-    rescaled = _rescale(trans)
-    alpha, beta, log_z = _forward_backward(em, tokens, rescaled, start, stop)
+    resid, d_trans, log_z = _forward_backward(em, tokens, trans, start, stop)
     loss = float(log_z.sum()) - _path_score(em, trans, start, stop, ids, tokens)
     # node marginals minus gold one-hots; first and last tokens feed start and stop
-    token_z = np.repeat(log_z, tokens.lengths)
-    resid = np.exp(alpha + beta - token_z[:, None])
     resid[np.arange(len(ids)), ids] -= 1.0
     d_em = np.zeros_like(model.emission_weights)
     _scatter(d_em, resid, tokens)
     # label-pair marginals minus gold bigram counts, summed over positions
     prev = tokens.links
-    after = em[prev + 1] + beta[prev + 1]
-    d_trans = _pair_marginals(alpha[prev], after, token_z[prev], rescaled)
     gold = np.zeros_like(d_trans)
     np.add.at(gold, (ids[prev], ids[prev + 1]), 1.0)
     d_trans -= gold
