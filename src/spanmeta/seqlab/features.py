@@ -9,6 +9,7 @@ anything unseen afterwards falls into a single shared UNK slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 from ..corpus import Document, Token
@@ -55,13 +56,16 @@ class FeatureIndex:
 
     @classmethod
     def fit(cls, documents: Iterable[Document]) -> "FeatureIndex":
-        """Assign ids in first-appearance order over the given documents."""
+        """Assign ids in first-appearance order over the given documents.
+
+        A repeated token names nothing new, so only the first appearance of
+        each distinct token is walked.
+        """
         ids: dict[str, int] = {}
-        for doc in documents:
-            for token in doc.tokens:
-                for name in token_feature_names(token):
-                    if name not in ids:
-                        ids[name] = len(ids)
+        for token in dict.fromkeys(chain.from_iterable(doc.tokens for doc in documents)):
+            for name in token_feature_names(token):
+                if name not in ids:
+                    ids[name] = len(ids)
         return cls(ids)
 
     def encode(self, token: Token) -> list[int]:
