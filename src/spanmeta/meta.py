@@ -1005,6 +1005,9 @@ def observations_from_csv(path: str | Path) -> list[Observation]:
         try:
             if None in row:  # DictReader's key for fields past the header
                 raise ValueError(f"{len(row[None])} more field(s) than the header")
+            missing = sum(value is None for value in row.values())  # DictReader's fill
+            if missing:
+                raise ValueError(f"{missing} fewer field(s) than the header")
             if not row["span_type"]:  # "" would pass as one more span type
                 raise ValueError("span type must be a non-empty string")
             arch = ArchitectureFeatures(

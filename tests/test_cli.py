@@ -1175,9 +1175,10 @@ class TestMeta:
         [
             (lambda cells: cells[:1] + ["2", "-1"] + cells[3:], "feat must be 0 or 1, got '2'"),
             (lambda cells: cells + ["x"], "1 more field(s) than the header"),
+            (lambda cells: cells[:3], "7 fewer field(s) than the header"),
             (lambda cells: ["", *cells[1:]], "span type must be a non-empty string"),
         ],
-        ids=["flag", "extra-field", "empty-span-type"],
+        ids=["flag", "extra-field", "missing-field", "empty-span-type"],
     )
     def test_malformed_obs_row_fails(self, files, tmp_path, capsys, edit, message):
         with open(files["obs"], encoding="utf-8") as fh:
