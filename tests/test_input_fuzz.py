@@ -31,7 +31,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from spanmeta import Corpus, CorpusFormatError, Span, read_corpus, write_corpus
-from spanmeta._jsontext import parse_json
+from spanmeta._jsontext import parse_json, read_text
 from spanmeta.cli import main
 from spanmeta.meta import meta_model_from_dict, observations_from_csv
 from spanmeta.seqlab import TrainConfig
@@ -329,7 +329,8 @@ class TestMetaModelFiles:
         code, out, err = _run(argv)
         _assert_clean(code, out, err)
         try:  # the dict reader knows no path: the command line puts it first
-            meta_model_from_dict(parse_json(text))
+            # read back as the command reads it, each "\r" a line end
+            meta_model_from_dict(parse_json(read_text(path)))
         except ValueError as e:
             _assert_refused_as(f"{path}: {e}", code, err)
 
