@@ -87,6 +87,25 @@ class TestFeatureIndex:
         index = FeatureIndex.fit(docs)
         assert index.ids == {"surface=red": 0, "surface=blue": 1, "surface=green": 2}
 
+    def test_fit_matches_a_walk_over_every_token(self):
+        # tokens recur within and across documents, and their bags share
+        # names in interleaved orders, so ids depend on which token comes first
+        a, b, c = Token("a", {"x", "y"}), Token("b", {"y", "z"}), Token("a", {"z"})
+        docs = [
+            Document("d1", (b, a, b, Token("c"))),
+            Document("d2", (c, a, Token("b", {"y", "z"}), Token("d", {"w", "x"}))),
+            Document("d3", ()),
+            Document("d4", (Token("d", {"w", "x"}), c, Token("e", {"w"}))),
+        ]
+        expected: dict[str, int] = {}
+        for doc in docs:
+            for token in doc.tokens:
+                for name in token_feature_names(token):
+                    expected.setdefault(name, len(expected))
+        index = FeatureIndex.fit(iter(docs))
+        assert index.ids == expected
+        assert list(index.ids) == list(expected)
+
     def test_bag_features_sorted_after_surface(self):
         tok = Token("w", frozenset({"zeta", "alpha"}))
         assert token_feature_names(tok) == ["surface=w", "bag=alpha", "bag=zeta"]
@@ -630,8 +649,22 @@ class TestBatchedKernel:
             batch.append((encoded, _random_bio(rng, self.LABELS, n)))
         return batch
 
+    @staticmethod
+    def _count_log_passes(monkeypatch) -> list[int]:
+        """Patch the log-space pass to count its calls in a one-item list."""
+        calls = [0]
+        exact = models_mod._log_pass
+
+        def spy(*args):
+            calls[0] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(models_mod, "_log_pass", spy)
+        return calls
+
     @pytest.mark.parametrize("masked", [False, True])
-    def test_ragged_batch_equals_sum_of_single_sequences(self, masked):
+    def test_ragged_batch_equals_sum_of_single_sequences(self, masked, monkeypatch):
+        log_passes = self._count_log_passes(monkeypatch)
         rng = np.random.default_rng(30)
         for _ in range(5):
             model = random_crf(rng, n_ids=4, labels=self.LABELS, masked=masked)
@@ -652,26 +685,36 @@ class TestBatchedKernel:
             np.testing.assert_allclose(
                 b_grads[0], sum(p[1][0] for p in b_parts), rtol=0, atol=1e-10
             )
+        # weights of unit scale never leave the scaled pass
+        assert log_passes == [0]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_scaled_and_log_space_passes_agree(self, masked):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            model = random_crf(rng, n_ids=4, labels=self.LABELS, masked=masked)
+            batch = self._batch(rng, model)
+            tokens, em, *potentials = models_mod._chain(model, [e for e, _ in batch])
+            scaled = models_mod._scaled_pass(em, tokens, *potentials)
+            log_space = models_mod._log_pass(em, tokens, *potentials)
+            assert scaled is not None
+            for got, expected in zip(scaled, log_space):
+                assert got.shape == expected.shape
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_extreme_weights_match_log_space_reference(self, masked, monkeypatch):
-        # at scale 1e3 the rescaled sums underflow and pair scales overflow,
-        # so only the log-space guard inside the kernel can get these right
-        guards = []
-        exact = models_mod._logsumexp
-
-        def spy(a, axis=None):
-            if a.ndim == 3:
-                guards.append(axis)
-            return exact(a, axis)
-
-        monkeypatch.setattr(models_mod, "_logsumexp", spy)
+        # at scale 1e3 the scaled sums underflow, so only the log-space pass
+        # can get these right, and every batch must go to it
+        log_passes = self._count_log_passes(monkeypatch)
         rng = np.random.default_rng(31)
         for _ in range(3):
             model = random_crf(rng, n_ids=4, labels=self.LABELS, masked=masked, scale=1e3)
             batch = self._batch(rng, model)
             refs = [_log_space_nll(model, encoded, gold) for encoded, gold in batch]
+            before = log_passes[0]
             loss, grads = crf_nll_gradient(model, batch)
+            assert log_passes[0] == before + 1
             assert math.isfinite(loss)
             assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-9)
             for k, g in enumerate(grads):
@@ -684,9 +727,6 @@ class TestBatchedKernel:
                 log_z = crf_log_partition(model, encoded)
                 assert math.isfinite(log_z)
                 assert log_z == pytest.approx(ref[2], rel=1e-9)
-        # both guards ran: the forward-backward step's (summing over axis 1)
-        # and the label-pair sum's (over axis 0)
-        assert {0, 1} <= set(guards)
 
 
 class TestEmissions:
