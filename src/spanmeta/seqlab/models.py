@@ -307,11 +307,11 @@ def _forward_backward(
     The scaled pass runs first; a batch it cannot hold to full precision is
     redone in log space.
     """
-    with np.errstate(all="ignore"):  # whatever is lost fails the pass's guard
-        out = _scaled_pass(em, tokens, trans, start, stop)
+    out = _scaled_pass(em, tokens, trans, start, stop)
     return _log_pass(em, tokens, trans, start, stop) if out is None else out
 
 
+@np.errstate(all="ignore")  # whatever is lost fails the guard
 def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     """:func:`_forward_backward` on probabilities scaled to sum 1 at every
     step; None if a step sum or node normaliser falls below ``_TINY``.
@@ -323,13 +323,15 @@ def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     ``f[t] ~ (f[t-1] * q[t-1]) @ E`` from ``f = 1`` at the head and
     ``b[t] ~ (q[t+1] * b[t+1]) @ E.T`` from ``b = exp(stop - max)`` at the
     tail. Token t's marginals are ``f * q * b`` and, with the token after
-    it, ``E * outer(f * q, q * b)``, each over its normaliser. Both
-    directions advance in one (2, rows, L) product per step ``u``: the
-    backward one counts steps from each sequence's tail, so the rows still
-    running are ``:live[u]`` in both.
+    it, ``E * outer(f * q, q * b)``, each over its normaliser.
+
+    Both directions advance in one (2, B, L) product per step ``u``, the
+    backward one counting its steps from each sequence's tail. Every grid
+    row takes every step: a row past its sequence's end multiplies zeros,
+    and its cells, NaN after 0 / 0, are never read.
     """
-    _, live, slots = _pad(em, tokens)
-    n_seq = len(tokens.lengths)
+    _, live, slots = _pad(em, tokens)  # the rows' order does not matter here
+    n_seq, n_labels = len(tokens.lengths), em.shape[1]
     t, row = np.divmod(slots, n_seq)
     back = np.repeat(tokens.lengths, tokens.lengths) - 1 - t  # steps from the tail
     shift = trans.max(axis=0)
@@ -338,19 +340,22 @@ def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     x[tokens.heads] = em[tokens.heads] + start
     top = x.max(axis=1)
     q = np.exp(x - top[:, None])
-    grid = np.empty((len(live), 2, n_seq, em.shape[1]))  # [step, direction, row]
-    grid[t, 0, row] = grid[back, 1, row] = q
-    msg = np.empty_like(grid)
-    msg[0, 0] = 1.0
-    msg[0, 1] = np.exp(stop - stop.max())  # the value at every last token
+    # [step, direction, row, label], with one more label whose column in
+    # ``both`` holds the row sums of E and of E.T, so that each product
+    # carries its step sum in its last column
+    grid = np.zeros((len(live), 2, n_seq, n_labels + 1))
+    grid[t, 0, row, :-1] = grid[back, 1, row, :-1] = q
+    both = np.zeros((2, n_labels + 1, n_labels + 1))
+    both[0, :-1, :-1], both[1, :-1, :-1] = scale, scale.T
+    both[:, :-1, -1] = scale.sum(axis=1), scale.sum(axis=0)
+    msg = np.ones_like(grid)
+    msg[0, 1, :, :-1] = np.exp(stop - stop.max())  # the value at every last token
     sums = np.ones(grid.shape[:3])
-    both = np.stack([scale, scale.T])
     for u in range(1, len(live)):
-        k = live[u]
-        np.matmul(msg[u - 1, :, :k] * grid[u - 1, :, :k], both, out=msg[u, :, :k])
-        sums[u, :, :k] = msg[u, :, :k].sum(axis=2)
-        msg[u, :, :k] /= sums[u, :, :k, None]
-    a, b = msg[t, 0, row] * q, msg[back, 1, row]  # scaled alpha and beta
+        np.matmul(msg[u - 1] * grid[u - 1], both, out=msg[u])
+        sums[u] = msg[u, :, :, -1]
+        msg[u] /= sums[u, :, :, None]
+    a, b = msg[t, 0, row, :-1] * q, msg[back, 1, row, :-1]  # scaled alpha and beta
     node = a * b
     z = node.sum(axis=1)
     # the forward step sums, and the backward ones times z (z alone at a tail)
