@@ -13,7 +13,7 @@ with one ``np.add.at``, since indicator ids repeat across tokens.
 The CRF's forward-backward runs once per batch, over a padded
 (T, B, L) grid whose rows hold the sequences longest first: the Python
 loop runs over the positions of the longest sequence, and padded cells
-are never computed or read. It runs on probabilities rather than in log
+are never read. It runs on probabilities rather than in log
 space (the scaled recursion of Rabiner, 1989, section V.A): each message
 is normalised to sum 1 at every step, and one BLAS product with
 ``E = exp(transitions - column maxima)``, whose entries lie in [0, 1],
@@ -322,10 +322,11 @@ def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     emission and the backward message ``b`` after it are
     ``f[t] ~ (f[t-1] * q[t-1]) @ E`` from ``f = 1`` at the head and
     ``b[t] ~ (q[t+1] * b[t+1]) @ E.T`` from ``b = exp(stop - max)`` at the
-    tail. Token t's marginals are ``f * q * b`` and, with the token after
-    it, ``E * outer(f * q, q * b)``, each over its normaliser.
+    tail. Token t's marginals are ``(f * q * b)[t]`` and, with the token
+    after it, ``E * outer((f * q)[t], (q * b)[t+1])``, each over its
+    normaliser.
 
-    Both directions advance in one (2, B, L) product per step ``u``, the
+    Both directions advance in one (2, B, L + 1) product per step ``u``, the
     backward one counting its steps from each sequence's tail. Every grid
     row takes every step: a row past its sequence's end multiplies zeros,
     and its cells, NaN after 0 / 0, are never read.
