@@ -702,6 +702,21 @@ class TestBatchedKernel:
                 assert got.shape == expected.shape
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
+    def test_subnormal_step_sum_goes_to_log_space(self):
+        # the first step's sum is 2 exp(-725), a subnormal number; the scaled
+        # pass would keep about 9 of its digits, so it must hand the batch on
+        tokens = models_mod._flatten([[[], []]])
+        em = np.array([[0.0, -800.0], [0.0, 0.0]])
+        trans = np.array([[-725.0, -725.0], [0.0, 0.0]])
+        zeros = np.zeros(2)
+        assert models_mod._scaled_pass(em, tokens, trans, zeros, zeros) is None
+        node, pair, log_z = models_mod._forward_backward(em, tokens, trans, zeros, zeros)
+        tail = math.exp(-75)  # each path from label 1 against each from label 0
+        w = 1 / (2 + 2 * tail)
+        assert log_z[0] == pytest.approx(-725 + math.log(2 + 2 * tail), rel=1e-15)
+        np.testing.assert_allclose(node, [[2 * w, 2 * w * tail], [0.5, 0.5]], rtol=1e-12)
+        np.testing.assert_allclose(pair, [[w, w], [w * tail, w * tail]], rtol=1e-12)
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_extreme_weights_match_log_space_reference(self, masked, monkeypatch):
         # at scale 1e3 the scaled sums underflow, so only the log-space pass
