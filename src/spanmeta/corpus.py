@@ -8,9 +8,38 @@ can be shared freely between threads. Construction is the one place that
 checks what a token, span or document may hold, so readers and writers
 rely on it rather than checking again. ``read_corpus`` builds and checks
 each distinct token once: equal tokens of one read share one immutable
-``Token`` object, so a corpus costs memory by its distinct tokens.
+``Token`` object, whatever the order or repetition of their feature
+names, so a corpus costs memory by its distinct tokens.
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
+
+Reading a JSONL file in the writer's layout, which is ``json.dumps``'s
+default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}``),
+costs time by its distinct token texts as well. Such a line is read
+without ``json.loads`` over its tokens. The id is scanned as a JSON
+string, and the token array is split at the writer's ``}, {`` separator.
+Each piece is looked up in a per-read memo; a piece not seen before is
+parsed as the object ``"{" + piece + "}"`` by json's own scanner and
+checked as any token is. The members after the array are scanned as
+``"{" + rest``. This is sound because a memo key is only ever a piece
+whose ``"{" + piece + "}"`` the scanner consumed whole as one JSON
+object, and JSON objects are self-delimiting: if every piece of
+``[{p1}, {p2}, …]`` is such a text, that text is an array of exactly
+those objects, and a parser that starts at its ``[`` stops at its ``]``.
+A string that holds ``}, {`` or ``}]`` only cuts pieces into texts that
+do not parse. Any line the layout path cannot read goes to ``json.loads``
+and the checks it always went through: another layout, a key the writer
+does not write (a repeated ``id`` or ``tokens``, of which ``json.loads``
+keeps the last, or a nested value that could reach the parser's depth
+limit), a token or span that fails a check, or any scanner error. So
+every file reads to the same documents, or fails with the same message,
+as it would through ``json.loads`` alone.
+
+The memo pays only when texts repeat; where none does, it costs time and
+memory for nothing. So once a read has taken its first 4,096 tokens
+through the layout path, it stops using the path as soon as it has
+memoized more than half as many texts as tokens; from then on each line
+goes through ``json.loads``.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus. A parse allocates millions of small objects and no
@@ -42,7 +71,9 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from json.decoder import JSONDecoder, scanstring
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -437,8 +468,16 @@ class _Memo(dict):
         return value
 
 
+# The JSONL layout: ``json.dumps``'s default for these keys, written by
+# ``_to_jsonl`` and read without ``json.loads`` by ``_LayoutReader``.
+_JSONL_ID = '{"id": '
+_JSONL_TOKENS = ', "tokens": ['
+_JSONL_SPANS = '"spans": ['
+_JSONL_ITEMS = ", "  # between array items and between an object's members
+
+
 def _token_json(token: Token) -> str:
-    features = ", ".join(map(encode_basestring, sorted(token.features)))
+    features = _JSONL_ITEMS.join(map(encode_basestring, sorted(token.features)))
     return f'{{"surface": {encode_basestring(token.surface)}, "features": [{features}]}}'
 
 
@@ -449,43 +488,142 @@ def _to_jsonl(corpus: Corpus) -> str:
     span_heads = _Memo(lambda type_id: f'{{"type": {encode_basestring(type_id)}, "start": ')
     lines = []
     for doc in corpus.documents:
-        spans = ", ".join(
+        spans = _JSONL_ITEMS.join(
             [
                 f'{span_heads[s.type_id]}{s.start}, "end": {s.end}}}'
                 for s in doc.spans
             ]
         )
         lines.append(
-            f'{{"id": {encode_basestring(doc.id)}, '
-            f'"tokens": [{", ".join(map(tokens.__getitem__, doc.tokens))}], '
-            f'"spans": [{spans}]}}'
+            f"{_JSONL_ID}{encode_basestring(doc.id)}"
+            f"{_JSONL_TOKENS}{_JSONL_ITEMS.join(map(tokens.__getitem__, doc.tokens))}]"
+            f"{_JSONL_ITEMS}{_JSONL_SPANS}{spans}]}}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
     """The token with this surface and these features, built and checked
-    on first sight; later sightings in the same read reuse that object."""
+    on first sight; later sightings in the same read reuse that object.
+
+    ``seen`` maps each raw ``(surface, *features)`` key to its token. A new
+    token is also filed under its key with sorted, distinct features, so
+    raw keys that differ only in the order or repetition of feature names
+    share one object, and a key that is already in that form, as the
+    writers write it, takes one entry."""
     key = (surface, *features)
     try:
         token = seen.get(key)
     except TypeError:  # an unhashable entry, such as a list: Token rejects it
         return Token(surface, features)
     if token is None:
-        token = seen[key] = Token(surface, features)
+        token = Token(surface, features)
+        if len(features) > 1:  # one feature name or none: the key is in that form
+            canonical = (surface, *sorted(token.features))
+            if canonical != key:
+                token = seen.setdefault(canonical, token)
+        seen[key] = token
     return token
+
+
+# the token array's item separator, its end, and the opening of the id string
+_TOKEN_SPLIT = "}" + _JSONL_ITEMS + "{"
+_TOKENS_END = "}]" + _JSONL_ITEMS
+_ID_OPEN = _JSONL_ID + '"'
+_TOKEN_KEYS = frozenset({"surface", "features"})
+# scan_once(text, 0) -> (value, end), as json.loads scans, with no check
+# that the value fills the text
+_scan_once = make_scanner(JSONDecoder())
+# tokens a read takes through the layout path before its gate applies
+_WARM_UP_TOKENS = 4096
+
+
+class _LayoutReader:
+    """Reads one read's lines in ``_to_jsonl``'s layout, each distinct token
+    text once; ``read`` returns None for any line it cannot read.
+
+    ``texts`` maps each token's text between the separators, such as
+    ``"surface": "w1", "features": []``, to its token. Once past
+    ``_WARM_UP_TOKENS`` tokens, a read that has seen more than half as
+    many distinct texts as tokens turns the reader ``off``.
+    """
+
+    def __init__(self, seen: dict[tuple, Token]) -> None:
+        self.seen = seen
+        self.texts = _Memo(self._token)
+        self.tokens = 0
+        self.off = False
+
+    def _token(self, text: str) -> Token:
+        """The token whose object is ``{`` + ``text`` + ``}``, checked as
+        ``_document_from_obj`` checks a token; ValueError for any other text."""
+        try:
+            tk, end = _scan_once("{" + text + "}", 0)
+        except StopIteration:  # not a value: StopIteration would end map() early
+            raise ValueError("not a token object") from None
+        # the writer's keys only, so no value nests deeper than the layout's:
+        # json.loads's depth limit depends on the depth of the call stack
+        if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
+            raise ValueError("not one token object in the layout")
+        feats = tk.get("features", [])
+        if not isinstance(feats, list):
+            raise ValueError("malformed feature list")
+        return _token(self.seen, tk.get("surface"), feats)
+
+    def read(self, line: str) -> Document | None:
+        try:
+            doc = self._parse(line)
+        except (ValueError, StopIteration, RecursionError):
+            return None
+        if self.tokens > _WARM_UP_TOKENS and 2 * len(self.texts) > self.tokens:
+            self.off = True
+            self.texts = None
+        return doc
+
+    def _parse(self, line: str) -> Document | None:
+        if not line.startswith(_ID_OPEN):
+            return None
+        doc_id, at = scanstring(line, len(_ID_OPEN))
+        if not line.startswith(_JSONL_TOKENS, at):
+            return None
+        at += len(_JSONL_TOKENS)
+        if line.startswith("]" + _JSONL_ITEMS, at):
+            tokens = ()
+            at += 1 + len(_JSONL_ITEMS)
+        else:
+            end = line.find(_TOKENS_END, at)
+            if end < 0 or not line.startswith("{", at):
+                return None
+            texts = line[at + 1 : end].split(_TOKEN_SPLIT)
+            self.tokens += len(texts)
+            tokens = tuple(map(self.texts.__getitem__, texts))
+            at = end + len(_TOKENS_END)
+        # the members after the array, as an object of their own: the one
+        # member the writer writes, since "{}" would parse where ", }" does not
+        rest, end = _scan_once("{" + line[at:], 0)
+        if end != len(line) - at + 1 or rest.keys() != {"spans"}:
+            return None
+        doc = _document(doc_id, tokens, rest)
+        # each span object holds type, start and end, as _document found,
+        # and nothing else
+        spans = rest["spans"]
+        return doc if sum(map(len, spans)) == 3 * len(spans) else None
 
 
 def _parse_jsonl(text: str, path) -> list[Document]:
     docs: list[Document] = []
     seen: dict[tuple, Token] = {}
+    layout = _LayoutReader(seen)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            docs.append(_document_from_obj(parse_json(line), seen))
-        except ValueError as e:
-            raise CorpusFormatError(path, str(e), lineno) from e
+        doc = None if layout.off else layout.read(line)
+        if doc is None:
+            try:
+                doc = _document_from_obj(parse_json(line), seen)
+            except ValueError as e:
+                raise CorpusFormatError(path, str(e), lineno) from e
+        docs.append(doc)
     return docs
 
 
@@ -504,6 +642,11 @@ def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
         if not isinstance(feats, list):  # a string would pass as a bag of letters
             raise ValueError(f"document {doc_id!r}: malformed feature list")
         tokens.append(_token(seen, tk.get("surface"), feats))
+    return _document(doc_id, tokens, obj)
+
+
+def _document(doc_id, tokens: Sequence[Token], obj: dict) -> Document:
+    """The document of ``doc_id`` and ``tokens`` with the spans of ``obj``."""
     raw_spans = obj.get("spans", [])
     if not isinstance(raw_spans, list):
         raise ValueError(f"document {doc_id!r}: non-list 'spans'")

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from spanmeta import (
 )
 
 from spanmeta import corpus as corpus_mod
+from spanmeta._jsontext import parse_json
 
 from helpers import make_doc, random_corpus
 
@@ -610,6 +612,18 @@ class TestInterning:
         tokens = read_corpus(path, format=fmt).documents[0].tokens
         assert tokens[0] == tokens[1] == tokens[2] == Token("x", frozenset("ab"))
         assert len({hash(t) for t in tokens}) == 1
+        assert tokens[0] is tokens[1] is tokens[2]
+
+    def test_one_object_whichever_path_reads_the_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        layout = _jsonl_line("a", [("x", ["x", "y"]), ("x", ["y", "x"])])
+        compact = json.dumps(
+            {"id": "b", "tokens": [{"surface": "x", "features": ["x", "y", "x"]}]},
+            separators=(",", ":"),
+        )
+        path.write_text(layout + "\n" + compact + "\n")
+        a, b = read_corpus(path).documents
+        assert a.tokens[0] is a.tokens[1] is b.tokens[0]
 
     @pytest.mark.parametrize(
         "bad", [["f", ""], ["f", 3], [""], ["f", None]], ids=["empty", "int", "only", "null"]
@@ -652,21 +666,26 @@ class TestInterning:
 # checked row per token. Their bytes and their refusals are the oracle.
 
 
-def _dict_jsonl(corpus: Corpus) -> str:
+def _dict_jsonl(corpus: Corpus, reordered: bool = False, **dumps) -> str:
+    """``json.dumps(..., ensure_ascii=False)`` lines, or with other ``dumps``
+    options; ``reordered`` reverses the order of every object's keys."""
+    def ordered(obj: dict) -> dict:
+        return dict(reversed(obj.items())) if reordered else obj
+
     lines = []
     for doc in corpus.documents:
         obj = {
             "id": doc.id,
             "tokens": [
-                {"surface": t.surface, "features": sorted(t.features)}
+                ordered({"surface": t.surface, "features": sorted(t.features)})
                 for t in doc.tokens
             ],
             "spans": [
-                {"type": s.type_id, "start": s.start, "end": s.end}
+                ordered({"type": s.type_id, "start": s.start, "end": s.end})
                 for s in doc.spans
             ],
         }
-        lines.append(json.dumps(obj, ensure_ascii=False))
+        lines.append(json.dumps(ordered(obj), **{"ensure_ascii": False, **dumps}))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -721,10 +740,10 @@ _NAMES = st.text(
 
 
 @st.composite
-def _corpora(draw):
-    token = st.builds(Token, _NAMES, st.frozensets(_NAMES, max_size=3))
+def _corpora(draw, names=_NAMES):
+    token = st.builds(Token, names, st.frozensets(names, max_size=3))
     pool = draw(st.lists(token, min_size=1, max_size=6))
-    types = draw(st.lists(_NAMES, max_size=3, unique=True))
+    types = draw(st.lists(names, max_size=3, unique=True))
     docs = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 8))
@@ -739,7 +758,7 @@ def _corpora(draw):
                 break
             spans.append(Span(draw(st.sampled_from(types)), start, end))
             pos = end
-        docs.append(Document(draw(_NAMES), tuple(tokens), tuple(spans)))
+        docs.append(Document(draw(names), tuple(tokens), tuple(spans)))
     return Corpus(tuple(docs), tuple(types))
 
 
@@ -808,6 +827,202 @@ class TestWritersMatchTheDictEncoders:
         path = tmp_path_factory.getbasetemp() / "random-corpus"
         for fmt in _ORACLES:
             _assert_writes_as_oracle(corpus, path, fmt)
+
+
+# names that cut or fake the layout's separators and keys, and a lone
+# surrogate, which only a file written with escapes can hold
+_LAYOUT_NAMES = st.one_of(
+    _NAMES,
+    st.lists(
+        st.sampled_from(
+            ["}, {", "}]", "}], ", "]", '"', "\\", "é", "\ud800", "a", ', "spans": [', '{"id": "']
+        ),
+        min_size=1,
+        max_size=3,
+    ).map("".join),
+)
+
+
+def _read(path) -> tuple[Document, ...] | str:
+    """The documents ``read_corpus`` reads from ``path``, or its refusal."""
+    try:
+        return read_corpus(path).documents
+    except CorpusFormatError as e:
+        return str(e)
+
+
+def _read_with_json_loads(path) -> tuple[Document, ...] | str:
+    """What ``json.loads`` and the checks of ``_document_from_obj`` make of
+    each line of ``path``: the documents, or the first refusal."""
+    seen: dict = {}
+    docs = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            docs.append(corpus_mod._document_from_obj(parse_json(line), seen))
+        except ValueError as e:
+            return f"{path}: line {lineno}: {e}"
+    return tuple(docs)
+
+
+def _read_noting_json_loads(monkeypatch, path) -> tuple[tuple[Document, ...], list[str]]:
+    """The documents of ``path`` and the lines the read passed to ``parse_json``."""
+    calls = []
+    monkeypatch.setattr(corpus_mod, "parse_json", lambda line: calls.append(line) or parse_json(line))
+    return read_corpus(path).documents, calls
+
+
+class TestJsonlLayouts:
+    """A line in the writer's layout is read without ``json.loads`` over its
+    tokens; every file reads as ``json.loads`` and the checks read it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora(_LAYOUT_NAMES))
+    def test_every_layout_reads_to_the_same_documents(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.getbasetemp() / "layouts"
+        try:
+            write_corpus(corpus, path)
+        except ValueError:  # a lone surrogate has no UTF-8 form: write escapes
+            texts, escape = [], True
+        else:
+            texts, escape = [path.read_text(encoding="utf-8")], False
+        texts += [
+            _dict_jsonl(corpus, separators=(",", ":"), ensure_ascii=escape),
+            _dict_jsonl(corpus, reordered=True, ensure_ascii=escape),
+            _dict_jsonl(corpus, ensure_ascii=True),
+        ]
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            assert _read(path) == corpus.documents
+
+    def test_separators_inside_strings(self, tmp_path, monkeypatch):
+        fake = '}, {"surface": "z", "features": []}], "spans": [], "id": "x'
+        corpus = Corpus(
+            (
+                make_doc("a", ["p", "}, {", "q"]),
+                make_doc("b", ["p", "}]", "}], "], [Span("t", 1, 2)]),
+                make_doc("c", [fake, "p"]),
+                Document(fake, (Token("p", frozenset({"}, {", fake})),)),
+                make_doc("d", ["p", "q"]),
+            ),
+            ("t",),
+        )
+        path = tmp_path / "c.jsonl"
+        write_corpus(corpus, path)
+        docs, generic = _read_noting_json_loads(monkeypatch, path)
+        assert docs == corpus.documents
+        # a cut piece does not parse, so those lines go to json.loads
+        lines = path.read_text().splitlines()
+        assert generic == [lines[0], lines[1], lines[2], lines[3]]
+
+    def test_mutated_lines_read_as_json_loads_reads_them(self, tmp_path):
+        good = _jsonl_line("d", [("x", ["f"]), ("y", []), ("x", ["f"])], [("t", 0, 2)])
+        token = '{"surface": "y", "features": []}'
+        mutants = [good[:cut] for cut in range(len(good))] + [
+            good[:-1] + ", }",  # trailing commas
+            good[: good.index('"spans"')] + "}",
+            good.replace("}], ", "}, ], "),
+            good.replace(token, '{"surface": "y", "features": [], }'),
+            good[:-1] + ', "id": "e"}',  # a repeated key, of which json.loads keeps the last
+            good[:-1] + ', "tokens": []}',
+            good[:-1] + ', "tokens": [{"surface": "z"}]}',
+            good[:-1] + ', "spans": []}',
+            good[:-1] + ', "note": [{"a": [{}]}]}',  # keys the writer does not write
+            good.replace(token, '{"surface": "y", "features": [], "x": [{"a": 1}]}'),
+            good.replace(token, '{"features": [], "surface": "y", "surface": "z"}'),
+            good.replace('"end": 2}', '"end": 2, "x": [1]}'),
+            good.replace(token, '{"surface": "y", "features": [{"a": 1}]}'),  # objects in a token
+            good.replace(token, '{"surface": "y", "features": [["f"]]}'),
+            good.replace(token, '{"surface": "y", "features": "ab"}'),  # features not a list
+            good.replace(token, '{"surface": "y", "features": null}'),
+            good.replace(token, '{"surface": "y", "features": {"f": 1}}'),
+            good.replace(token, '{"surface": "y"}'),
+            good.replace(token, '{"surface": 3, "features": []}'),
+            good.replace(token, "[]"),
+            good.replace(token, "{}"),
+            good.replace(token, token + ", {}"),
+            good.replace(token, token + " "),
+            _jsonl_line("d", []),  # an empty token array
+            _jsonl_line("d", [], [("t", 0, 1)]),
+            good.replace('"id": "d"', '"id": 3'),
+            good.replace('"id": "d"', '"id": "\\u0000\\ud800"'),
+            good.replace('"id": "d"', '"id": "\x01"'),
+            good.replace('"spans": [', '"spans": [[], '),
+            good.replace('"start": 0', '"start": 0.0'),
+            " " + good,
+            good + " ",
+            good + "x",
+            good.replace(", ", ",", 1),
+            good.replace(": ", ":", 1),
+            good.replace("}, {", "},{", 1),
+        ]
+        path = tmp_path / "c.jsonl"
+        for mutant in mutants:
+            # a good line first, so that the memo holds the good tokens
+            path.write_text(good + "\n" + mutant + "\n", encoding="utf-8")
+            assert _read(path) == _read_with_json_loads(path), mutant
+
+    @pytest.mark.parametrize("where", ["token", "span", "document"])
+    def test_nesting_at_the_depth_limit_reads_as_json_loads_reads_it(self, tmp_path, where):
+        # the layout path parses a token two levels nearer the top than
+        # json.loads does, and from another stack depth: a key the writer
+        # does not write must send a deep value to json.loads
+        good = _jsonl_line("d", [("x", [])], [("t", 0, 1)])
+        path = tmp_path / "c.jsonl"
+
+        def read(depth: int, layout: bool = True):
+            deep = "[" * depth + "]" * depth
+            line = {
+                "token": good.replace('"features": []', f'"features": [], "x": {deep}'),
+                "span": good.replace('"end": 1', f'"end": 1, "x": {deep}'),
+                "document": good[:-1] + f', "x": {deep}}}',
+            }[where]
+            path.write_text(good + "\n" + line + "\n")
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                if not layout:
+                    monkeypatch.setattr(corpus_mod._LayoutReader, "read", lambda self, line: None)
+                return _read(path)
+
+        # the least depth json.loads refuses
+        low, high = 1, 1 << 17
+        assert isinstance(read(low, False), tuple) and isinstance(read(high, False), str)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if isinstance(read(mid, False), str) else (mid, high)
+        for depth in range(high - 4, high + 4):
+            assert read(depth) == read(depth, False), depth
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora())
+    def test_every_written_line_takes_the_layout_path(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+            path = os.path.join(tmp, "c.jsonl")
+            write_corpus(corpus, path)
+            docs, generic = _read_noting_json_loads(monkeypatch, path)
+        assert docs == corpus.documents
+        assert generic == []
+
+    @pytest.mark.parametrize("distinct", [True, False], ids=["all-distinct", "repeating"])
+    def test_a_file_that_does_not_repeat_leaves_the_layout_path(
+        self, tmp_path, monkeypatch, distinct
+    ):
+        n_docs, length = 200, 25
+        vocab = n_docs * length if distinct else 50
+        corpus = Corpus(
+            tuple(
+                make_doc(f"d{d}", [f"w{(d * length + i) % vocab}" for i in range(length)])
+                for d in range(n_docs)
+            ),
+            (),
+        )
+        path = tmp_path / "c.jsonl"
+        write_corpus(corpus, path)
+        docs, generic = _read_noting_json_loads(monkeypatch, path)
+        assert docs == corpus.documents
+        # the line that takes the read past its warm-up turns the path off
+        last = corpus_mod._WARM_UP_TOKENS // length + 1 if distinct else n_docs
+        assert generic == path.read_text().splitlines()[last:]
 
 
 _GOOD = {"jsonl": _jsonl_line("a", [("w", [])], [("t", 0, 1)]), "conll_tsv": "w\tB-t\n"}
