@@ -11,6 +11,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
@@ -162,6 +163,13 @@ def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:
     return f1_report(counts, types=inventory).micro.f1
 
 
+def _diverged(config: TrainConfig, where: str, what: str) -> ValueError:
+    return ValueError(
+        f"training diverged in {where}: {what} is not finite; "
+        f"lower learning_rate (got {config.learning_rate})"
+    )
+
+
 def train(
     arch: str,
     train_corpus: Corpus,
@@ -229,17 +237,23 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            picks = order[lo : lo + config.batch_size]
-            batch = [
-                (_dropout(encoded[i], config.feature_dropout_prob, rng), gold[i])
-                for i in picks
-            ]
-            loss, grads = grad_fn(model, batch)
-            epoch_loss += loss
-            for g in grads:
-                g /= len(picks)
-            optimizer.step(grads)
+        # weights that run away overflow; the checks below report it as one error
+        with np.errstate(all="ignore"):
+            for number, lo in enumerate(range(0, len(order), config.batch_size), start=1):
+                picks = order[lo : lo + config.batch_size]
+                batch = [
+                    (_dropout(encoded[i], config.feature_dropout_prob, rng), gold[i])
+                    for i in picks
+                ]
+                loss, grads = grad_fn(model, batch)
+                if not math.isfinite(loss):
+                    raise _diverged(config, f"epoch {epoch}, batch {number}", "the loss")
+                epoch_loss += loss
+                for g in grads:
+                    g /= len(picks)
+                optimizer.step(grads)
+        if not all(np.isfinite(p).all() for p in model.parameters()):
+            raise _diverged(config, f"epoch {epoch}", "a weight")
 
         f1 = _dev_f1(model, dev_docs, inventory)
         checkpointed = f1 > best_f1

@@ -13,6 +13,8 @@ import dataclasses
 import functools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -766,6 +768,35 @@ class TestTrain:
         assert code == 1
         assert "share a span-type inventory" in err
         assert "'d'" in err
+
+    @pytest.mark.parametrize("learning_rate", ["1e16", "1e20"])
+    def test_diverging_training_fails_with_one_line(self, tmp_path, learning_rate):
+        # a fresh interpreter, whose default warning filters print numpy's
+        # RuntimeWarnings to stderr
+        rng = random.Random(7)
+        lines = []
+        for d in range(20):
+            tokens, spans = [], []
+            while len(tokens) < 30:
+                if rng.random() < 0.2:
+                    n = rng.randint(1, 3)
+                    spans.append({"type": rng.choice("pq"), "start": len(tokens), "end": len(tokens) + n})
+                    tokens += [{"surface": f"e{rng.randrange(40)}", "features": ["cap"]}] * n
+                else:
+                    tokens.append({"surface": f"w{rng.randrange(300)}", "features": []})
+            lines.append(json.dumps({"id": f"d{d}", "tokens": tokens, "spans": spans}))
+        corpus, cfg, out = tmp_path / "c.jsonl", tmp_path / "train.cfg", tmp_path / "m.json"
+        corpus.write_text("\n".join(lines) + "\n")
+        cfg.write_text(f"learning_rate = {learning_rate}\n")
+        done = _run_module(["train", "--arch", "crf", "--train", str(corpus), "--config", str(cfg),
+                            "--max-epochs", "2", "--seed", "1", "--out", str(out)])
+        assert done.returncode == 1
+        assert re.fullmatch(
+            r"spanmeta: error: training diverged in epoch \d+, batch \d+: the loss is not "
+            rf"finite; lower learning_rate \(got {re.escape(str(float(learning_rate)))}\)\n",
+            done.stderr,
+        ), done.stderr
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1195,6 +1195,35 @@ class TestTraining:
         with pytest.raises(ValueError, match="no training document has any tokens"):
             train("crf", empty, dev)
 
+    def test_a_loss_that_is_not_finite_stops_training(self):
+        train_c, dev_c = _toy_corpora(6, 2)
+        config = TrainConfig(learning_rate=1e20, batch_size=2, max_epochs=3)
+        # no RuntimeWarning either: tier-1 makes one an error
+        with pytest.raises(
+            ValueError,
+            match=r"^training diverged in epoch \d+, batch \d+: the loss is not finite; "
+            r"lower learning_rate \(got 1e\+20\)$",
+        ):
+            train("crf", train_c, dev_c, config)
+
+    def test_weights_that_are_not_finite_stop_training(self, monkeypatch):
+        train_c, dev_c = _toy_corpora(4, 2)
+        step = training_mod.Adam.step
+
+        def step_to_infinity(self, grads):
+            step(self, grads)
+            self.params[0][0, 0] = np.inf
+
+        monkeypatch.setattr(training_mod.Adam, "step", step_to_infinity)
+        # one batch per epoch, so the loss read before the step stays finite
+        config = TrainConfig(learning_rate=0.1, batch_size=8, max_epochs=2)
+        with pytest.raises(
+            ValueError,
+            match=r"^training diverged in epoch 1: a weight is not finite; "
+            r"lower learning_rate \(got 0\.1\)$",
+        ):
+            train("crf", train_c, dev_c, config)
+
     @pytest.mark.parametrize("arch", ["baseline", "crf"])
     def test_empty_documents_are_skipped(self, arch):
         train_c, dev_c = _toy_corpora(6, 2)
