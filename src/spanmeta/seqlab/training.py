@@ -184,6 +184,11 @@ def train(
     early-stopping signal. Training documents with no tokens are
     skipped. ``max_epochs`` of 0 returns the zero-weight initial model
     with an empty log.
+
+    Training that diverges raises ``ValueError`` naming the epoch and
+    ``learning_rate``: a batch whose loss, or an epoch after which a
+    weight, is not finite. Numpy's overflow warnings are silenced for the
+    batches, so this error is all a caller sees.
     """
     if arch not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {arch!r}")
