@@ -35,11 +35,11 @@ limit), a token or span that fails a check, or any scanner error. So
 every file reads to the same documents, or fails with the same message,
 as it would through ``json.loads`` alone.
 
-The memo pays only when texts repeat; where none does, it costs time and
-memory for nothing. So once a read has taken its first 4,096 tokens
-through the layout path, it stops using the path as soon as it has
-memoized more than half as many texts as tokens; from then on each line
-goes through ``json.loads``.
+The memo pays only when texts repeat. A new text costs a scanner call
+and a memo entry besides its token, so a file whose texts mostly do not
+repeat reads slower, and holds more memory while it is read, than it
+would through ``json.loads``. The reader does not choose between the two
+paths by repetition.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus. A parse allocates millions of small objects and no
@@ -534,8 +534,6 @@ _TOKEN_KEYS = frozenset({"surface", "features"})
 # scan_once(text, 0) -> (value, end), as json.loads scans, with no check
 # that the value fills the text
 _scan_once = make_scanner(JSONDecoder())
-# tokens a read takes through the layout path before its gate applies
-_WARM_UP_TOKENS = 4096
 
 
 class _LayoutReader:
@@ -543,16 +541,12 @@ class _LayoutReader:
     text once; ``read`` returns None for any line it cannot read.
 
     ``texts`` maps each token's text between the separators, such as
-    ``"surface": "w1", "features": []``, to its token. Once past
-    ``_WARM_UP_TOKENS`` tokens, a read that has seen more than half as
-    many distinct texts as tokens turns the reader ``off``.
+    ``"surface": "w1", "features": []``, to its token.
     """
 
     def __init__(self, seen: dict[tuple, Token]) -> None:
         self.seen = seen
         self.texts = _Memo(self._token)
-        self.tokens = 0
-        self.off = False
 
     def _token(self, text: str) -> Token:
         """The token whose object is ``{`` + ``text`` + ``}``, checked as
@@ -565,20 +559,13 @@ class _LayoutReader:
         # json.loads's depth limit depends on the depth of the call stack
         if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
             raise ValueError("not one token object in the layout")
-        feats = tk.get("features", [])
-        if not isinstance(feats, list):
-            raise ValueError("malformed feature list")
-        return _token(self.seen, tk.get("surface"), feats)
+        return _token_from_obj(tk, self.seen, None)
 
     def read(self, line: str) -> Document | None:
         try:
-            doc = self._parse(line)
+            return self._parse(line)
         except (ValueError, StopIteration, RecursionError):
             return None
-        if self.tokens > _WARM_UP_TOKENS and 2 * len(self.texts) > self.tokens:
-            self.off = True
-            self.texts = None
-        return doc
 
     def _parse(self, line: str) -> Document | None:
         if not line.startswith(_ID_OPEN):
@@ -595,7 +582,6 @@ class _LayoutReader:
             if end < 0 or not line.startswith("{", at):
                 return None
             texts = line[at + 1 : end].split(_TOKEN_SPLIT)
-            self.tokens += len(texts)
             tokens = tuple(map(self.texts.__getitem__, texts))
             at = end + len(_TOKENS_END)
         # the members after the array, as an object of their own: the one
@@ -617,7 +603,7 @@ def _parse_jsonl(text: str, path) -> list[Document]:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        doc = None if layout.off else layout.read(line)
+        doc = layout.read(line)
         if doc is None:
             try:
                 doc = _document_from_obj(parse_json(line), seen)
@@ -634,15 +620,18 @@ def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
     raw_tokens = obj.get("tokens")
     if not isinstance(raw_tokens, list):
         raise ValueError(f"document {doc_id!r}: missing or non-list 'tokens'")
-    tokens = []
-    for tk in raw_tokens:
-        if not isinstance(tk, dict):
-            raise ValueError(f"document {doc_id!r}: malformed token entry")
-        feats = tk.get("features", [])
-        if not isinstance(feats, list):  # a string would pass as a bag of letters
-            raise ValueError(f"document {doc_id!r}: malformed feature list")
-        tokens.append(_token(seen, tk.get("surface"), feats))
-    return _document(doc_id, tokens, obj)
+    return _document(doc_id, [_token_from_obj(tk, seen, doc_id) for tk in raw_tokens], obj)
+
+
+def _token_from_obj(tk: object, seen: dict[tuple, Token], doc_id) -> Token:
+    """The token of one parsed token entry of document ``doc_id``; the
+    check that both JSONL readers make of each entry."""
+    if not isinstance(tk, dict):
+        raise ValueError(f"document {doc_id!r}: malformed token entry")
+    feats = tk.get("features", [])
+    if not isinstance(feats, list):  # a string would pass as a bag of letters
+        raise ValueError(f"document {doc_id!r}: malformed feature list")
+    return _token(seen, tk.get("surface"), feats)
 
 
 def _document(doc_id, tokens: Sequence[Token], obj: dict) -> Document:

@@ -1003,27 +1003,6 @@ class TestJsonlLayouts:
         assert docs == corpus.documents
         assert generic == []
 
-    @pytest.mark.parametrize("distinct", [True, False], ids=["all-distinct", "repeating"])
-    def test_a_file_that_does_not_repeat_leaves_the_layout_path(
-        self, tmp_path, monkeypatch, distinct
-    ):
-        n_docs, length = 200, 25
-        vocab = n_docs * length if distinct else 50
-        corpus = Corpus(
-            tuple(
-                make_doc(f"d{d}", [f"w{(d * length + i) % vocab}" for i in range(length)])
-                for d in range(n_docs)
-            ),
-            (),
-        )
-        path = tmp_path / "c.jsonl"
-        write_corpus(corpus, path)
-        docs, generic = _read_noting_json_loads(monkeypatch, path)
-        assert docs == corpus.documents
-        # the line that takes the read past its warm-up turns the path off
-        last = corpus_mod._WARM_UP_TOKENS // length + 1 if distinct else n_docs
-        assert generic == path.read_text().splitlines()[last:]
-
 
 _GOOD = {"jsonl": _jsonl_line("a", [("w", [])], [("t", 0, 1)]), "conll_tsv": "w\tB-t\n"}
 _MALFORMED = {"jsonl": '{"id": "a", "tokens": 3}\n', "conll_tsv": "w\n"}
