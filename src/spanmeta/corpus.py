@@ -559,7 +559,7 @@ class _LayoutReader:
         # json.loads's depth limit depends on the depth of the call stack
         if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
             raise ValueError("not one token object in the layout")
-        return _token_from_obj(tk, self.seen, None)
+        return _tokens_from_objs([tk], self.seen, None)[0]
 
     def read(self, line: str) -> Document | None:
         try:
@@ -620,18 +620,21 @@ def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
     raw_tokens = obj.get("tokens")
     if not isinstance(raw_tokens, list):
         raise ValueError(f"document {doc_id!r}: missing or non-list 'tokens'")
-    return _document(doc_id, [_token_from_obj(tk, seen, doc_id) for tk in raw_tokens], obj)
+    return _document(doc_id, _tokens_from_objs(raw_tokens, seen, doc_id), obj)
 
 
-def _token_from_obj(tk: object, seen: dict[tuple, Token], doc_id) -> Token:
-    """The token of one parsed token entry of document ``doc_id``; the
-    check that both JSONL readers make of each entry."""
-    if not isinstance(tk, dict):
-        raise ValueError(f"document {doc_id!r}: malformed token entry")
-    feats = tk.get("features", [])
-    if not isinstance(feats, list):  # a string would pass as a bag of letters
-        raise ValueError(f"document {doc_id!r}: malformed feature list")
-    return _token(seen, tk.get("surface"), feats)
+def _tokens_from_objs(entries: list, seen: dict[tuple, Token], doc_id) -> list[Token]:
+    """The tokens of parsed token entries of document ``doc_id``, each
+    checked as both JSONL readers check an entry."""
+    tokens = []
+    for tk in entries:
+        if not isinstance(tk, dict):
+            raise ValueError(f"document {doc_id!r}: malformed token entry")
+        feats = tk.get("features", [])
+        if not isinstance(feats, list):  # a string would pass as a bag of letters
+            raise ValueError(f"document {doc_id!r}: malformed feature list")
+        tokens.append(_token(seen, tk.get("surface"), feats))
+    return tokens
 
 
 def _document(doc_id, tokens: Sequence[Token], obj: dict) -> Document:
