@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ._jsontext import InputError, csv_text, json_text, parse_json, read_text, write_text
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
-from .corpus import Corpus, read_corpus
+from .corpus import Corpus, _LayoutReader, read_corpus
 from .evaluation import PRF, F1Report, _sum_counts, count_matches, f1_report
 from .metrics import (
     DatasetMetrics,
@@ -175,10 +175,14 @@ def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
 
     config = _train_config(args)
-    train_corpus = read_corpus(args.train, format=args.input_format)
+    tokens = _LayoutReader()  # one token table for both reads
+    train_corpus = read_corpus(args.train, format=args.input_format, _tokens=tokens)
     dev_corpus = None
     if args.dev:
-        dev_corpus = read_corpus(args.dev, format=args.input_format, partition="dev")
+        dev_corpus = read_corpus(
+            args.dev, format=args.input_format, partition="dev", _tokens=tokens
+        )
+    del tokens  # training needs the corpora, not the table
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
@@ -224,9 +228,12 @@ def _report_to_json(report: F1Report) -> dict:
 
 
 def _cmd_eval(args) -> None:
-    gold = read_corpus(args.gold, format=args.input_format)
+    tokens = _LayoutReader()  # one token table for both reads
+    gold = read_corpus(args.gold, format=args.input_format, _tokens=tokens)
     # model output may contain stray continuation labels
-    pred = read_corpus(args.pred, format=args.input_format, decode_mode="lenient")
+    pred = read_corpus(
+        args.pred, format=args.input_format, decode_mode="lenient", _tokens=tokens
+    )
     counts = _sum_counts(
         count_matches(g.spans, p.spans) for g, p in _pair_documents(gold, pred)
     )

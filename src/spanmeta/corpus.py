@@ -9,7 +9,11 @@ checks what a token, span or document may hold, so readers and writers
 rely on it rather than checking again. ``read_corpus`` builds and checks
 each distinct token once: equal tokens of one read share one immutable
 ``Token`` object, whatever the order or repetition of their feature
-names, so a corpus costs memory by its distinct tokens.
+names, so a corpus costs memory by its distinct tokens. A command that
+reads two files, such as ``spanmeta eval`` (gold, then predictions) or
+``spanmeta train --dev``, reads both through one token table, so equal
+tokens of its two files are one object too, and a token of the second
+file that the first one holds is not parsed or checked again.
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
 
@@ -18,7 +22,7 @@ default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}`
 costs time by its distinct token texts as well. Such a line is read
 without ``json.loads`` over its tokens. The id is scanned as a JSON
 string, and the token array is split at the writer's ``}, {`` separator.
-Each piece is looked up in a per-read memo; a piece not seen before is
+Each piece is looked up in the token table's memo; a piece not seen before is
 parsed as the object ``"{" + piece + "}"`` by json's own scanner and
 checked as any token is. The members after the array are scanned as
 ``"{" + rest``. This is sound because a memo key is only ever a piece
@@ -39,7 +43,15 @@ The memo pays only when texts repeat. A new text costs a scanner call
 and a memo entry besides its token, so a file whose texts mostly do not
 repeat reads slower, and holds more memory while it is read, than it
 would through ``json.loads``. The reader does not choose between the two
-paths by repetition.
+paths by repetition. The second file of a shared table repeats the
+first's texts wherever the two hold the same tokens, as a predicted file
+holds its gold file's.
+
+Sharing a table cannot change what a read returns or refuses: a memo key
+is a piece the scanner consumed whole as one token object that passed
+the token checks, and a ``seen`` key a token that was built and checked.
+Neither fact depends on the file the key came from, and a read that
+fails leaves only such keys behind.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus. A parse allocates millions of small objects and no
@@ -70,7 +82,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from json.decoder import JSONDecoder, scanstring
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
@@ -391,6 +403,7 @@ def read_corpus(
     *,
     partition: str = "train",
     decode_mode: str = "strict",
+    _tokens: _LayoutReader | None = None,
 ) -> Corpus:
     """Parse a corpus file.
 
@@ -411,6 +424,9 @@ def read_corpus(
         format: ``jsonl`` or ``conll_tsv``.
         partition: partition tag for the returned corpus.
         decode_mode: BIO decode mode for the TSV label column.
+        _tokens: private; the token table of an earlier read of the same
+            command, so that equal tokens across its reads are one object,
+            each parsed and checked once. A fresh table by default.
 
     Raises:
         CorpusFormatError: on bytes that are not UTF-8 or malformed
@@ -424,11 +440,12 @@ def read_corpus(
         text = read_text(path)
     except InputError as e:  # bytes that are not UTF-8
         raise CorpusFormatError(*e.args) from None
+    table = _LayoutReader() if _tokens is None else _tokens
     with _gc_paused():
         if format == "jsonl":
-            docs = _parse_jsonl(text, path)
+            docs = _parse_jsonl(text, path, table)
         else:
-            docs = _parse_conll_tsv(text, path, decode_mode)
+            docs = _parse_conll_tsv(text, path, decode_mode, table.seen)
         return Corpus(tuple(docs), _derive_inventory(docs), partition)
 
 
@@ -504,7 +521,7 @@ def _to_jsonl(corpus: Corpus) -> str:
 
 def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
     """The token with this surface and these features, built and checked
-    on first sight; later sightings in the same read reuse that object.
+    on first sight; later sightings through the same table reuse that object.
 
     ``seen`` maps each raw ``(surface, *features)`` key to its token. A new
     token is also filed under its key with sorted, distinct features, so
@@ -537,29 +554,20 @@ _scan_once = make_scanner(JSONDecoder())
 
 
 class _LayoutReader:
-    """Reads one read's lines in ``_to_jsonl``'s layout, each distinct token
-    text once; ``read`` returns None for any line it cannot read.
+    """The token table of one command's reads, which reads lines in
+    ``_to_jsonl``'s layout, each distinct token text once; ``read`` returns
+    None for any line it cannot read.
 
-    ``texts`` maps each token's text between the separators, such as
-    ``"surface": "w1", "features": []``, to its token.
+    ``seen`` maps each raw token key to its token (see ``_token``), for
+    both formats. ``texts`` maps each token's text between the separators,
+    such as ``"surface": "w1", "features": []``, to its token.
     """
 
-    def __init__(self, seen: dict[tuple, Token]) -> None:
-        self.seen = seen
-        self.texts = _Memo(self._token)
-
-    def _token(self, text: str) -> Token:
-        """The token whose object is ``{`` + ``text`` + ``}``, checked as
-        ``_document_from_obj`` checks a token; ValueError for any other text."""
-        try:
-            tk, end = _scan_once("{" + text + "}", 0)
-        except StopIteration:  # not a value: StopIteration would end map() early
-            raise ValueError("not a token object") from None
-        # the writer's keys only, so no value nests deeper than the layout's:
-        # json.loads's depth limit depends on the depth of the call stack
-        if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
-            raise ValueError("not one token object in the layout")
-        return _tokens_from_objs([tk], self.seen, None)[0]
+    def __init__(self) -> None:
+        self.seen: dict[tuple, Token] = {}
+        # not a bound method, so that the table is in no reference cycle
+        # and is freed as soon as its command lets go of it
+        self.texts = _Memo(partial(_piece_token, self.seen))
 
     def read(self, line: str) -> Document | None:
         try:
@@ -596,17 +604,29 @@ class _LayoutReader:
         return doc if sum(map(len, spans)) == 3 * len(spans) else None
 
 
-def _parse_jsonl(text: str, path) -> list[Document]:
+def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
+    """The token whose object is ``{`` + ``text`` + ``}``, checked as
+    ``_document_from_obj`` checks a token; ValueError for any other text."""
+    try:
+        tk, end = _scan_once("{" + text + "}", 0)
+    except StopIteration:  # not a value: StopIteration would end map() early
+        raise ValueError("not a token object") from None
+    # the writer's keys only, so no value nests deeper than the layout's:
+    # json.loads's depth limit depends on the depth of the call stack
+    if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
+        raise ValueError("not one token object in the layout")
+    return _tokens_from_objs([tk], seen, None)[0]
+
+
+def _parse_jsonl(text: str, path, table: _LayoutReader) -> list[Document]:
     docs: list[Document] = []
-    seen: dict[tuple, Token] = {}
-    layout = _LayoutReader(seen)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        doc = layout.read(line)
+        doc = table.read(line)
         if doc is None:
             try:
-                doc = _document_from_obj(parse_json(line), seen)
+                doc = _document_from_obj(parse_json(line), table.seen)
             except ValueError as e:
                 raise CorpusFormatError(path, str(e), lineno) from e
         docs.append(doc)
@@ -696,11 +716,12 @@ def _to_conll_tsv(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _parse_conll_tsv(text: str, path, decode_mode: str) -> list[Document]:
+def _parse_conll_tsv(
+    text: str, path, decode_mode: str, seen: dict[tuple, Token]
+) -> list[Document]:
     docs: list[Document] = []
     rows: list[tuple[Token, str]] = []
     first_row_line = 0
-    seen: dict[tuple, Token] = {}
 
     def flush() -> None:
         nonlocal rows

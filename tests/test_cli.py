@@ -840,6 +840,57 @@ class TestEval:
         monkeypatch.setattr(cli, "_sum_counts", _plus_fold)
         assert run_cli(argv, capsys) == summed
 
+    @pytest.mark.parametrize("layout", ["default", "compact", "spans-first", "conll_tsv"])
+    @pytest.mark.parametrize("extra", [[], ["--format", "csv"]], ids=["json", "csv"])
+    def test_a_shared_token_table_prints_what_fresh_reads_print(
+        self, tmp_path, capsys, monkeypatch, layout, extra
+    ):
+        fmt = "conll_tsv" if layout == "conll_tsv" else "jsonl"
+        gold, pred = _random_gold_and_pred(tmp_path, fmt)
+        if layout in ("compact", "spans-first"):  # read through json.loads
+            docs = [json.loads(line) for line in Path(pred).read_text().splitlines()]
+            Path(pred).write_text(
+                "".join(
+                    json.dumps(d, separators=(",", ":")) + "\n"
+                    if layout == "compact"
+                    else json.dumps(dict(reversed(d.items()))) + "\n"
+                    for d in docs
+                )
+            )
+        argv = ["eval", "--gold", gold, "--pred", pred, "--input-format", fmt, *extra]
+        shared = run_cli(argv, capsys)
+        assert shared[0] == 0
+        fresh = cli.read_corpus
+
+        def read_alone(*args, _tokens, **kwargs):  # each read with a table of its own
+            return fresh(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_corpus", read_alone)
+        assert run_cli(argv, capsys) == shared
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_each_call_reads_its_two_files_through_a_table_of_its_own(
+        self, files, capsys, monkeypatch, command
+    ):
+        tables = []
+        read = cli.read_corpus
+
+        def noting_tables(*args, _tokens, **kwargs):
+            tables.append(_tokens)
+            return read(*args, _tokens=_tokens, **kwargs)
+
+        monkeypatch.setattr(cli, "read_corpus", noting_tables)
+        argv = {
+            "eval": ["eval", "--gold", files["gold"], "--pred", files["pred"]],
+            "train": ["train", "--arch", "baseline", "--train", files["train"],
+                      "--dev", files["dev"], "--max-epochs", "1"],
+        }[command]  # fmt: skip
+        first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+        assert first == second and first[0] == 0
+        assert len(tables) == 4
+        assert tables[0] is tables[1] and tables[2] is tables[3]
+        assert tables[0] is not tables[2]
+
     def test_csv_ends_with_micro_row(self, files, capsys):
         code, out, _ = run_cli(
             ["eval", "--gold", files["gold"], "--pred", files["pred"], "--format", "csv"],

@@ -1004,6 +1004,114 @@ class TestJsonlLayouts:
         assert generic == []
 
 
+def _read_through(table, path, **options) -> tuple[Document, ...] | str:
+    """As ``_read``, through the token table ``table``."""
+    try:
+        return read_corpus(path, _tokens=table, **options).documents
+    except CorpusFormatError as e:
+        return str(e)
+
+
+def _layouts(corpus: Corpus) -> dict[str, str]:
+    """The text of ``corpus`` in the writer's layout and in two that go to
+    ``json.loads``."""
+    return {
+        "default": _dict_jsonl(corpus),
+        "compact": _dict_jsonl(corpus, separators=(",", ":")),
+        "spans-first": _dict_jsonl(corpus, reordered=True),
+    }
+
+
+class TestSharedTokenTable:
+    """Reads through one token table, as ``eval`` and ``train --dev`` make
+    them, return and refuse what fresh reads do, and share equal tokens."""
+
+    @pytest.mark.parametrize("layout", ["default", "compact", "spans-first", "conll_tsv"])
+    def test_equal_tokens_of_two_files_are_one_object(self, tmp_path, layout):
+        fmt = "conll_tsv" if layout == "conll_tsv" else "jsonl"
+        gold = _sample_corpus()
+        docs = [Document(d.id, d.tokens, d.spans[1:]) for d in gold.documents]
+        docs[2] = Document("doc-c", docs[2].tokens, (Span("place", 0, 2),))
+        pred = Corpus(tuple(docs), ("place",))
+        gold_path, pred_path = tmp_path / "gold", tmp_path / "pred"
+        write_corpus(gold, gold_path, format=fmt)
+        if fmt == "jsonl":
+            pred_path.write_text(_layouts(pred)[layout], encoding="utf-8")
+        else:
+            write_corpus(pred, pred_path, format=fmt)
+        table = corpus_mod._LayoutReader()
+        first = read_corpus(gold_path, format=fmt, _tokens=table)
+        second = read_corpus(pred_path, format=fmt, _tokens=table, decode_mode="lenient")
+        assert second.documents == read_corpus(pred_path, format=fmt).documents
+        for g, p in zip(first.documents, second.documents):
+            assert all(a is b for a, b in zip(g.tokens, p.tokens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora(_LAYOUT_NAMES), _corpora(_LAYOUT_NAMES), st.data())
+    def test_a_second_file_reads_as_a_fresh_read_reads_it(
+        self, tmp_path_factory, first, second, data
+    ):
+        base = tmp_path_factory.getbasetemp()
+        paths = []
+        for name, corpus in (("first", first), ("second", second)):
+            # ensure_ascii writes the lone surrogates that UTF-8 cannot hold
+            texts = dict(_layouts(corpus), escaped=_dict_jsonl(corpus, ensure_ascii=True))
+            try:
+                texts["default"].encode("utf-8")
+            except UnicodeEncodeError:
+                texts = {"escaped": texts["escaped"]}
+            paths.append(base / f"shared-{name}")
+            paths[-1].write_text(
+                data.draw(st.sampled_from(sorted(texts.values()))), encoding="utf-8"
+            )
+        table = corpus_mod._LayoutReader()
+        gold = read_corpus(paths[0], _tokens=table).documents
+        docs = _read_through(table, paths[1])
+        assert docs == _read(paths[1]) == second.documents
+        tokens = {t: t for d in gold for t in d.tokens}
+        assert all(tokens.get(t, t) is t for d in docs for t in d.tokens)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda line: line.replace('"end": 2', '"end": 4'),  # a span past the end
+            lambda line: line.replace('"features": ["f"]', '"features": "f"', 1),
+            lambda line: line.replace('"end": 2}', '"end": 2}, {"type": "t", "start": 1, "end": 3}'),
+            lambda line: line.replace('"start": 0', '"start": 0.0'),
+            lambda line: line.replace('"id": "d"', '"id": 3'),
+        ]
+        + [lambda line, cut=cut: line[:cut] for cut in range(5, 80, 5)],  # truncated
+    )
+    def test_a_refused_line_reads_as_a_fresh_read_refuses_it(self, tmp_path, mutate):
+        good = _jsonl_line("d", [("x", ["f"]), ("y", []), ("x", ["f"])], [("t", 0, 2)])
+        gold, pred = tmp_path / "gold", tmp_path / "pred"
+        gold.write_text(good + "\n")
+        pred.write_text(good + "\n" + mutate(good) + "\n")
+        table = corpus_mod._LayoutReader()
+        read_corpus(gold, _tokens=table)
+        refusal = _read(pred)
+        assert isinstance(refusal, str) and refusal.startswith(f"{pred}: line 2: ")
+        assert _read_through(table, pred) == refusal
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_failed_read_leaves_the_table_usable(self, tmp_path, fmt):
+        if fmt == "jsonl":
+            rows = [_jsonl_line(f"d{i}", [(w, ["f"]), ("y", [])]) for i, w in enumerate("abc")]
+            bad = _jsonl_line("e", [("b", ["f"]), ("z", [""])])
+        else:
+            rows = [_tsv_row(w, ["f"]) + "\n" + _tsv_row("y", []) + "\n" for w in "abc"]
+            bad = _tsv_row("z", [""])
+        gold, broken, good = tmp_path / "gold", tmp_path / "broken", tmp_path / "good"
+        gold.write_text(rows[0] + "\n")
+        broken.write_text(rows[1] + "\n" + bad + "\n")
+        good.write_text("\n".join(rows) + "\n")
+        table = corpus_mod._LayoutReader()
+        read_corpus(gold, format=fmt, _tokens=table)
+        with pytest.raises(CorpusFormatError):
+            read_corpus(broken, format=fmt, _tokens=table)
+        assert _read_through(table, good, format=fmt) == read_corpus(good, format=fmt).documents
+
+
 _GOOD = {"jsonl": _jsonl_line("a", [("w", [])], [("t", 0, 1)]), "conll_tsv": "w\tB-t\n"}
 _MALFORMED = {"jsonl": '{"id": "a", "tokens": 3}\n', "conll_tsv": "w\n"}
 
