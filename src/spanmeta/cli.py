@@ -173,6 +173,7 @@ def _train_config(args):
 
 def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
+    from .seqlab.training import _NO_DEV_SPANS
 
     config = _train_config(args)
     tokens = _LayoutReader()  # one token table for both reads
@@ -182,6 +183,8 @@ def _cmd_train(args) -> None:
         dev_corpus = read_corpus(
             args.dev, format=args.input_format, partition="dev", _tokens=tokens
         )
+        if not dev_corpus.span_type_inventory:
+            raise InputError(args.dev, _NO_DEV_SPANS)
     del tokens  # training needs the corpora, not the table
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)

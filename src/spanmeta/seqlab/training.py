@@ -163,6 +163,11 @@ def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:
     return f1_report(counts, types=inventory).micro.f1
 
 
+# an explicit dev corpus with no spans scores F1 0 in every epoch: training
+# would run to max_epochs and keep epoch 1's weights
+_NO_DEV_SPANS = "no dev document has a span, so dev F1 cannot choose a checkpoint"
+
+
 def _diverged(config: TrainConfig, where: str, what: str) -> ValueError:
     return ValueError(
         f"training diverged in {where}: {what} is not finite; "
@@ -181,7 +186,9 @@ def train(
     A dev corpus may use any of the training span types, in any order;
     its F1 is scored over the training inventory. With no dev corpus, a
     fraction of the training documents is held out for the
-    early-stopping signal. Training documents with no tokens are
+    early-stopping signal. A dev corpus with no spans raises
+    ``ValueError``, as its F1 would be 0 in every epoch; held-out
+    documents may have none. Training documents with no tokens are
     skipped. ``max_epochs`` of 0 returns the zero-weight initial model
     with an empty log.
 
@@ -223,6 +230,8 @@ def train(
     train_docs = [d for d in train_docs if len(d)]
     if not train_docs:
         raise ValueError("no training document has any tokens")
+    if dev_corpus is not None and not any(d.spans for d in dev_docs):
+        raise ValueError(_NO_DEV_SPANS)
 
     labels = bio_labels(inventory)
     index = FeatureIndex.fit(train_docs)

@@ -1372,6 +1372,9 @@ class TestInputFiles:
              lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
             (_BAD_JSONL, _JSON_AT_2,
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
+            ('{"id": "v0", "tokens": [{"surface": "per", "features": []}], "spans": []}\n',
+             "no dev document has a span",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
             ("seed = 1\nwarmup = 5\n", "line 2: unknown training option 'warmup'",
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
                              "--config", bad]),
@@ -1384,7 +1387,8 @@ class TestInputFiles:
              lambda bad, f: [*_PREDICT, "--model", bad]),
         ],
         ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
-             "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-config",
+             "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-dev-no-spans",
+             "train-config",
              "meta-fit-obs-row", "meta-fit-obs-header", "meta-cv-obs-row",
              "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty"],
     )

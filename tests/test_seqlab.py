@@ -1195,6 +1195,15 @@ class TestTraining:
         with pytest.raises(ValueError, match="no training document has any tokens"):
             train("crf", empty, dev)
 
+    @pytest.mark.parametrize("n_dev", [0, 2], ids=["empty", "spanless"])
+    def test_rejects_a_dev_corpus_with_no_spans(self, n_dev):
+        # its F1 is 0 in every epoch, so only epoch 1 would be checkpointed
+        train_c, _ = _toy_corpora(4, 0)
+        docs = tuple(make_doc(f"v{i}", ["the", "per", "son"]) for i in range(n_dev))
+        dev = Corpus(docs, ("p",), partition="dev")
+        with pytest.raises(ValueError, match="^no dev document has a span"):
+            train("baseline", train_c, dev, TrainConfig(max_epochs=4))
+
     def test_a_loss_that_is_not_finite_stops_training(self):
         train_c, dev_c = _toy_corpora(6, 2)
         config = TrainConfig(learning_rate=1e20, batch_size=2, max_epochs=3)
