@@ -22,10 +22,10 @@ default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}`
 costs time by its distinct token texts as well. Such a line is read
 without ``json.loads`` over its tokens. The id is scanned as a JSON
 string, and the token array is split at the writer's ``}, {`` separator.
-Each piece is looked up in the token table's memo; a piece not seen before is
-parsed as the object ``"{" + piece + "}"`` by json's own scanner and
-checked as any token is. The members after the array are scanned as
-``"{" + rest``. This is sound because a memo key is only ever a piece
+Each piece is looked up in the token table's memo; a piece not seen
+before is parsed as the object ``"{" + piece + "}"`` by json's own
+scanner and checked as any token is. The members after the array are
+scanned as ``"{" + rest``. This is sound because a memo key is only ever a piece
 whose ``"{" + piece + "}"`` the scanner consumed whole as one JSON
 object, and JSON objects are self-delimiting: if every piece of
 ``[{p1}, {p2}, …]`` is such a text, that text is an array of exactly
