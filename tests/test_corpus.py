@@ -1107,8 +1107,10 @@ class TestSharedTokenTable:
         good.write_text("\n".join(rows) + "\n")
         table = corpus_mod._LayoutReader()
         read_corpus(gold, format=fmt, _tokens=table)
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(CorpusFormatError) as refused:
             read_corpus(broken, format=fmt, _tokens=table)
+        # the refused token left nothing behind that a later read could take
+        assert _read_through(table, broken, format=fmt) == str(refused.value)
         assert _read_through(table, good, format=fmt) == read_corpus(good, format=fmt).documents
 
 
