@@ -5,9 +5,10 @@ Reading. :func:`read_text` decodes a file as UTF-8, drops a byte-order
 mark at its start, as Windows editors write one, and, by default,
 turns ``\\r\\n`` and ``\\r`` line ends into ``\\n``, as ``open`` does;
 bytes that are not UTF-8 raise :class:`InputError`. :func:`parse_json`
-is ``json.loads`` whose every refusal (a syntax error, nesting too deep
-for the parser, an integer longer than ``sys.get_int_max_str_digits()``
-digits) is one ``ValueError``.
+is ``json.loads`` whose every refusal (a syntax error, containers nested
+more than 100 deep, an integer longer than ``sys.get_int_max_str_digits()``
+digits) is one ``ValueError``, the same from any depth of the caller's
+stack.
 
 Refusing. :class:`InputError` is the one error a reader raises for a
 file it refuses, and the one place that words it: ``<path>: line N:
@@ -38,7 +39,9 @@ import io
 import json
 import os
 import stat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _string
+from operator import is_
 from pathlib import Path
 
 __all__ = ["InputError", "csv_text", "json_text", "parse_json", "read_text", "write_text"]
@@ -177,18 +180,57 @@ def read_text(path, newline: str | None = None) -> str:
         raise InputError(path, f"not UTF-8 text ({e.reason})", line) from None
 
 
+#: How deep containers may nest in a parsed value, the outermost counted;
+#: the file formats nest at most 5 deep. ``json.loads``'s own limit counts
+#: Python frames, so it would move with the depth of the caller's stack.
+_MAX_DEPTH = 100
+_TOO_DEEP = (
+    f"invalid JSON: maximum recursion depth exceeded: containers nest more than "
+    f"{_MAX_DEPTH} deep"
+)
+
+
 def parse_json(text: str):
     """``json.loads(text)``, with every refusal one ``ValueError``.
 
+    Containers may nest at most ``_MAX_DEPTH`` deep, wherever the caller's
+    stack stands: a value ``json.loads`` cannot recurse into and one
+    that it parses but nests deeper are refused with the same text.
+
     Raises:
-        ValueError: ``invalid JSON: `` and the parser's reason, for a
-            syntax error, nesting too deep for the parser's recursion, or
-            an integer with more digits than the interpreter converts.
+        ValueError: ``invalid JSON: `` and the reason, for a syntax error,
+            nesting deeper than ``_MAX_DEPTH``, or an integer with more
+            digits than the interpreter converts.
     """
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as e:
+        value = json.loads(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+    except ValueError as e:
         raise ValueError(f"invalid JSON: {e}") from e
+    # each level of nesting opens with a bracket, so with few brackets in
+    # the text the walk is skipped
+    if text.count("[") + text.count("{") > _MAX_DEPTH and _nests_deeper(value, _MAX_DEPTH):
+        raise ValueError(_TOO_DEEP)
+    return value
+
+
+def _nests_deeper(value, limit: int) -> bool:
+    """Whether containers nest more than ``limit`` deep in a parsed value.
+
+    Walked a level at a time, with no recursion; each level's values are
+    sorted into lists and dicts by ``itertools``, which costs about as much
+    as ``json.loads`` took to parse them.
+    """
+    level = [value]
+    for _ in range(limit):
+        types = list(map(type, level))
+        lists = compress(level, map(is_, repeat(list), types))
+        dicts = compress(level, map(is_, repeat(dict), types))
+        level = [*chain.from_iterable(lists), *chain.from_iterable(map(dict.values, dicts))]
+        if not level:
+            return False
+    return any(t is list or t is dict for t in map(type, level))
 
 
 def write_text(path, text: str) -> None:

@@ -173,7 +173,7 @@ def _train_config(args):
 
 def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
-    from .seqlab.training import _NO_DEV_SPANS
+    from .seqlab.training import _NO_DEV_SPANS, _foreign_dev_types
 
     config = _train_config(args)
     tokens = _LayoutReader()  # one token table for both reads
@@ -183,8 +183,9 @@ def _cmd_train(args) -> None:
         dev_corpus = read_corpus(
             args.dev, format=args.input_format, partition="dev", _tokens=tokens
         )
-        if not dev_corpus.span_type_inventory:
-            raise InputError(args.dev, _NO_DEV_SPANS)
+        reason = _foreign_dev_types(train_corpus.span_type_inventory, dev_corpus)
+        if reason or not dev_corpus.span_type_inventory:
+            raise InputError(args.dev, reason or _NO_DEV_SPANS)
     del tokens  # training needs the corpora, not the table
     result = train(args.arch, train_corpus, dev_corpus, config)
     obj = model_to_dict(result.model)
@@ -197,28 +198,31 @@ def _cmd_train(args) -> None:
 # eval
 
 
-def _pair_documents(gold: Corpus, pred: Corpus):
-    def by_id(corpus: Corpus, label: str):
+def _pair_documents(gold: Corpus, pred: Corpus, gold_path: str, pred_path: str):
+    """Gold and pred documents paired by id; a mismatch is the pred file's fault."""
+
+    def by_id(corpus: Corpus, path: str, label: str):
         out = {}
         for doc in corpus:
             if doc.id in out:
-                raise ValueError(f"duplicate document id {doc.id!r} in {label} corpus")
+                raise InputError(path, f"duplicate document id {doc.id!r} in {label} corpus")
             out[doc.id] = doc
         return out
 
-    gold_docs = by_id(gold, "gold")
-    pred_docs = by_id(pred, "pred")
+    gold_docs = by_id(gold, gold_path, "gold")
+    pred_docs = by_id(pred, pred_path, "pred")
     if gold_docs.keys() != pred_docs.keys():
         missing = sorted(gold_docs.keys() ^ pred_docs.keys())[:5]
-        raise ValueError(
+        raise InputError(
+            pred_path,
             f"gold and pred corpora do not cover the same documents; "
-            f"first differences: {missing}"
+            f"first differences: {missing}",
         )
     for doc_id, g in gold_docs.items():
         p = pred_docs[doc_id]
         if len(g) != len(p):
-            raise ValueError(
-                f"document {doc_id!r}: {len(g)} gold tokens vs {len(p)} predicted"
+            raise InputError(
+                pred_path, f"document {doc_id!r}: {len(g)} gold tokens vs {len(p)} predicted"
             )
         yield g, p
 
@@ -238,7 +242,8 @@ def _cmd_eval(args) -> None:
         args.pred, format=args.input_format, decode_mode="lenient", _tokens=tokens
     )
     counts = _sum_counts(
-        count_matches(g.spans, p.spans) for g, p in _pair_documents(gold, pred)
+        count_matches(g.spans, p.spans)
+        for g, p in _pair_documents(gold, pred, args.gold, args.pred)
     )
     if args.types:
         types = args.types
@@ -273,9 +278,9 @@ def _observations(args):
         from .meta import observations_from_csv
 
         return observations_from_csv(args.obs)
-    from .reference import _BundledObservations, load_embedded
+    from .reference import _bundled, load_embedded
 
-    return _BundledObservations(load_embedded())
+    return _bundled(load_embedded())
 
 
 def _cv_to_dict(result) -> dict:

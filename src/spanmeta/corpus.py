@@ -612,7 +612,7 @@ def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
     except StopIteration:  # not a value: StopIteration would end map() early
         raise ValueError("not a token object") from None
     # the writer's keys only, so no value nests deeper than the layout's:
-    # json.loads's depth limit depends on the depth of the call stack
+    # a deep value goes to parse_json, which alone decides how deep is too deep
     if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
         raise ValueError("not one token object in the layout")
     return _tokens_from_objs([tk], seen, None)[0]

@@ -28,12 +28,13 @@ in closed form as ``y_g - inv(I - Q_g Q_g') e_g`` with ``e = y - QQ'y``.
 
 A command that fits, cross-validates and sweeps the padding over one set
 of observations wraps them once in a private holder, a sequence of the
-same observations. It computes the raw catalogue (the eight mains and
-their products), the span-type groups and the F1 vector on first use,
-and per predictor set the standardized design, whose QR the design keeps,
-and the batched fold systems. Every public function takes the holder
-through its observation parameter and wraps a plain sequence in a new
-one, so nothing outlives the call that made it.
+same observations built from three columns: the eight raw mains, the
+span types and the F1 vector. It computes the mains' products and the
+span-type groups on first use, and per predictor set the standardized
+design, whose QR the design keeps, and the batched fold systems. Every
+public function takes the holder through its observation parameter and
+wraps a plain sequence in a new one, so nothing outlives the call that
+made it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -260,26 +261,38 @@ def _with_products(raw: np.ndarray) -> np.ndarray:
 
 
 class _SharedObservations(SequenceABC):
-    """One command's observations, with the work its calls have in common.
+    """One command's observations, as columns, with the work its calls have in common.
 
-    A sequence of the observations it was built from. The raw catalogue,
-    the span-type groups and the F1 vector are computed on first use, and
-    so, per predictor set, are the standardized design and the batched
-    LOSO fold systems; each is then kept for the holder's lifetime.
+    Built from three columns, one entry per observation: the eight raw
+    mains, the span type and the F1 score, and from a zero-argument
+    callable that returns the observations themselves. The callable runs
+    only when the holder is indexed or iterated, and its result is kept;
+    nothing else here reads an observation. The catalogue's products and
+    the span-type groups are computed on first use, and so, per predictor
+    set, are the standardized design and the batched LOSO fold systems;
+    each is then kept for the holder's lifetime.
 
-    Commands on the bundled study use a subclass,
-    ``spanmeta.reference._BundledObservations``, that takes the catalogue,
-    groups and F1 vector from the tables' columns, and builds the
-    observations themselves only when an item is asked for.
+    :func:`_shared` builds one from observations; the commands on the
+    bundled study use ``spanmeta.reference._bundled``, which takes the
+    columns from the tables and builds no observation.
     """
 
-    def __init__(self, observations: Iterable[Observation]) -> None:
-        self._items = list(observations)
+    def __init__(
+        self,
+        raw: np.ndarray,
+        span_types: Sequence[str],
+        f1: np.ndarray,
+        observations: Callable[[], Sequence[Observation]],
+    ) -> None:
+        self._raw = raw
+        self._span_types = span_types
+        self.f1 = f1
+        self._observations = observations
         self._designs: dict[str, DesignMatrix] = {}
         self._folds: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._span_types)
 
     def __getitem__(self, index):
         return self._items[index]
@@ -288,9 +301,13 @@ class _SharedObservations(SequenceABC):
         return iter(self._items)
 
     @cached_property
+    def _items(self) -> list[Observation]:
+        return list(self._observations())
+
+    @cached_property
     def catalogue(self) -> np.ndarray:
         """The eight raw mains followed by their products, one per interaction."""
-        return _with_products(raw_predictors(self._items))
+        return _with_products(self._raw)
 
     def columns(self, predictor_set: str) -> np.ndarray:
         """Raw values of a predictor set's columns, selected from the catalogue."""
@@ -301,13 +318,9 @@ class _SharedObservations(SequenceABC):
     def groups(self) -> dict[str, np.ndarray]:
         """Row indices of each span type, in order of first appearance."""
         rows: dict[str, list[int]] = {}
-        for i, o in enumerate(self._items):
-            rows.setdefault(o.span_type_id, []).append(i)
+        for i, type_id in enumerate(self._span_types):
+            rows.setdefault(type_id, []).append(i)
         return {type_id: np.array(idx) for type_id, idx in rows.items()}
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        return np.array([o.f1 for o in self._items])
 
     def logit(self, alpha: float) -> np.ndarray:
         """The F1 vector on the padded-logit scale of ``alpha``.
@@ -319,11 +332,12 @@ class _SharedObservations(SequenceABC):
         y = padded_logit(self.f1, alpha)
         bad = np.flatnonzero(~np.isfinite(y))
         if bad.size:
-            o = self._items[bad[0]]
-            arch = " ".join(f"{name}={int(on)}" for name, on in zip(ARCH_MAINS, o.arch.flags()))
+            i = bad[0]
+            # the first raw mains are the architecture flags, in ARCH_MAINS order
+            arch = " ".join(f"{name}={int(on)}" for name, on in zip(ARCH_MAINS, self._raw[i]))
             raise ValueError(
-                f"at alpha {alpha:g} the padded logit of span type {o.span_type_id!r}, "
-                f"architecture {arch}, F1 {o.f1:g} is not finite; alpha 0 needs every "
+                f"at alpha {alpha:g} the padded logit of span type {self._span_types[i]!r}, "
+                f"architecture {arch}, F1 {self.f1[i]:g} is not finite; alpha 0 needs every "
                 "F1 strictly between 0 and 100"
             )
         return y
@@ -378,11 +392,13 @@ class _SharedObservations(SequenceABC):
         return batches
 
 
-def _shared(observations: Sequence[Observation]) -> _SharedObservations:
+def _shared(observations: Iterable[Observation]) -> _SharedObservations:
     """``observations`` if it is already a holder, else a new one over them."""
     if isinstance(observations, _SharedObservations):
         return observations
-    return _SharedObservations(observations)
+    items = list(observations)
+    span_types, f1 = [o.span_type_id for o in items], np.array([o.f1 for o in items])
+    return _SharedObservations(raw_predictors(items), span_types, f1, lambda: items)
 
 
 def build_design_matrix(

@@ -33,12 +33,12 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .meta import ArchitectureFeatures, Observation, _SharedObservations, _with_products
+from .meta import ArchitectureFeatures, Observation, _SharedObservations
 from .metrics import DatasetMetrics, SpanTypeProfile
 
 __all__ = [
@@ -239,44 +239,22 @@ def _table_predictors(tables: EmbeddedTables) -> np.ndarray:
     )
 
 
-class _BundledObservations(_SharedObservations):
-    """The holder of :func:`to_observations` of validated tables, built from their columns.
+def _bundled(tables: EmbeddedTables) -> _SharedObservations:
+    """The meta-model's holder of :func:`to_observations`, built from the tables' columns.
 
-    The raw catalogue comes from :func:`_table_predictors`, the groups are
-    the contiguous blocks of twelve rows in profile order, and the F1
-    vector is a copy of the flattened matrix; these equal what the
-    observations would give, bit for bit. The 432 observations are built
-    only when one is asked for: by indexing, by iteration, or by the
-    alpha-0 error that names the first cell with an infinite logit.
+    The raw mains come from :func:`_table_predictors`, the span types are
+    each profile's id repeated once per architecture, and the F1 vector is
+    a copy of the flattened matrix; these equal what the observations
+    would give, bit for bit. The 432 observations are built only if the
+    holder is indexed or iterated.
     """
-
-    def __init__(self, tables: EmbeddedTables) -> None:
-        self._tables = tables
-        self._designs = {}
-        self._folds = {}
-
-    def __len__(self) -> int:
-        return self._tables.f1_matrix.size
-
-    @cached_property
-    def _items(self) -> list[Observation]:
-        return to_observations(self._tables)
-
-    @cached_property
-    def catalogue(self) -> np.ndarray:
-        return _with_products(_table_predictors(self._tables))
-
-    @cached_property
-    def groups(self) -> dict[str, np.ndarray]:
-        n = len(ARCHITECTURES)
-        return {
-            p.type_id: np.arange(i * n, (i + 1) * n)
-            for i, p in enumerate(self._tables.profiles)
-        }
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        return self._tables.f1_matrix.ravel().copy()
+    span_types = [p.type_id for p in tables.profiles for _ in ARCHITECTURES]
+    return _SharedObservations(
+        _table_predictors(tables),
+        span_types,
+        tables.f1_matrix.ravel().copy(),
+        partial(to_observations, tables),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .reference import (
     REFERENCE_CV_SCORES,
     REFERENCE_DATASET_METRICS,
     REFERENCE_PREDICTOR_CORRELATION,
-    _BundledObservations,
+    _bundled,
     dataset_of,
     load_embedded,
 )
@@ -214,7 +214,7 @@ def build_reproduction_report(alpha: float = DEFAULT_ALPHA) -> ReproductionRun:
     tables = load_embedded()
     # one holder, built from the tables' columns, so the ablation, the fit
     # and the sweep share the catalogue and each design, its QR and its folds
-    observations = _BundledObservations(tables)
+    observations = _bundled(tables)
 
     table1 = []
     for ds, ref in REFERENCE_DATASET_METRICS.items():

@@ -269,33 +269,22 @@ def _chain(model: LinearChainCrfModel, docs: Sequence[Encoded]) -> tuple:
     return tokens, _emissions(model.emission_weights, tokens), *_potentials(model)
 
 
-class _Grid(NamedTuple):
-    """Per-token rows of a batch on a padded (T, B, L) grid.
+def _layout(tokens: _Tokens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a batch's tokens sit on its padded (T, B) grid: each token's
+    position ``t`` and grid row ``row``, and ``live``.
 
     Grid row b holds the b-th longest sequence (ties in batch order), so
-    the sequences still running at position t are the rows ``:live[t]``.
-    Padded cells are zero and never read. ``slots`` is the flat (t, b)
-    cell of every token: ``a.reshape(T * B, ...)[slots]`` reads a grid
-    back in token order.
+    the sequences still running at position t are the rows ``:live[t]``,
+    and ``T = len(live)``. ``grid[t, row] = em`` lays per-token rows out on
+    a grid, and ``grid[t, row]`` reads them back in token order.
     """
-
-    cells: np.ndarray
-    live: np.ndarray
-    slots: np.ndarray
-
-
-def _pad(em: np.ndarray, tokens: _Tokens) -> _Grid:
-    """Lay the per-token rows ``em`` of a batch out on its grid."""
-    n_seq, n_labels = len(tokens.lengths), em.shape[1]
-    row = np.empty_like(tokens.lengths)
-    row[np.argsort(-tokens.lengths, kind="stable")] = np.arange(n_seq)
+    n_seq = len(tokens.lengths)
+    rank = np.empty_like(tokens.lengths)
+    rank[np.argsort(-tokens.lengths, kind="stable")] = np.arange(n_seq)
     width = tokens.lengths.max(initial=1)  # an empty batch keeps one position
     live = np.count_nonzero(tokens.lengths[:, None] > np.arange(width), axis=0)
     seq = np.repeat(np.arange(n_seq), tokens.lengths)
-    slots = (np.arange(len(em)) - tokens.heads[seq]) * n_seq + row[seq]
-    cells = np.zeros((width * n_seq, n_labels))
-    cells[slots] = em
-    return _Grid(cells.reshape(width, n_seq, n_labels), live, slots)
+    return np.arange(len(seq)) - tokens.heads[seq], rank[seq], live
 
 
 def _forward_backward(
@@ -331,9 +320,8 @@ def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     row takes every step: a row past its sequence's end multiplies zeros,
     and its cells, NaN after 0 / 0, are never read.
     """
-    _, live, slots = _pad(em, tokens)  # the rows' order does not matter here
+    t, row, live = _layout(tokens)  # the rows' order does not matter here
     n_seq, n_labels = len(tokens.lengths), em.shape[1]
-    t, row = np.divmod(slots, n_seq)
     back = np.repeat(tokens.lengths, tokens.lengths) - 1 - t  # steps from the tail
     shift = trans.max(axis=0)
     scale = np.exp(trans - shift)
@@ -372,23 +360,25 @@ def _scaled_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
 
 def _log_pass(em: np.ndarray, tokens: _Tokens, trans, start, stop):
     """:func:`_forward_backward` with log messages summed by ``_logsumexp``."""
-    cells, live, slots = _pad(em, tokens)
+    t, row, live = _layout(tokens)
+    cells = np.zeros((len(live), len(tokens.lengths), em.shape[1]))
+    cells[t, row] = em
     alpha = np.zeros_like(cells)
     beta = np.zeros_like(cells) + stop  # the value at every last token
     alpha[0] = start + cells[0]
-    for t in range(1, len(live)):
-        k = live[t]
-        alpha[t, :k] = cells[t, :k] + _logsumexp(alpha[t - 1, :k, :, None] + trans, axis=1)
-    log_z = _logsumexp(alpha.reshape(-1, em.shape[1])[slots][tokens.tails] + stop, axis=1)
-    rows = np.empty_like(log_z)
-    rows[slots[tokens.heads]] = log_z  # in grid row order
+    for u in range(1, len(live)):
+        k = live[u]
+        alpha[u, :k] = cells[u, :k] + _logsumexp(alpha[u - 1, :k, :, None] + trans, axis=1)
+    log_z = _logsumexp(alpha[t, row][tokens.tails] + stop, axis=1)
+    by_row = np.empty_like(log_z)
+    by_row[row[tokens.heads]] = log_z
     pair = np.zeros_like(trans)
-    for t in range(len(live) - 2, -1, -1):
-        k = live[t + 1]
-        after = trans + (cells[t + 1, :k] + beta[t + 1, :k])[:, None, :]
-        beta[t, :k] = _logsumexp(after, axis=2)
-        pair += np.exp(alpha[t, :k, :, None] + after - rows[:k, None, None]).sum(axis=0)
-    node = (alpha + beta - rows[:, None]).reshape(-1, em.shape[1])[slots]
+    for u in range(len(live) - 2, -1, -1):
+        k = live[u + 1]
+        after = trans + (cells[u + 1, :k] + beta[u + 1, :k])[:, None, :]
+        beta[u, :k] = _logsumexp(after, axis=2)
+        pair += np.exp(alpha[u, :k, :, None] + after - by_row[:k, None, None]).sum(axis=0)
+    node = (alpha + beta - by_row[:, None])[t, row]
     return np.exp(node), pair, log_z
 
 
@@ -397,25 +387,27 @@ def _viterbi(model: LinearChainCrfModel, tokens: _Tokens) -> np.ndarray:
     token order."""
     em = _emissions(model.emission_weights, tokens)
     trans, start, stop = _potentials(model)
-    grid, live, slots = _pad(em, tokens)
+    t, row, live = _layout(tokens)
+    grid = np.zeros((len(live), len(tokens.lengths), em.shape[1]))
+    grid[t, row] = em
     into = np.ascontiguousarray(trans.T)  # [next, prev]
     delta = start + grid[0]
     back = np.empty(grid.shape, dtype=np.intp)
     scores = np.empty((len(delta), *into.shape))  # [row, next, prev]
     cell = np.arange(delta.size).reshape(delta.shape) * len(into)  # at [row, next, 0]
-    for t in range(1, len(live)):
-        k = live[t]
+    for u in range(1, len(live)):
+        k = live[u]
         np.add(delta[:k, None, :], into, out=scores[:k])
-        np.argmax(scores[:k], axis=2, out=back[t, :k])  # first max = lowest previous id
-        delta[:k] = scores.reshape(-1)[back[t, :k] + cell[:k]] + grid[t, :k]
+        np.argmax(scores[:k], axis=2, out=back[u, :k])  # first max = lowest previous id
+        delta[:k] = scores.reshape(-1)[back[u, :k] + cell[:k]] + grid[u, :k]
     ids = np.empty(grid.shape[:2], dtype=np.intp)
     label = np.argmax(delta + stop, axis=1)
-    for t in range(len(live) - 1, 0, -1):
-        k = live[t]
-        ids[t, :k] = label[:k]
-        label[:k] = back[t, np.arange(k), label[:k]]
+    for u in range(len(live) - 1, 0, -1):
+        k = live[u]
+        ids[u, :k] = label[:k]
+        label[:k] = back[u, np.arange(k), label[:k]]
     ids[0] = label
-    return ids.reshape(-1)[slots]
+    return ids[t, row]
 
 
 def _path_score(em, trans, start, stop, ids, tokens: _Tokens) -> float:

@@ -168,6 +168,17 @@ def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:
 _NO_DEV_SPANS = "no dev document has a span, so dev F1 cannot choose a checkpoint"
 
 
+def _foreign_dev_types(inventory: Sequence[str], dev_corpus: Corpus) -> str | None:
+    """Why a dev corpus using span types outside ``inventory`` is refused, or None."""
+    unknown = [t for t in dev_corpus.span_type_inventory if t not in inventory]
+    if not unknown:
+        return None
+    return (
+        "train and dev corpora must share a span-type inventory; "
+        f"the training corpus has no {', '.join(map(repr, unknown))}"
+    )
+
+
 def _diverged(config: TrainConfig, where: str, what: str) -> ValueError:
     return ValueError(
         f"training diverged in {where}: {what} is not finite; "
@@ -206,12 +217,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     inventory = tuple(train_corpus.span_type_inventory)
     if dev_corpus is not None:
-        unknown = [t for t in dev_corpus.span_type_inventory if t not in inventory]
-        if unknown:
-            raise ValueError(
-                "train and dev corpora must share a span-type inventory; "
-                f"the training corpus has no {', '.join(map(repr, unknown))}"
-            )
+        reason = _foreign_dev_types(inventory, dev_corpus)
+        if reason:
+            raise ValueError(reason)
         train_docs = list(train_corpus.documents)
         dev_docs = list(dev_corpus.documents)
     else:

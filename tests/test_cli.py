@@ -1328,6 +1328,15 @@ _JSON_AT_2 = "line 2: invalid JSON: "
 _TSV_AT_2 = "line 2: expected at least 2 tab-separated columns, got 1"
 _OBS_ROW_AT_2 = "line 2: invalid literal for int() with base 10: 'many'"
 _OBS_HEADER_AT_1 = "line 1: observation CSV must have header span_type,feat,crf,"
+_DEV_Q = (
+    '{"id": "v0", "tokens": [{"surface": "per", "features": []}], '
+    '"spans": [{"type": "q", "start": 0, "end": 1}]}\n'
+)
+
+
+def _doc_line(doc_id: str, n_tokens: int) -> str:
+    tokens = [{"surface": "u", "features": []}] * n_tokens
+    return json.dumps({"id": doc_id, "tokens": tokens, "spans": []}) + "\n"
 
 
 class TestInputFiles:
@@ -1375,6 +1384,18 @@ class TestInputFiles:
             ('{"id": "v0", "tokens": [{"surface": "per", "features": []}], "spans": []}\n',
              "no dev document has a span",
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
+            (_DEV_Q, "train and dev corpora must share a span-type inventory; the training "
+             "corpus has no 'q'",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
+            (_doc_line("z9", 3), "gold and pred corpora do not cover the same documents; ",
+             lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (_doc_line("e0", 2) + _doc_line("e1", 3),
+             "document 'e0': 4 gold tokens vs 2 predicted",
+             lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (_doc_line("e0", 4) * 2, "duplicate document id 'e0' in pred corpus",
+             lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            (_doc_line("e0", 4) * 2, "duplicate document id 'e0' in gold corpus",
+             lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
             ("seed = 1\nwarmup = 5\n", "line 2: unknown training option 'warmup'",
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"],
                              "--config", bad]),
@@ -1385,12 +1406,17 @@ class TestInputFiles:
             ("{oops\n", "invalid JSON: ", lambda bad, f: [*_PREDICT, "--model", bad]),
             ("{}\n", "meta-model file lacks alpha, ",
              lambda bad, f: [*_PREDICT, "--model", bad]),
+            ('{"alpha": ' + "[" * 100 + "]" * 100 + "}\n",
+             "invalid JSON: maximum recursion depth exceeded: containers nest more than 100 deep",
+             lambda bad, f: [*_PREDICT, "--model", bad]),
         ],
         ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
              "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-dev-no-spans",
-             "train-config",
+             "train-dev-foreign-type", "eval-pred-ids", "eval-pred-token-count",
+             "eval-pred-duplicate-id", "eval-gold-duplicate-id", "train-config",
              "meta-fit-obs-row", "meta-fit-obs-header", "meta-cv-obs-row",
-             "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty"],
+             "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty",
+             "meta-predict-model-deep"],
     )
     def test_every_refused_file_is_named_once(
         self, files, tmp_path, capsys, text, reason, argv

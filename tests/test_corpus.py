@@ -1022,6 +1022,44 @@ def _layouts(corpus: Corpus) -> dict[str, str]:
     }
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _called_deeper(frames: int, fn):
+    """``fn()``, called ``frames`` Python frames below this call."""
+    return fn() if frames <= 0 else _called_deeper(frames - 1, fn)
+
+
+class TestNestingLimit:
+    """Whether a line is read does not depend on the caller's stack depth."""
+
+    # frames left below the interpreter's limit on the deep call: enough for
+    # the read and a value at the limit, too few for json.loads to parse the
+    # deeper values itself
+    _HEADROOM = 250
+
+    @pytest.mark.parametrize("lists", [99, 100, 500, 980, 989, 5000])
+    def test_a_deep_meta_member_reads_alike_from_two_stack_depths(self, tmp_path, lists):
+        path = tmp_path / "c.jsonl"
+        good = _jsonl_line("d", [("x", [])])
+        path.write_text(good[:-1] + ', "meta": ' + "[" * lists + "]" * lists + "}\n")
+        shallow = _read(path)
+        frames = sys.getrecursionlimit() - _stack_depth() - self._HEADROOM
+        assert frames > 50
+        assert _called_deeper(frames, lambda: _read(path)) == shallow
+        if lists < 100:  # with the document, 100 levels: the limit
+            assert isinstance(shallow, tuple) and len(shallow) == 1
+        else:
+            assert shallow == (
+                f"{path}: line 1: invalid JSON: maximum recursion depth exceeded: "
+                "containers nest more than 100 deep"
+            )
+
+
 class TestSharedTokenTable:
     """Reads through one token table, as ``eval`` and ``train --dev`` make
     them, return and refuse what fresh reads do, and share equal tokens."""

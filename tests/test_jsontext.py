@@ -197,6 +197,30 @@ def test_every_json_refusal_is_one_value_error(text, reason):
         parse_json(text)
 
 
+@pytest.mark.parametrize(
+    "nested",
+    [lambda depth: "[" * depth + "]" * depth,
+     lambda depth: '{"k": ' * (depth - 1) + "{}" + "}" * (depth - 1)],
+    ids=["list", "object"],
+)
+def test_nesting_is_refused_past_a_fixed_depth(nested):
+    at_limit = nested(100)
+    assert parse_json(at_limit) == json.loads(at_limit)
+    # one level deeper, parsed by json.loads and refused by the walk, and far
+    # deeper, where json.loads runs out of recursion: the same refusal
+    for depth in (101, 100_000):
+        with pytest.raises(ValueError) as info:
+            parse_json(nested(depth))
+        assert str(info.value) == (
+            "invalid JSON: maximum recursion depth exceeded: containers nest more than 100 deep"
+        )
+
+
+def test_brackets_inside_strings_do_not_count_as_nesting():
+    text = json.dumps({"s": "[" * 500, "t": [["{" * 500]]})
+    assert parse_json(text) == json.loads(text)
+
+
 # ---------------------------------------------------------------------------
 # writing: never a path under /dev, where a wrong replace would swap a device
 # node for a regular file

@@ -43,7 +43,7 @@ from spanmeta.meta import (
     MAIN_COLUMNS,
     PREDICTOR_SETS,
     _factor,
-    _SharedObservations,
+    _shared,
     _t_pvalue,
     ablate,
     alpha_mae_curve,
@@ -54,7 +54,7 @@ from spanmeta.meta import (
     predict,
     raw_predictors,
 )
-from spanmeta.reference import EmbeddedTables, _BundledObservations
+from spanmeta.reference import EmbeddedTables, _bundled
 from spanmeta.report import build_reproduction_report
 
 mpmath.mp.dps = 50
@@ -770,13 +770,13 @@ class TestSharedObservations:
         return obs
 
     def test_is_a_sequence_of_the_same_observations(self, observations):
-        shared = _SharedObservations(observations)
+        shared = _shared(observations)
         assert len(shared) == len(observations)
         assert list(shared) == observations
         assert shared[3] is observations[3]
 
     def test_sharing_changes_no_result(self, observations):
-        shared = _SharedObservations(observations)
+        shared = _shared(observations)
         # in the reproduction report's order: ablation, fit, padding sweep
         shared_cv = ablate(shared, DEFAULT_ALPHA)
         shared_fits = {
@@ -862,8 +862,8 @@ class TestBundledObservations:
         return _random_tables(np.random.default_rng(44))
 
     def test_columns_equal_the_observation_built_ones(self, tables):
-        bundled = _BundledObservations(tables)
-        plain = _SharedObservations(to_observations(tables))
+        bundled = _bundled(tables)
+        plain = _shared(to_observations(tables))
         assert len(bundled) == len(plain) == 432
         for name in ("catalogue", "f1"):
             got, want = getattr(bundled, name), getattr(plain, name)
@@ -876,10 +876,10 @@ class TestBundledObservations:
         assert "_items" not in vars(bundled)
 
     def test_f1_does_not_alias_the_tables(self, tables):
-        assert not np.shares_memory(_BundledObservations(tables).f1, tables.f1_matrix)
+        assert not np.shares_memory(_bundled(tables).f1, tables.f1_matrix)
 
     def test_results_build_no_observation_and_equal_the_plain_ones(self, tables):
-        bundled = _BundledObservations(tables)
+        bundled = _bundled(tables)
         observations = to_observations(tables)
         cv = ablate(bundled)
         for name, result in ablate(observations).items():
@@ -894,7 +894,7 @@ class TestBundledObservations:
 
     def test_items_are_built_on_demand(self, tables):
         want = to_observations(tables)
-        bundled = _BundledObservations(tables)
+        bundled = _bundled(tables)
         assert bundled[17] == want[17]
         assert bundled[-3:] == want[-3:]
         assert list(bundled) == want
@@ -905,11 +905,11 @@ class TestBundledObservations:
         tables.f1_matrix[30, 5] = 100.0
         with pytest.raises(ValueError) as plain:
             loso_cv(to_observations(tables), 0.0)
-        bundled = _BundledObservations(tables)
+        bundled = _bundled(tables)
         with pytest.raises(ValueError) as info:
             loso_cv(bundled, 0.0)
         assert str(info.value) == str(plain.value)
-        assert "_items" in vars(bundled)
+        assert "_items" not in vars(bundled)
 
 
 _PREDICT_TAIL = ["--freq", "500", "--length", "2.5", "--sd", "3", "--bd", "1"]
