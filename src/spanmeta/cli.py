@@ -173,7 +173,7 @@ def _train_config(args):
 
 def _cmd_train(args) -> None:
     from .seqlab import model_to_dict, train
-    from .seqlab.training import _NO_DEV_SPANS, _foreign_dev_types
+    from .seqlab.training import _RefusedCorpus
 
     config = _train_config(args)
     tokens = _LayoutReader()  # one token table for both reads
@@ -183,11 +183,11 @@ def _cmd_train(args) -> None:
         dev_corpus = read_corpus(
             args.dev, format=args.input_format, partition="dev", _tokens=tokens
         )
-        reason = _foreign_dev_types(train_corpus.span_type_inventory, dev_corpus)
-        if reason or not dev_corpus.span_type_inventory:
-            raise InputError(args.dev, reason or _NO_DEV_SPANS)
     del tokens  # training needs the corpora, not the table
-    result = train(args.arch, train_corpus, dev_corpus, config)
+    try:
+        result = train(args.arch, train_corpus, dev_corpus, config)
+    except _RefusedCorpus as exc:
+        raise InputError(args.dev if exc.corpus == "dev" else args.train, str(exc)) from None
     obj = model_to_dict(result.model)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
     obj["stopped_early"] = result.stopped_early

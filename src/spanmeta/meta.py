@@ -34,13 +34,16 @@ span-type groups on first use, and per predictor set the standardized
 design, whose QR the design keeps, and the batched fold systems. Every
 public function takes the holder through its observation parameter and
 wraps a plain sequence in a new one, so nothing outlives the call that
-made it.
+made it. The bundled study's holder is built here too, by ``_grid``, from
+the columns of its span-type profiles, architectures and F1 matrix: the
+one place that lays its cells out, profile-major.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
@@ -189,24 +192,34 @@ def inverse_padded_logit(value, alpha: float = DEFAULT_ALPHA):
 # Design matrix
 
 
-def raw_predictors(observations: Sequence[Observation]) -> np.ndarray:
-    """The eight untransformed mains, one row per observation.
-
-    Built a column at a time; the logs go through ``math.log``, which
-    ``np.log`` is not guaranteed to match bit for bit.
-    """
-    archs = [o.arch for o in observations]
-    profiles = [o.profile for o in observations]
-    columns = [
+def _flag_columns(archs: Sequence[ArchitectureFeatures]) -> list[list[bool]]:
+    """The four flag mains, in ``ARCH_MAINS`` order, one entry per architecture."""
+    return [
         [a.has_feat for a in archs],
         [a.has_crf for a in archs],
         [a.has_lstm for a in archs],
         [a.has_bert for a in archs],
+    ]
+
+
+def _task_columns(profiles: Sequence[SpanTypeProfile]) -> list[list[float]]:
+    """The four task mains, in ``TASK_MAINS`` order, one entry per profile.
+
+    The logs go through ``math.log``, which ``np.log`` is not guaranteed
+    to match bit for bit.
+    """
+    return [
         list(map(math.log, [p.frequency for p in profiles])),
         list(map(math.log, [p.span_length for p in profiles])),
         [p.span_distinctiveness for p in profiles],
         [p.boundary_distinctiveness for p in profiles],
     ]
+
+
+def raw_predictors(observations: Sequence[Observation]) -> np.ndarray:
+    """The eight untransformed mains, one row per observation."""
+    columns = _flag_columns([o.arch for o in observations])
+    columns += _task_columns([o.profile for o in observations])
     return np.array(columns, dtype=float).T
 
 
@@ -272,9 +285,13 @@ class _SharedObservations(SequenceABC):
     set, are the standardized design and the batched LOSO fold systems;
     each is then kept for the holder's lifetime.
 
-    :func:`_shared` builds one from observations; the commands on the
-    bundled study use ``spanmeta.reference._bundled``, which takes the
-    columns from the tables and builds no observation.
+    It stays a sequence of the observations, although no function here
+    reads one, because callers may iterate what they pass in: the
+    benchmark's tracer walks the argument of each ``loso_cv`` call.
+
+    :func:`_shared` builds one from observations; :func:`_grid` builds
+    one over every (profile, architecture) pair, as the bundled study is
+    laid out, from their columns and without building an observation.
     """
 
     def __init__(
@@ -399,6 +416,33 @@ def _shared(observations: Iterable[Observation]) -> _SharedObservations:
     items = list(observations)
     span_types, f1 = [o.span_type_id for o in items], np.array([o.f1 for o in items])
     return _SharedObservations(raw_predictors(items), span_types, f1, lambda: items)
+
+
+def _grid(
+    profiles: Sequence[SpanTypeProfile],
+    archs: Sequence[ArchitectureFeatures],
+    f1: np.ndarray,
+) -> _SharedObservations:
+    """The holder of every (profile, architecture) pair, profile-major.
+
+    ``f1[i, j]`` is the score of ``archs[j]`` on ``profiles[i]``. Each
+    profile's task mains are computed once and repeated for its
+    architectures, beside the flags tiled once per profile, and the F1
+    vector is a flattened copy of ``f1``; these equal what :func:`_shared`
+    takes from the observations, bit for bit. The pairs and their
+    observations are built only if the holder is indexed or iterated.
+    """
+    flags = np.array(_flag_columns(archs), dtype=float).T
+    task = np.array(_task_columns(profiles), dtype=float).T
+    raw = np.hstack([np.tile(flags, (len(profiles), 1)), np.repeat(task, len(archs), axis=0)])
+    f1 = np.array(f1, dtype=float).ravel()
+
+    def observations() -> list[Observation]:
+        pairs = itertools.product(profiles, archs)
+        return [Observation(p.type_id, a, p, v) for (p, a), v in zip(pairs, f1.tolist())]
+
+    span_types = [p.type_id for p in profiles for _ in archs]
+    return _SharedObservations(raw, span_types, f1, observations)
 
 
 def build_design_matrix(

@@ -21,9 +21,10 @@ types).
 :func:`to_observations` flattens the tables into the 432 cells the
 meta-model's public functions take. The commands that run on the bundled
 study (``meta`` without ``--obs``, and ``reproduce``) skip that step: they
-hand the meta-model a private holder built from the tables' columns,
-which gives the same numbers and builds the :class:`Observation` objects
-only if one is asked for.
+hand the meta-model the private holder that ``meta._grid`` builds from
+the tables' columns, which gives the same numbers and builds the
+:class:`Observation` objects only if one is asked for. ``meta._grid``
+also decides the cells' order, and ``to_observations`` lists that holder.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .meta import ArchitectureFeatures, Observation, _SharedObservations
+from .meta import ArchitectureFeatures, Observation, _SharedObservations, _grid
 from .metrics import DatasetMetrics, SpanTypeProfile
 
 __all__ = [
@@ -200,61 +199,22 @@ def load_embedded() -> EmbeddedTables:
 
 
 def to_observations(tables: EmbeddedTables) -> list[Observation]:
-    """Flatten the tables into the 432 (span type, architecture) cells."""
-    out = []
-    for i, profile in enumerate(tables.profiles):
-        for j, (_, arch) in enumerate(ARCHITECTURES):
-            out.append(
-                Observation(
-                    span_type_id=profile.type_id,
-                    arch=arch,
-                    profile=profile,
-                    f1=float(tables.f1_matrix[i, j]),
-                )
-            )
-    return out
+    """Flatten the tables into the 432 (span type, architecture) cells.
 
-
-def _table_predictors(tables: EmbeddedTables) -> np.ndarray:
-    """``meta.raw_predictors`` of :func:`to_observations`, from the tables' columns.
-
-    Each type's four measurements are taken once, the logs through
-    ``math.log`` as ``raw_predictors`` takes them, and repeated for its
-    twelve rows, beside the architectures' flags tiled once per type.
+    They come profile-major, each type's twelve architectures in
+    :data:`ARCHITECTURES` order, from the holder ``meta._grid`` builds.
     """
-    per_type = np.array(
-        [
-            [
-                math.log(p.frequency),
-                math.log(p.span_length),
-                p.span_distinctiveness,
-                p.boundary_distinctiveness,
-            ]
-            for p in tables.profiles
-        ]
-    )
-    flags = np.array([arch.flags() for _, arch in ARCHITECTURES])
-    return np.hstack(
-        [np.tile(flags, (len(per_type), 1)), np.repeat(per_type, len(flags), axis=0)]
-    )
+    return list(_bundled(tables))
 
 
 def _bundled(tables: EmbeddedTables) -> _SharedObservations:
-    """The meta-model's holder of :func:`to_observations`, built from the tables' columns.
+    """The meta-model's holder of :func:`to_observations`, built by ``meta._grid``.
 
-    The raw mains come from :func:`_table_predictors`, the span types are
-    each profile's id repeated once per architecture, and the F1 vector is
-    a copy of the flattened matrix; these equal what the observations
-    would give, bit for bit. The 432 observations are built only if the
-    holder is indexed or iterated.
+    It takes the raw mains, span types and F1 vector from the tables'
+    columns; the 432 observations are built only if it is indexed or
+    iterated.
     """
-    span_types = [p.type_id for p in tables.profiles for _ in ARCHITECTURES]
-    return _SharedObservations(
-        _table_predictors(tables),
-        span_types,
-        tables.f1_matrix.ravel().copy(),
-        partial(to_observations, tables),
-    )
+    return _grid(tables.profiles, [arch for _, arch in ARCHITECTURES], tables.f1_matrix)
 
 
 # ---------------------------------------------------------------------------

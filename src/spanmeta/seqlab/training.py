@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .._options import ARCHITECTURES
-from ..corpus import BioSequence, Corpus, Document, bio_decode, bio_encode, bio_labels
+from ..corpus import Corpus, Document, bio_decode, bio_encode, bio_labels
 from ..evaluation import _sum_counts, count_matches, f1_report
 from .features import FeatureIndex
 from .models import (
@@ -163,20 +163,16 @@ def _dev_f1(model, dev_docs: list[Document], inventory: Sequence[str]) -> float:
     return f1_report(counts, types=inventory).micro.f1
 
 
-# an explicit dev corpus with no spans scores F1 0 in every epoch: training
-# would run to max_epochs and keep epoch 1's weights
-_NO_DEV_SPANS = "no dev document has a span, so dev F1 cannot choose a checkpoint"
+class _RefusedCorpus(ValueError):
+    """Training data :func:`train` refuses: ``reason``, and ``corpus``, the
+    one at fault, ``"train"`` or ``"dev"``. ``str()`` of it is the reason."""
 
+    def __init__(self, reason: str, corpus: str) -> None:
+        super().__init__(reason, corpus)
+        self.reason, self.corpus = reason, corpus
 
-def _foreign_dev_types(inventory: Sequence[str], dev_corpus: Corpus) -> str | None:
-    """Why a dev corpus using span types outside ``inventory`` is refused, or None."""
-    unknown = [t for t in dev_corpus.span_type_inventory if t not in inventory]
-    if not unknown:
-        return None
-    return (
-        "train and dev corpora must share a span-type inventory; "
-        f"the training corpus has no {', '.join(map(repr, unknown))}"
-    )
+    def __str__(self) -> str:
+        return self.reason
 
 
 def _diverged(config: TrainConfig, where: str, what: str) -> ValueError:
@@ -203,6 +199,10 @@ def train(
     skipped. ``max_epochs`` of 0 returns the zero-weight initial model
     with an empty log.
 
+    Every refusal of the training data is a ``ValueError`` whose
+    ``corpus`` attribute names the corpus at fault, ``"train"`` or
+    ``"dev"``; the training corpus is checked first.
+
     Training that diverges raises ``ValueError`` naming the epoch and
     ``learning_rate``: a batch whose loss, or an epoch after which a
     weight, is not finite. Numpy's overflow warnings are silenced for the
@@ -212,21 +212,19 @@ def train(
         raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {arch!r}")
     config = TrainConfig() if config is None else config
     if len(train_corpus) == 0:
-        raise ValueError("training corpus is empty")
+        raise _RefusedCorpus("training corpus is empty", "train")
 
     rng = np.random.default_rng(config.seed)
     inventory = tuple(train_corpus.span_type_inventory)
     if dev_corpus is not None:
-        reason = _foreign_dev_types(inventory, dev_corpus)
-        if reason:
-            raise ValueError(reason)
         train_docs = list(train_corpus.documents)
         dev_docs = list(dev_corpus.documents)
     else:
         docs = list(train_corpus.documents)
         if len(docs) < 2:
-            raise ValueError(
-                "need a dev corpus or at least two training documents to hold out from"
+            raise _RefusedCorpus(
+                "need a dev corpus or at least two training documents to hold out from",
+                "train",
             )
         n_held = max(1, round(config.dev_fraction * len(docs)))
         n_held = min(n_held, len(docs) - 1)
@@ -237,9 +235,21 @@ def train(
     # split, so that it does not change which documents are held out
     train_docs = [d for d in train_docs if len(d)]
     if not train_docs:
-        raise ValueError("no training document has any tokens")
-    if dev_corpus is not None and not any(d.spans for d in dev_docs):
-        raise ValueError(_NO_DEV_SPANS)
+        raise _RefusedCorpus("no training document has any tokens", "train")
+    if dev_corpus is not None:
+        unknown = [t for t in dev_corpus.span_type_inventory if t not in inventory]
+        if unknown:
+            raise _RefusedCorpus(
+                "train and dev corpora must share a span-type inventory; "
+                f"the training corpus has no {', '.join(map(repr, unknown))}",
+                "dev",
+            )
+        # with no spans, dev F1 is 0 in every epoch: training would run to
+        # max_epochs and keep epoch 1's weights
+        if not any(d.spans for d in dev_docs):
+            raise _RefusedCorpus(
+                "no dev document has a span, so dev F1 cannot choose a checkpoint", "dev"
+            )
 
     labels = bio_labels(inventory)
     index = FeatureIndex.fit(train_docs)

@@ -1387,6 +1387,16 @@ class TestInputFiles:
             (_DEV_Q, "train and dev corpora must share a span-type inventory; the training "
              "corpus has no 'q'",
              lambda bad, f: ["train", "--arch", "baseline", "--train", f["train"], "--dev", bad]),
+            ("", "training corpus is empty",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
+            (_doc_line("a", 0) + _doc_line("b", 0), "no training document has any tokens",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
+            (_DEV_Q, "need a dev corpus or at least two training documents to hold out from",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", bad]),
+            # both files are bad: the training file is named, not the dev file's foreign type
+            ("", "training corpus is empty",
+             lambda bad, f: ["train", "--arch", "baseline", "--train", bad,
+                             "--dev", f["one_type"]]),
             (_doc_line("z9", 3), "gold and pred corpora do not cover the same documents; ",
              lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
             (_doc_line("e0", 2) + _doc_line("e1", 3),
@@ -1412,7 +1422,8 @@ class TestInputFiles:
         ],
         ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
              "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-dev-no-spans",
-             "train-dev-foreign-type", "eval-pred-ids", "eval-pred-token-count",
+             "train-dev-foreign-type", "train-empty", "train-no-tokens",
+             "train-one-document", "train-empty-dev-foreign-type", "eval-pred-ids", "eval-pred-token-count",
              "eval-pred-duplicate-id", "eval-gold-duplicate-id", "train-config",
              "meta-fit-obs-row", "meta-fit-obs-header", "meta-cv-obs-row",
              "meta-cv-obs-header", "meta-predict-model-syntax", "meta-predict-model-empty",

@@ -17,7 +17,6 @@ import pytest
 from scipy import special
 
 import spanmeta.meta as meta_module
-import spanmeta.reference as reference_module
 from spanmeta import (
     ArchitectureFeatures,
     Observation,
@@ -54,7 +53,7 @@ from spanmeta.meta import (
     predict,
     raw_predictors,
 )
-from spanmeta.reference import EmbeddedTables, _bundled
+from spanmeta.reference import ARCHITECTURES, EmbeddedTables, _bundled
 from spanmeta.report import build_reproduction_report
 
 mpmath.mp.dps = 50
@@ -795,7 +794,8 @@ class TestSharedObservations:
 
 
 class TestSharedWork:
-    """Counting wrappers around the two raw-catalogue functions and the QR.
+    """Counting wrappers around the two raw-catalogue functions, the task
+    mains, the QR and the building of an ``Observation``.
 
     Every count is exact: a function missing from ``counts`` ran 0 times.
     """
@@ -803,18 +803,19 @@ class TestSharedWork:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        for module, name in (
+        for owner, name in (
             (meta_module, "raw_predictors"),
+            (meta_module, "_task_columns"),
             (meta_module, "_factor"),
-            (reference_module, "_table_predictors"),
+            (Observation, "__post_init__"),
         ):
-            original = getattr(module, name)
+            original = getattr(owner, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         return counts
 
     def test_reproduction_report_builds_each_design_once(self, counts):
@@ -824,17 +825,25 @@ class TestSharedWork:
         for _ in range(2):
             counts.clear()
             build_reproduction_report()
-            assert counts == {"_table_predictors": 1, "_factor": 4}
+            assert counts == {"_task_columns": 1, "_factor": 4}
+
+    def test_reproduce_builds_no_observation(self, counts, tmp_path, capsys):
+        assert main(["reproduce", "--out-dir", str(tmp_path)]) == 0
+        assert counts == {"_task_columns": 1, "_factor": 4}
 
     def test_meta_cv_computes_the_catalogue_once(self, counts, capsys):
         assert main(["meta", "cv"]) == 0
-        assert counts == {"_table_predictors": 1, "_factor": 1}
+        assert counts == {"_task_columns": 1, "_factor": 1}
 
     def test_meta_cv_on_a_csv_computes_the_catalogue_once(self, counts, tmp_path, capsys):
         path = tmp_path / "obs.csv"
         observations_to_csv(to_observations(load_embedded()), path)
+        counts.clear()
         assert main(["meta", "cv", "--obs", str(path)]) == 0
-        assert counts == {"raw_predictors": 1, "_factor": 1}
+        # the reader builds one observation per row
+        assert counts == {
+            "raw_predictors": 1, "_task_columns": 1, "_factor": 1, "__post_init__": 432
+        }
 
 
 def _random_tables(rng) -> EmbeddedTables:
@@ -874,6 +883,18 @@ class TestBundledObservations:
             assert bundled.groups[type_id].dtype == rows.dtype
             assert bundled.groups[type_id].tobytes() == rows.tobytes()
         assert "_items" not in vars(bundled)
+
+    def test_to_observations_is_the_profile_major_double_loop(self, tables):
+        want = [
+            (profile.type_id, arch, profile, float(tables.f1_matrix[i, j]))
+            for i, profile in enumerate(tables.profiles)
+            for j, (_, arch) in enumerate(ARCHITECTURES)
+        ]
+        got = [(o.span_type_id, o.arch, o.profile, o.f1) for o in to_observations(tables)]
+        assert len(got) == len(want) == 432
+        for cell, (have, expected) in enumerate(zip(got, want)):
+            assert have == expected, cell
+            assert type(have[3]) is float, cell
 
     def test_f1_does_not_alias_the_tables(self, tables):
         assert not np.shares_memory(_bundled(tables).f1, tables.f1_matrix)

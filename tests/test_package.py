@@ -1,4 +1,5 @@
-"""The package's public names, and which modules each command loads.
+"""The package's public names, which modules each command loads, and
+that no module imports a name it never uses.
 
 ``import spanmeta`` loads no submodule: each public name is looked up in
 its submodule on first use. Commands import what they use inside their
@@ -8,11 +9,13 @@ loads scipy; the subprocess tests below hold those to account.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +196,73 @@ def test_writers_leave_numpy_unloaded():
     # so that each interpreter can check them against its own json module
     loaded = _loaded("import spanmeta._jsontext, spanmeta.corpus")
     assert loaded == {"spanmeta", "spanmeta._jsontext", "spanmeta.corpus"}
+
+
+# ---------------------------------------------------------------------------
+# unused imports
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``<file>:<line>: <name>`` for each name ``path`` imports and never uses.
+
+    A name counts as used where it is read or assigned, inside an
+    annotation written as a string, or in a literal ``__all__``; the
+    ``__future__`` switches and ``*`` imports bind nothing to check.
+    """
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    roots = [tree]
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                roots.extend(ast.Name(name) for name in ast.literal_eval(node.value))
+            except ValueError:  # a computed __all__: its names are read below
+                pass
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    roots.append(ast.parse(part.value, mode="eval"))
+    used = {node.id for root in roots for node in ast.walk(root) if isinstance(node, ast.Name)}
+    return [f"{path}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(Path(spanmeta.__file__).parent.rglob("*.py"))
+    assert len(modules) > 10
+    assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def test_the_unused_import_check_sees_each_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import Sequence, Mapping\n"
+        "from .x import *\n"
+        "from .y import exported, dropped\n"
+        "__all__ = ['exported']\n"
+        "def f(a: 'Sequence[int]') -> None:\n"
+        "    return os.sep\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(path) == [
+        f"{path}:3: j", f"{path}:4: Mapping", f"{path}:6: dropped"
+    ]
