@@ -14,9 +14,13 @@ five trials per cell. This module ships that study's numbers:
   and coefficient table that a reproduction run checks itself against.
 
 The two data tables live in committed CSV fixtures guarded by sha256
-checksums, so a transcription edit cannot slip through silently. Span
-type ids are dataset-qualified ("parc/Cue" and "riqua/Cue" are distinct
-types).
+checksums, so a transcription edit cannot slip through silently. The
+checksum is the tables' only runtime check: bundled data is not an input
+boundary, since an edited fixture fails its checksum, and the tests in
+``tests/test_reference.py`` assert the committed tables' shape (36 rows,
+the dataset sizes, unique ids, F1 within [0, 100], one F1 row per span
+type). Span type ids are dataset-qualified ("parc/Cue" and "riqua/Cue"
+are distinct types).
 
 :func:`to_observations` flattens the tables into the 432 cells the
 meta-model's public functions take. The commands that run on the bundled
@@ -96,7 +100,7 @@ def dataset_of(span_type_id: str) -> str:
 
 @dataclass(frozen=True)
 class EmbeddedTables:
-    """The reference study's data, validated and joined."""
+    """The reference study's data, checksum-verified and joined."""
 
     profiles: tuple[SpanTypeProfile, ...]
     f1_matrix: np.ndarray  # (36, 12), rows align with profiles, cols with ARCHITECTURES
@@ -140,62 +144,32 @@ def _fixture_rows(name: str, expected_sha256: str) -> tuple[dict[str, int], list
 
 
 def load_embedded() -> EmbeddedTables:
-    """Load and validate the bundled tables.
+    """Load the bundled tables and join them on the span type id.
+
+    The two sha256 checksums are its only check: a fixture that passes
+    its checksum is the committed one, whose shape the tests assert.
 
     Raises:
-        ValueError: if a fixture fails its checksum or the tables do not
-            line up (row counts, dataset sizes, value ranges).
+        ValueError: if a fixture fails its checksum.
     """
     pcol, profile_rows = _fixture_rows(_PROFILE_FILE, _PROFILE_SHA256)
     fcol, f1_rows = _fixture_rows(_F1_FILE, _F1_SHA256)
-    if len(profile_rows) != 36 or len(f1_rows) != 36:
-        raise ValueError("bundled tables must each have 36 rows")
-
-    profiles = []
-    per_dataset = dict.fromkeys(DATASETS, 0)
-    for row in profile_rows:
-        ds = row[pcol["dataset"]]
-        if ds not in DATASETS:
-            raise ValueError(f"unknown dataset {ds!r} in profiles table")
-        per_dataset[ds] += 1
-        profiles.append(
-            SpanTypeProfile(
-                type_id=f"{ds}/{row[pcol['span_type']]}",
-                frequency=int(row[pcol["frequency"]]),
-                span_length=float(row[pcol["span_length"]]),
-                span_distinctiveness=float(row[pcol["span_distinctiveness"]]),
-                boundary_distinctiveness=float(row[pcol["boundary_distinctiveness"]]),
-            )
+    profiles = tuple(
+        SpanTypeProfile(
+            type_id=f"{row[pcol['dataset']]}/{row[pcol['span_type']]}",
+            frequency=int(row[pcol["frequency"]]),
+            span_length=float(row[pcol["span_length"]]),
+            span_distinctiveness=float(row[pcol["span_distinctiveness"]]),
+            boundary_distinctiveness=float(row[pcol["boundary_distinctiveness"]]),
         )
-    ids = [p.type_id for p in profiles]
-    if len(set(ids)) != 36:
-        raise ValueError("span type ids are not unique across datasets")
-    for ds, expected in DATASETS.items():
-        if per_dataset[ds] != expected:
-            raise ValueError(
-                f"dataset {ds} has {per_dataset[ds]} span types, expected {expected}"
-            )
-
-    arch_cols = [(arch, fcol[arch]) for arch in ARCHITECTURE_NAMES]
-    by_id: dict[str, list[float]] = {}
-    for row in f1_rows:
-        key = f"{row[fcol['dataset']]}/{row[fcol['span_type']]}"
-        values = []
-        for arch, col in arch_cols:
-            v = float(row[col])
-            if not 0.0 <= v <= 100.0:
-                raise ValueError(f"F1 out of range for {key}/{arch}: {v}")
-            values.append(v)
-        by_id[key] = values
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise ValueError(f"F1 table is missing span types: {missing}")
-    matrix = np.array([by_id[i] for i in ids])
-
-    flag_tuples = {a.flags() for _, a in ARCHITECTURES}
-    if len(flag_tuples) != 12:
-        raise ValueError("architecture catalog contains duplicate flag tuples")
-    return EmbeddedTables(tuple(profiles), matrix)
+        for row in profile_rows
+    )
+    arch_cols = [fcol[arch] for arch in ARCHITECTURE_NAMES]
+    by_id = {
+        f"{row[fcol['dataset']]}/{row[fcol['span_type']]}": [float(row[c]) for c in arch_cols]
+        for row in f1_rows
+    }
+    return EmbeddedTables(profiles, np.array([by_id[p.type_id] for p in profiles]))
 
 
 def to_observations(tables: EmbeddedTables) -> list[Observation]:

@@ -1372,6 +1372,8 @@ class TestInputFiles:
             (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["profile", bad]),
             (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["eval", "--gold", bad, "--pred", f["pred"]]),
             (_BAD_JSONL, _JSON_AT_2, lambda bad, f: ["eval", "--gold", f["gold"], "--pred", bad]),
+            ('{"id": "a", "tokens": [], "spans": 5}\n', "line 1: document 'a': non-list 'spans'",
+             lambda bad, f: ["profile", bad]),
             (_BAD_TSV, _TSV_AT_2, lambda bad, f: ["profile", bad, *_TSV]),
             (_BAD_TSV, _TSV_AT_2,
              lambda bad, f: ["eval", "--gold", bad, "--pred", f["tsv"], *_TSV]),
@@ -1420,8 +1422,9 @@ class TestInputFiles:
              "invalid JSON: maximum recursion depth exceeded: containers nest more than 100 deep",
              lambda bad, f: [*_PREDICT, "--model", bad]),
         ],
-        ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-tsv",
-             "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev", "train-dev-no-spans",
+        ids=["profile-jsonl", "eval-gold-jsonl", "eval-pred-jsonl", "profile-non-list-spans",
+             "profile-tsv", "eval-gold-tsv", "eval-pred-tsv", "train", "train-dev",
+             "train-dev-no-spans",
              "train-dev-foreign-type", "train-empty", "train-no-tokens",
              "train-one-document", "train-empty-dev-foreign-type", "eval-pred-ids", "eval-pred-token-count",
              "eval-pred-duplicate-id", "eval-gold-duplicate-id", "train-config",

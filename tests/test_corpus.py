@@ -1131,6 +1131,22 @@ class TestSharedTokenTable:
         assert isinstance(refusal, str) and refusal.startswith(f"{pred}: line 2: ")
         assert _read_through(table, pred) == refusal
 
+    def test_a_token_piece_with_no_value_is_refused_not_cut_short(self, tmp_path):
+        # the scanner ends a piece with no value in StopIteration, which would
+        # end the map over the line's pieces early: a one-token document
+        gold, bad = tmp_path / "gold", tmp_path / "bad"
+        gold.write_text(_jsonl_line("g", [("x", [])]) + "\n")
+        bad.write_text(
+            '{"id": "a", "tokens": [{"surface": "x", "features": []}, {"surface": }], '
+            '"spans": []}\n'
+        )
+        refusal = f"{bad}: line 1: invalid JSON: Expecting value: line 1 column 70 (char 69)"
+        assert _read(bad) == refusal
+        table = corpus_mod._LayoutReader()
+        read_corpus(gold, _tokens=table)
+        assert '"surface": "x", "features": []' in table.texts
+        assert _read_through(table, bad) == refusal
+
     @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
     def test_a_failed_read_leaves_the_table_usable(self, tmp_path, fmt):
         if fmt == "jsonl":

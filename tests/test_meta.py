@@ -39,6 +39,7 @@ from spanmeta.meta import (
     DEFAULT_ALPHA_GRID,
     FULL_COLUMNS,
     INTERACTION_COLUMNS,
+    INTERCEPT,
     MAIN_COLUMNS,
     PREDICTOR_SETS,
     _factor,
@@ -440,6 +441,29 @@ class TestElasticNet:
         n_sparse = int(np.sum(np.abs(sparse.coefficients[1:]) > 1e-10))
         assert n_sparse < n_dense
 
+    @pytest.mark.parametrize(
+        "l1, zeros",
+        [(5.0, set()), (20.0, {"feat", "span_dist", "boundary_dist"})],
+    )
+    def test_l1_fit_meets_the_optimality_conditions(self, l1, zeros):
+        # the gradient of the smooth part, g = -X'(y - Xb) + l2 b, is zero at
+        # the intercept, -l1 sign(b_j) at a non-zero main, and within
+        # [-l1, l1] at a zero one
+        holder = _bundled(load_embedded())
+        design, y, l2 = holder.design("no_interactions"), holder.logit(0.2), 0.5
+        b = fit_elastic_net(design, y, l1_weight=l1, l2_weight=l2, alpha=0.2).coefficients
+        X = design.matrix
+        g = -X.T @ (y - X @ b) + l2 * b
+        assert design.column_names == (INTERCEPT, *MAIN_COLUMNS)
+        assert abs(g[0]) <= 1e-9
+        for j, name in enumerate(MAIN_COLUMNS, start=1):
+            if name in zeros:
+                assert b[j] == 0.0 and abs(g[j]) <= l1, name
+            else:
+                assert b[j] != 0.0 and abs(g[j] + l1 * np.sign(b[j])) <= 1e-9, name
+        # a shrinking branch of each sign ran
+        assert b[1:].min() < 0.0 < b[1:].max()
+
     def test_negative_penalties_rejected(self):
         design, y = self._design_y(18)
         with pytest.raises(ValueError, match="non-negative"):
@@ -447,6 +471,14 @@ class TestElasticNet:
 
 
 class TestFitAndPredict:
+    def test_coefficient_reads_the_named_column(self):
+        model = fit_meta_model(to_observations(load_embedded()))
+        for j, name in enumerate(model.column_names):
+            got = model.coefficient(name)
+            assert type(got) is float and got == model.coefficients[j], name
+        with pytest.raises(ValueError):
+            model.coefficient("nowhere")
+
     def test_fit_meta_model_round_trips_training_scale(self):
         obs = synth_observations(np.random.default_rng(19))
         model = fit_meta_model(obs)

@@ -1,5 +1,9 @@
 """Bundled reference tables: integrity, spot values, and internal consistency."""
 
+import csv
+import io
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,14 @@ class TestLoad:
         assert len(set(ids)) == 36
         assert all("/" in i for i in ids)
         assert dataset_of("parc/Cue") == "parc"
+
+    def test_f1_table_has_one_row_per_profile(self, tables):
+        # load_embedded joins the F1 rows by id, so an extra row would go unseen
+        header, *rows = csv.reader(io.StringIO(export_table("f1")))
+        col = {name: i for i, name in enumerate(header)}
+        ids = [f"{row[col['dataset']]}/{row[col['span_type']]}" for row in rows if row]
+        assert Counter(ids) == Counter(p.type_id for p in tables.profiles)
+        assert len(ids) == len(set(ids)) == 36
 
     def test_f1_values_in_range(self, tables):
         assert np.all(tables.f1_matrix >= 0.0)
