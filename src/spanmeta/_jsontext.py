@@ -4,7 +4,13 @@ text, JSON or CSV rows go into a file.
 Reading. :func:`read_text` decodes a file as UTF-8, drops a byte-order
 mark at its start, as Windows editors write one, and, by default,
 turns ``\\r\\n`` and ``\\r`` line ends into ``\\n``, as ``open`` does;
-bytes that are not UTF-8 raise :class:`InputError`. :func:`parse_json`
+bytes that are not UTF-8 raise :class:`InputError`. It serves the inputs
+read whole: model JSON, ``--config`` files and observation CSVs.
+:func:`read_lines` reads a corpus file the same way, one line at a time,
+so a reader holds one line of the file, not the whole of it. It yields
+the lines of the text ``read_text`` returns, and refuses the bytes that
+``read_text`` refuses, with the same message, without reading the file
+twice, so a pipe reads as a file does. :func:`parse_json`
 is ``json.loads`` whose every refusal (a syntax error, containers nested
 more than 100 deep, an integer longer than ``sys.get_int_max_str_digits()``
 digits) is one ``ValueError``, the same from any depth of the caller's
@@ -20,12 +26,15 @@ text for model files, reports and command output. ``json.dumps`` with an
 which spends most of a model file's time yielding one chunk per float;
 ``json_text`` writes the same bytes with one join per container, and one
 join of ``float.__repr__`` per all-float list. :func:`csv_text` writes
-CSV rows with LF line ends. :func:`write_text` puts any of these into a
-file as UTF-8 through a hidden file that then replaces the target: a
-failure at any point, from text with no UTF-8 form to a full disk, leaves
-an earlier file at the path as it was. A killed process can leave the
-hidden file behind; a special file, or a writable file in a directory
-the user may not write to, is written in place.
+CSV rows with LF line ends. :func:`write_text` puts any of these, or a
+corpus's lines one at a time, into a file as UTF-8 through a hidden file
+that then replaces the target: each piece is encoded as it is written, so
+a writer holds one piece, not the whole text, and a failure at any
+point, from text with no UTF-8 form to a full disk, leaves an earlier
+file at the path as it was. A killed process can leave the hidden file
+behind; a special file, or a writable file in a directory the user may
+not write to, is written in place, and only once the whole text is
+encoded.
 
 The module imports nothing numerical.
 """
@@ -38,15 +47,26 @@ import errno
 import io
 import json
 import os
+import shutil
 import stat
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import is_
 from pathlib import Path
+from typing import Iterable, Iterator
 
-__all__ = ["InputError", "csv_text", "json_text", "parse_json", "read_text", "write_text"]
+__all__ = [
+    "InputError",
+    "csv_text",
+    "json_text",
+    "parse_json",
+    "read_lines",
+    "read_text",
+    "write_text",
+]
 
 _INDENT = "  "
+_WRITE_BUFFER = 1 << 16  # bytes
 
 
 class InputError(ValueError):
@@ -175,9 +195,54 @@ def read_text(path, newline: str | None = None) -> str:
             # not "utf-8-sig": its decoder reads a lone b"\xef" as empty text
             return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:  # read() decodes the whole file in one call
-        head = e.object[: e.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise InputError(path, f"not UTF-8 text ({e.reason})", line) from None
+        raise _not_utf8(path, e) from None
+
+
+def read_lines(path) -> Iterator[str]:
+    """The lines of the UTF-8 file at ``path``, without their line ends,
+    read and decoded one at a time.
+
+    They are the lines of ``read_text(path)``: its text split at each
+    ``\\n``, less the last piece if that is empty. So ``\\n``,
+    ``\\r\\n`` and ``\\r`` each end a line, and a byte-order mark at the
+    start of the file is dropped. The file is read once, front to back, so
+    a pipe reads as a file does.
+
+    Raises:
+        InputError: as :func:`read_text` raises it, once the lines before
+            the one that holds the first byte that is not UTF-8 are yielded.
+        OSError: if the file cannot be read.
+    """
+    with open(path, "rb") as f:
+        number = 1  # of the next line to yield
+        for raw in f:  # split at b"\n", which no multi-byte sequence holds
+            try:
+                # with its b"\n", so that a sequence cut off before it is
+                # refused as read_text refuses it
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise _not_utf8(path, e, number) from None
+            if number == 1:
+                line = line.removeprefix("\ufeff")
+                if not line:  # the file holds a byte-order mark only
+                    return
+            if "\r" in line:
+                lines = line.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                if not lines[-1]:  # the text after a last line end
+                    lines.pop()
+                number += len(lines)
+                yield from lines
+            else:
+                number += 1
+                yield line.removesuffix("\n")
+
+
+def _not_utf8(path, e: UnicodeDecodeError, first_line: int = 1) -> InputError:
+    """The refusal of the bytes ``e`` failed on, in text whose first line
+    is ``first_line``: ``\\n``, ``\\r\\n`` and ``\\r`` each end one."""
+    head = e.object[: e.start]
+    line = first_line + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return InputError(path, f"not UTF-8 text ({e.reason})", line)
 
 
 #: How deep containers may nest in a parsed value, the outermost counted;
@@ -233,16 +298,18 @@ def _nests_deeper(value, limit: int) -> bool:
     return any(t is list or t is dict for t in map(type, level))
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, with no newline translation.
+def write_text(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or an iterable of str pieces, to ``path`` as
+    UTF-8, with no newline translation.
 
-    The whole text is encoded first, then written to a new hidden file
-    beside the target, which ``os.replace`` puts in the target's place.
-    So no failure, be it text with no UTF-8 form, such as a lone
-    surrogate, or a full disk, leaves a half-written target: it keeps its
-    earlier bytes, and the hidden file is removed. A process killed while
-    it writes can leave the hidden ``.<name>.<hex>.tmp`` file behind, and
-    nothing is synced to disk, so a power cut can lose either file.
+    Each piece is encoded as it is written to a new hidden file beside the
+    target, which ``os.replace`` then puts in the target's place, so the
+    writer holds one piece at a time, not the whole text. No failure, be it
+    a piece with no UTF-8 form, such as a lone surrogate, an error raised
+    by the iterable, or a full disk, leaves a half-written target: it keeps
+    its earlier bytes, and the hidden file is removed. A process killed
+    while it writes can leave the hidden ``.<name>.<hex>.tmp`` file behind,
+    and nothing is synced to disk, so a power cut can lose either file.
 
     A symlink is followed to the file it names. A new file gets the
     permission bits a plain ``open`` would give it, and a replaced file
@@ -251,50 +318,81 @@ def write_text(path, text: str) -> None:
     exists but is not a regular file, such as a FIFO, a terminal or a
     pipe named by ``/proc/self/fd/N``, is written in place. So is a
     writable file that cannot be replaced, as in a directory the user may
-    not write to; such a write is not atomic.
+    not write to; such a write is not atomic. Either is written only once
+    every piece is encoded, so a failure to encode writes nothing there.
 
     Raises:
-        ValueError: naming ``path`` if ``text`` cannot be encoded.
+        ValueError: naming ``path`` if a piece cannot be encoded, at the
+            position counted from the start of the whole text.
         OSError: naming ``path`` if it cannot be written, as ``open`` would,
             including a read-only regular file.
     """
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise ValueError(f"cannot write {path}: {e}") from e
+    pieces = [text] if isinstance(text, str) else text
     try:  # stat follows /proc's links to pipes, which realpath cannot
         st = os.stat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
-        Path(path).write_bytes(data)
+        Path(path).write_bytes(b"".join(_encoded(pieces, path)))
         return
     if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
-    try:
-        _replace(os.path.realpath(path), data, None if st is None else stat.S_IMODE(st.st_mode))
-    except OSError as e:
-        if st is None or not isinstance(e, PermissionError):
-            # name the target, not the hidden file
-            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
-        Path(path).write_bytes(data)  # in place, as open() would
-
-
-def _replace(target: str, data: bytes, mode: int | None) -> None:
-    """Put ``data`` at ``target`` through a hidden file in its directory,
-    with permission bits ``mode``, or ``open``'s for a new file."""
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL: never write through a file or link that is already there;
-    # mode 0o666 less the umask, as open() gives a new file
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as f:
-            if mode is not None:
-                os.chmod(tmp, mode)
-            f.write(data)
-        os.replace(tmp, target)
-    except BaseException:
+        # O_EXCL: never write through a file or link that is already there;
+        # mode 0o666 less the umask, as open() gives a new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        if st is None or not isinstance(e, PermissionError):
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+        # a directory the user may not write to: in place, as open() would
+        Path(path).write_bytes(b"".join(_encoded(pieces, path)))
+        return
+    try:
+        # a buffer of many lines, so that a corpus written a line at a time
+        # costs about as few write calls as one written whole
+        with open(fd, "wb", buffering=_WRITE_BUFFER) as f:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            f.writelines(_encoded(pieces, path))
+        try:
+            os.replace(tmp, target)
+        except PermissionError:
+            if st is None:
+                raise
+            # a sticky directory holding another user's file: in place, as
+            # open() would, from the whole text in the hidden file
+            with open(tmp, "rb") as whole, open(path, "wb") as out:
+                shutil.copyfileobj(whole, out)
+            os.unlink(tmp)
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(e, OSError):  # name the target, not the hidden file
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
         raise
+
+
+def _encoded(pieces: Iterable[str], path) -> Iterator[bytes]:
+    """Each of ``pieces`` as UTF-8; ValueError naming ``path`` for one with
+    no UTF-8 form, worded as for the pieces joined into one text."""
+    before = 0  # characters in the pieces before this one
+    for piece in pieces:
+        try:
+            data = piece.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"cannot write {path}: {_moved(e, before)}") from e
+        before += len(piece)
+        yield data
+
+
+def _moved(e: UnicodeEncodeError, by: int) -> str:
+    """``str(e)`` with its position ``by`` characters further on."""
+
+    def position(shift: int) -> str:
+        last = f"-{e.end - 1 + shift}" if e.end - e.start > 1 else ""
+        return f" in position {e.start + shift}{last}:"
+
+    return str(e).replace(position(0), position(by), 1)

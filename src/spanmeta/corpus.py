@@ -17,6 +17,14 @@ file that the first one holds is not parsed or checked again.
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
 
+Reading and writing stream the file. ``read_corpus`` reads it one line at
+a time (``_jsontext.read_lines``) and parses each line as it comes, so it
+never holds the file's bytes, its text or its list of lines, and
+``write_corpus`` encodes and writes one document's line, or its block of
+TSV rows, at a time. So a command's memory follows the corpus, which holds
+each distinct token once, and not the size of the file. A file is refused
+at its first faulty line; the lines after it are not read.
+
 Reading a JSONL file in the writer's layout, which is ``json.dumps``'s
 default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}``),
 costs time by its distinct token texts as well. Such a line is read
@@ -80,7 +88,7 @@ write/read/write cycle is byte-stable.
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from json.decoder import JSONDecoder, scanstring
@@ -89,7 +97,7 @@ from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ._jsontext import InputError, parse_json, read_text, write_text
+from ._jsontext import InputError, parse_json, read_lines, write_text
 
 __all__ = [
     "PARTITIONS",
@@ -376,7 +384,8 @@ def bio_decode(
 
 
 def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
-    """Serialize a corpus to ``path`` in the given format (UTF-8, LF).
+    """Serialize a corpus to ``path`` in the given format (UTF-8, LF), one
+    document at a time.
 
     ``conll_tsv`` keeps neither document ids nor empty documents, and its
     columns cannot hold a tab, line feed or carriage return, so a document
@@ -389,12 +398,12 @@ def write_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Non
     leaves an earlier file there as it was (see ``_jsontext.write_text``).
     """
     if format == "jsonl":
-        text = _to_jsonl(corpus)
+        pieces = _to_jsonl(corpus)
     elif format == "conll_tsv":
-        text = _to_conll_tsv(corpus)
+        pieces = _to_conll_tsv(corpus)
     else:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
-    write_text(path, text)
+    write_text(path, pieces)
 
 
 def read_corpus(
@@ -429,24 +438,26 @@ def read_corpus(
             each parsed and checked once. A fresh table by default.
 
     Raises:
-        CorpusFormatError: on bytes that are not UTF-8 or malformed
-            content, naming ``path`` and the line at fault: for a TSV
-            label sequence that does not decode, the line of its
-            document's first row. Span errors also carry the document id.
+        CorpusFormatError: at the first faulty line, the lines after it
+            unread: bytes that are not UTF-8 or malformed content, naming
+            ``path`` and that line; for a TSV label sequence that does not
+            decode, the line of its document's first row. Span errors also
+            carry the document id.
     """
     if format not in _FORMATS:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
+    table = _LayoutReader() if _tokens is None else _tokens
     try:
-        text = read_text(path)
+        with closing(read_lines(path)) as lines, _gc_paused():
+            if format == "jsonl":
+                docs = _parse_jsonl(lines, path, table)
+            else:
+                docs = _parse_conll_tsv(lines, path, decode_mode, table.seen)
+            return Corpus(tuple(docs), _derive_inventory(docs), partition)
+    except CorpusFormatError:
+        raise
     except InputError as e:  # bytes that are not UTF-8
         raise CorpusFormatError(*e.args) from None
-    table = _LayoutReader() if _tokens is None else _tokens
-    with _gc_paused():
-        if format == "jsonl":
-            docs = _parse_jsonl(text, path, table)
-        else:
-            docs = _parse_conll_tsv(text, path, decode_mode, table.seen)
-        return Corpus(tuple(docs), _derive_inventory(docs), partition)
 
 
 @contextmanager
@@ -498,12 +509,12 @@ def _token_json(token: Token) -> str:
     return f'{{"surface": {encode_basestring(token.surface)}, "features": [{features}]}}'
 
 
-def _to_jsonl(corpus: Corpus) -> str:
-    """One ``json.dumps(..., ensure_ascii=False)`` line per document, assembled
-    from each distinct token's and span type's text, encoded once per call."""
+def _to_jsonl(corpus: Corpus) -> Iterator[str]:
+    """One ``json.dumps(..., ensure_ascii=False)`` line per document, with its
+    line end, assembled from each distinct token's and span type's text,
+    encoded once per call."""
     tokens = _Memo(_token_json)
     span_heads = _Memo(lambda type_id: f'{{"type": {encode_basestring(type_id)}, "start": ')
-    lines = []
     for doc in corpus.documents:
         spans = _JSONL_ITEMS.join(
             [
@@ -511,12 +522,11 @@ def _to_jsonl(corpus: Corpus) -> str:
                 for s in doc.spans
             ]
         )
-        lines.append(
+        yield (
             f"{_JSONL_ID}{encode_basestring(doc.id)}"
             f"{_JSONL_TOKENS}{_JSONL_ITEMS.join(map(tokens.__getitem__, doc.tokens))}]"
-            f"{_JSONL_ITEMS}{_JSONL_SPANS}{spans}]}}"
+            f"{_JSONL_ITEMS}{_JSONL_SPANS}{spans}]}}\n"
         )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
@@ -618,9 +628,9 @@ def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
     return _tokens_from_objs([tk], seen, None)[0]
 
 
-def _parse_jsonl(text: str, path, table: _LayoutReader) -> list[Document]:
+def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> list[Document]:
     docs: list[Document] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         doc = table.read(line)
@@ -685,12 +695,14 @@ def _tsv_cells(token: Token) -> tuple[str, str] | None:
     return token.surface + "\t", "".join(["\t" + f for f in features])
 
 
-def _to_conll_tsv(corpus: Corpus) -> str:
-    """Rows of surface, label and sorted features; each distinct token's
-    columns and each distinct label are built and checked once per call."""
+def _to_conll_tsv(corpus: Corpus) -> Iterator[str]:
+    """Rows of surface, label and sorted features, one document's block at a
+    time, each ended by a line end and blocks parted by a blank line; each
+    distinct token's columns and each distinct label are built and checked
+    once per call."""
     cells = _Memo(_tsv_cells)
     label_fits = _Memo(lambda label: not _holds_tsv_separator(label))
-    blocks = []
+    parting = ""  # before every block but the first
     for doc in corpus.documents:
         if not doc.tokens:
             raise ValueError(
@@ -707,17 +719,18 @@ def _to_conll_tsv(corpus: Corpus) -> str:
                 "a tab, line feed or carriage return in a surface, label or "
                 "feature name"
             )
-        blocks.append("\n".join([head + lab + tail for (head, tail), lab in zip(around, labels)]))
-    if blocks and blocks[0].startswith("\ufeff"):
-        raise ValueError(
-            f"document {corpus.documents[0].id!r}, token 0: conll_tsv cannot start "
-            "a file with a byte-order mark (U+FEFF), which readers drop"
-        )
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+        if not parting and doc.tokens[0].surface.startswith("\ufeff"):
+            raise ValueError(
+                f"document {doc.id!r}, token 0: conll_tsv cannot start "
+                "a file with a byte-order mark (U+FEFF), which readers drop"
+            )
+        rows = "\n".join([head + lab + tail for (head, tail), lab in zip(around, labels)])
+        yield parting + rows + "\n"
+        parting = "\n"
 
 
 def _parse_conll_tsv(
-    text: str, path, decode_mode: str, seen: dict[tuple, Token]
+    lines: Iterable[str], path, decode_mode: str, seen: dict[tuple, Token]
 ) -> list[Document]:
     docs: list[Document] = []
     rows: list[tuple[Token, str]] = []
@@ -736,7 +749,7 @@ def _parse_conll_tsv(
         docs.append(Document(f"doc-{len(docs)}", tokens, tuple(spans)))
         rows = []
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             flush()
             continue

@@ -53,6 +53,7 @@ from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
 from spanmeta.seqlab import training as training_mod
 from spanmeta.seqlab.models import model_from_dict
+from spanmeta.svgplot import scatter_svg
 
 from helpers import make_doc
 
@@ -1483,6 +1484,21 @@ class TestInputFiles:
 # data export / reproduce
 
 
+    def test_an_integer_past_the_float_range_in_a_model_file_names_the_file(
+        self, tmp_path, capsys
+    ):
+        model_path = tmp_path / "meta.json"
+        assert run_cli(["meta", "fit", "--out", str(model_path)], capsys)[0] == 0
+        payload = json.loads(model_path.read_text("utf-8"))
+        payload["coefficients"]["bert"] = 10**399  # 400 digits, past the float range
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli([*_PREDICT, "--model", str(model_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"spanmeta: error: {model_path}: meta-model coefficients must be finite numbers\n"
+        )
+
+
 class TestDataExport:
     @pytest.mark.parametrize("table", ["profiles", "f1"])
     def test_stdout_is_exact_table_text(self, table, capsys):
@@ -1521,6 +1537,10 @@ class TestReproduce:
         report = build_reproduction_report().report
         want = {**dataclasses.asdict(report), "all_checks_pass": report.all_checks_pass}
         assert json_text(report.to_json_dict()) == json_text(want)
+
+    def test_scatter_refuses_x_and_y_of_different_lengths(self):
+        with pytest.raises(ValueError, match="^3 x values vs 2 y values$"):
+            scatter_svg([10.0, 20.0, 30.0], [15.0, 25.0])
 
     def test_report_bytes_are_stable(self, tmp_path, capsys):
         first = tmp_path / "one"

@@ -1,5 +1,6 @@
 """Data model, BIO round trips, and file format round trips."""
 
+import codecs
 import copy
 import dataclasses
 import gc
@@ -10,6 +11,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from spanmeta import (
 )
 
 from spanmeta import corpus as corpus_mod
-from spanmeta._jsontext import parse_json
+from spanmeta._jsontext import InputError, parse_json, read_text
 
 from helpers import make_doc, random_corpus
 
@@ -437,14 +440,47 @@ class TestReadErrors:
             read_corpus(path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
-    def test_bytes_that_are_not_utf8_report_path_and_line(self, tmp_path, fmt):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["no-mark", "mark"])
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            (b"b\xff\tO{end}", "invalid start byte"),
+            (b"b\xe2\x82", "unexpected end of data"),
+            (b"b\xe2\x82{end}a\tO{end}", "invalid continuation byte"),
+        ],
+        ids=["invalid-byte", "cut-at-end-of-file", "cut-before-line-end"],
+    )
+    def test_bytes_that_are_not_utf8_report_path_and_line(
+        self, tmp_path, fmt, end, mark, fault, reason
+    ):
         path = tmp_path / "latin1"
-        path.write_bytes(b"a\tO\r\n\r\nb\xff\tO\n")
+        # a document on line 1, a blank line 2, and the bytes at fault on line 3
+        path.write_bytes(mark + _FIRST_LINE[fmt] + end + end + fault.replace(b"{end}", end))
         with pytest.raises(CorpusFormatError) as info:
             read_corpus(path, format=fmt)
-        assert str(info.value) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
+        assert str(info.value) == f"{path}: line 3: not UTF-8 text ({reason})"
+        with pytest.raises(InputError) as whole:
+            read_text(path)
+        assert str(whole.value) == str(info.value)
         back = pickle.loads(pickle.dumps(info.value))
         assert (type(back), str(back)) == (CorpusFormatError, str(info.value))
+
+    @pytest.mark.parametrize(
+        "fmt, malformed, reason",
+        [
+            ("jsonl", b"{oops", "invalid JSON: Expecting property name"),
+            ("conll_tsv", b"only_one_column", "expected at least 2 tab-separated columns"),
+        ],
+    )
+    def test_the_first_faulty_line_is_refused(self, tmp_path, fmt, malformed, reason):
+        # lines are decoded and parsed one at a time, so a malformed line 2
+        # is refused before the reader meets the byte on line 5
+        path = tmp_path / "two-faults"
+        first = _FIRST_LINE[fmt]
+        path.write_bytes(first + b"\n" + malformed + b"\n" + first + b"\n\nb\xff\tO\n")
+        with pytest.raises(CorpusFormatError, match=_at(path, 2) + reason):
+            read_corpus(path, format=fmt)
 
     @pytest.mark.parametrize(
         "features,message",
@@ -562,6 +598,107 @@ class TestReadErrors:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert len(read_corpus(path)) == 0
+
+
+def _read_from_a_pipe(data: bytes, **options):
+    """``read_corpus`` of ``/proc/self/fd/N`` for a pipe that a thread
+    fills with ``data``, which must fit in the pipe's buffer: the path and
+    the corpus, or the path and the error raised."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as f:
+            f.write(data)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    path = f"/proc/self/fd/{read_end}"
+    try:
+        return path, read_corpus(path, **options)
+    except CorpusFormatError as e:
+        return path, e
+    finally:
+        feeder.join(timeout=30)
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/fd is Linux's")
+class TestPipe:
+    """A pipe can be read only once: a corpus read from one reads and fails
+    as the same bytes do from a file on disk."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_bytes_that_are_not_utf8_report_path_and_line(self, fmt):
+        path, error = _read_from_a_pipe(
+            _FIRST_LINE[fmt] + b"\r\n\r\nb\xff\tO\n", format=fmt
+        )
+        assert type(error) is CorpusFormatError
+        assert str(error) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_valid_file_reads_as_from_disk(self, tmp_path, fmt):
+        disk = tmp_path / "c"
+        write_corpus(_sample_corpus(), disk, format=fmt)
+        _, corpus = _read_from_a_pipe(disk.read_bytes(), format=fmt)
+        assert corpus == read_corpus(disk, format=fmt)
+        assert len(corpus) == len(_sample_corpus())
+
+
+def _megabyte_corpus(fmt: str) -> Corpus:
+    """A corpus whose file is about 1 MB in ``fmt``, of 300 distinct tokens
+    repeated, as words repeat in text, so it holds much less than its file."""
+    words = [Token(f"w{i}", frozenset({"cap"} if i % 3 else ())) for i in range(300)]
+    n = {"jsonl": 900, "conll_tsv": 4000}[fmt]
+    docs = tuple(
+        Document(
+            f"d{d}",
+            tuple(words[(7 * d + 13 * i) % 300] for i in range(25)),
+            (Span("t", 1, 3), Span("u", 5, 6)),
+        )
+        for d in range(n)
+    )
+    return Corpus(docs, ("t", "u"))
+
+
+def _traced(call):
+    """The bytes traced before ``call()``, its result, the bytes traced
+    after it and their peak during it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return before, result, after, peak
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+class TestMemory:
+    """Reading and writing go one line at a time, so neither holds a copy
+    of the whole file: memory follows the corpus, not the file."""
+
+    def test_a_read_peaks_less_than_half_the_file_above_the_corpus(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        corpus = _megabyte_corpus(fmt)
+        write_corpus(corpus, path, format=fmt)
+        size = path.stat().st_size
+        assert 900_000 < size < 1_300_000
+        _, back, held, peak = _traced(lambda: read_corpus(path, format=fmt))
+        assert peak - held < size / 2
+        assert len(back) == len(corpus)
+
+    def test_a_write_peaks_less_than_half_the_file_above_what_it_held(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        corpus = _megabyte_corpus(fmt)
+        before, _, _, peak = _traced(lambda: write_corpus(corpus, path, format=fmt))
+        size = path.stat().st_size
+        assert 900_000 < size < 1_300_000
+        assert peak - before < size / 2
+
+
+# a first line in each format: a document with no spans
+_FIRST_LINE = {"jsonl": b'{"id": "a", "tokens": [], "spans": []}', "conll_tsv": b"a\tO"}
 
 
 def _at(path, line: int) -> str:

@@ -1,6 +1,7 @@
 """The file boundary: the indent-2 JSON writer against ``json.dumps``, byte
 for byte; the reader against ``open``; and the atomic file writer."""
 
+import codecs
 import copy
 import errno
 import json
@@ -17,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanmeta._jsontext import InputError, json_text, parse_json, read_text, write_text
+from spanmeta._jsontext import (
+    InputError,
+    json_text,
+    parse_json,
+    read_lines,
+    read_text,
+    write_text,
+)
 
 
 def _reference(value) -> str:
@@ -169,6 +177,62 @@ def test_bytes_that_are_not_utf8_name_the_path_and_line(tmp_path, newline, lines
     assert (info.value.path, info.value.line) == (path, line)
 
 
+def _lines_or_refusal(read):
+    try:
+        return read()
+    except InputError as e:
+        return str(e)
+
+
+def _lines_of(text: str) -> list[str]:
+    """``text`` split at each ``\\n``, less the last piece if that is empty."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.sampled_from("a\r\n,\"é\u2028\x85\ufeff"), max_size=12))
+def test_read_lines_yields_the_lines_of_open_less_a_leading_byte_order_mark(
+    tmp_path_factory, text
+):
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = _lines_of(fh.read().removeprefix("\ufeff"))
+    assert list(read_lines(path)) == want
+
+
+# line ends, a byte-order mark, bytes that are not UTF-8 on their own, and
+# multi-byte sequences whole and cut short
+_PIECES = [b"a", b"\r", b"\n", b"\r\n", codecs.BOM_UTF8, b"\xff", b"\xe2\x82", b"\xac",
+           b"\xc3\xa9", b"\xe2\x82\xac"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map(b"".join))
+def test_read_lines_reads_and_refuses_as_read_text(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "bytes.txt"
+    path.write_bytes(data)
+    want = _lines_or_refusal(lambda: _lines_of(read_text(path)))
+    assert _lines_or_refusal(lambda: list(read_lines(path))) == want
+
+
+@pytest.mark.parametrize("lines_before", [0, 100_000])  # the latter: past any read buffer
+def test_read_lines_names_the_line_of_bytes_that_are_not_utf8(tmp_path, lines_before):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"x\n" * lines_before + b"one\r\ntwo\rthree\nfour \xe9t\xe9\n")
+    lines = read_lines(path)
+    for _ in range(lines_before + 3):  # every line before the faulty one is read
+        next(lines)
+    with pytest.raises(InputError) as info:
+        next(lines)
+    line = lines_before + 4
+    assert str(info.value) == f"{path}: line {line}: not UTF-8 text (invalid continuation byte)"
+    assert (info.value.path, info.value.line) == (path, line)
+
+
 @pytest.mark.parametrize(
     "line, text", [(3, "in.csv: line 3: bad row"), (None, "in.csv: bad row")]
 )
@@ -293,6 +357,63 @@ def test_a_pipe_is_written_in_place_whatever_realpath_makes_of_it(tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
+def test_pieces_are_written_as_one_text(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"earlier, longer\n")
+    write_text(path, (piece for piece in ["a", "", "é\n", "b\r\n"]))
+    assert path.read_bytes() == "aé\nb\r\n".encode()
+    write_text(path, iter([]))
+    assert path.read_bytes() == b""
+
+
+def test_pieces_that_fail_leave_the_target_and_no_hidden_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"earlier\n")
+
+    def pieces():
+        yield "x" * 100_000 + "\n"
+        raise ValueError("no second piece")
+
+    with pytest.raises(ValueError, match="no second piece"):
+        write_text(target, pieces())
+    assert target.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize(
+    "pieces", [["ab\n", "c\ud800d"], ["ab\n", "", "c\udc00\ud800d"]], ids=["one", "two"]
+)
+def test_an_unencodable_piece_is_refused_as_in_the_whole_text(tmp_path, pieces):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError) as whole:
+        write_text(path, "".join(pieces))
+    with pytest.raises(ValueError) as piecewise:
+        write_text(path, iter(pieces))
+    assert str(piecewise.value) == str(whole.value)
+    assert str(whole.value).startswith(f"cannot write {path}: 'utf-8' codec can't encode")
+    assert "in position 4" in str(whole.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fifo_gets_no_byte_of_pieces_that_fail(tmp_path):
+    # a special file is written only once every piece is encoded
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def pieces():
+        yield "first line\n"
+        yield "\ud800\n"
+
+    # a reader that does not wait for a writer, so that no open for writing blocks
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match=f"cannot write {fifo}: .*position 11"):
+            write_text(fifo, pieces())
+        assert os.read(reader, 100) == b""  # no writer has written: end of stream
+    finally:
+        os.close(reader)
+
+
 @pytest.mark.parametrize("step", ["create", "replace"])
 def test_a_writable_file_that_cannot_be_replaced_is_written_in_place(
     tmp_path, monkeypatch, step
@@ -319,6 +440,36 @@ def test_a_writable_file_that_cannot_be_replaced_is_written_in_place(
     write_text(target, "later\n")
     monkeypatch.setattr(os, "replace", real_replace)
     assert target.read_bytes() == b"later\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("step", ["create", "replace"])
+def test_pieces_for_a_file_that_cannot_be_replaced_are_written_in_place(
+    tmp_path, monkeypatch, step
+):
+    # create: nothing is written before the refusal, so the pieces are
+    # encoded and written in place; replace: the hidden file is whole, and
+    # it is copied in place
+    target = tmp_path / "out.json"
+    target.write_bytes(b"earlier, longer\n")
+    target.chmod(0o640)
+    real_open = os.open
+
+    def refuse_create(name, flags, *args):
+        if flags & os.O_EXCL:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return real_open(name, flags, *args)
+
+    def refuse_replace(src, dst):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), dst)
+
+    if step == "create":
+        monkeypatch.setattr(os, "open", refuse_create)
+    else:
+        monkeypatch.setattr(os, "replace", refuse_replace)
+    write_text(target, (line + "\n" for line in ["lat", "er"] * 20_000))
+    assert target.read_bytes() == b"lat\ner\n" * 20_000
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 

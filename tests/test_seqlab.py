@@ -1084,6 +1084,16 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=message):
             model_from_dict(obj)
 
+    @pytest.mark.parametrize("arch, key", [("baseline", "weights"), ("crf", "emission_weights")])
+    def test_an_integer_past_the_float_range_is_refused(self, arch, key):
+        rng = np.random.default_rng(19)
+        model = random_crf(rng, masked=True) if arch == "crf" else random_baseline(rng)
+        obj = json.loads(json.dumps(model_to_dict(model)))
+        # a 400-digit weight: json reads it as an int, which no float holds
+        obj[key][0][0] = json.loads("1" + "0" * 399)
+        with pytest.raises(ValueError, match=f"^model {key} must be finite numbers$"):
+            model_from_dict(obj)
+
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
