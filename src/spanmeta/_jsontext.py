@@ -20,23 +20,27 @@ Refusing. :class:`InputError` is the one error a reader raises for a
 file it refuses, and the one place that words it: ``<path>: line N:
 <reason>``, or ``<path>: <reason>`` when no line is at fault.
 
-Writing. :func:`json_text` writes ``json.dumps(indent=2, sort_keys=True)``
-text for model files, reports and command output. ``json.dumps`` with an
+Writing. :func:`json_pieces` writes ``json.dumps(indent=2,
+sort_keys=True)`` text for model files, reports and command output as a
+stream of pieces, and :func:`json_text` joins them. ``json.dumps`` with an
 ``indent`` falls back to the standard library's pure-Python encoder,
 which spends most of a model file's time yielding one chunk per float;
-``json_text`` writes the same bytes with one join per container, and one
-join of ``float.__repr__`` per all-float list. :func:`csv_text` writes
-CSV rows with LF line ends. :func:`write_text` puts any of these, or a
-corpus's lines one at a time, into a file as UTF-8 through a hidden file
-that then replaces the target: each piece is encoded as it is written, so
-a writer holds one piece, not the whole text, and a failure at any
-point, from text with no UTF-8 form to a full disk, leaves an earlier
-file at the path as it was. A killed process can leave the hidden file
-behind; a special file, or a writable file in a directory the user may
-not write to, is written in place, and only once the whole text is
-encoded.
+this writer yields one piece per scalar or container entry, and one join
+of ``float.__repr__`` per all-float list. It also takes numpy arrays, and
+writes a two-dimensional one a row at a time, each row ``tolist()``
+joined the same way, so a model's weights are written with no nested-list
+copy of them. :func:`csv_text` writes CSV rows with LF line ends.
+:func:`write_text` puts a text, a model file's pieces or a corpus's lines
+into a file as UTF-8 through a hidden file that then replaces the target:
+each piece is encoded as it is written, so a writer holds one piece, not
+the whole text, and a failure at any point, from a NaN weight or text with
+no UTF-8 form to a full disk, leaves an earlier file at the path as it
+was. A killed process can leave the hidden file behind; a special file,
+or a writable file in a directory the user may not write to, is written
+in place, and only once the whole text is encoded.
 
-The module imports nothing numerical.
+The module imports nothing numerical: it knows an array by the type that
+an already loaded numpy gives it.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import json
 import os
 import shutil
 import stat
+import sys
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import is_
@@ -58,6 +63,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "InputError",
     "csv_text",
+    "json_pieces",
     "json_text",
     "parse_json",
     "read_lines",
@@ -89,18 +95,32 @@ class InputError(ValueError):
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus a newline.
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus a
+    newline: the pieces of :func:`json_pieces` joined, so ``obj`` may hold
+    numpy arrays, each written as its ``tolist()`` a row at a time."""
+    return "".join(json_pieces(obj))
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of :func:`json_text` in pieces, for :func:`write_text`.
 
     Types are tried in ``json.dumps``'s order: str, None, bool, int and
     float (subclasses included, written as their base type), then list or
-    tuple, then dict. Containers must not hold themselves.
+    tuple, then dict. Containers must not hold themselves. A numpy array of
+    one or more dimensions is written as the list its ``tolist()`` gives,
+    one row at a time, so no nested-list copy of it is made.
+
+    A piece is a scalar, a whole all-float list or array row, or the
+    brackets, keys and separators around them; a non-finite float is
+    refused before the piece that would hold it is yielded.
 
     Raises:
         ValueError: on a NaN or infinite float.
         TypeError: on any other type, or a dict key that is not a str,
             int, float, bool or None.
     """
-    return _value(obj, "\n") + "\n"
+    yield from _pieces(obj, "\n")
+    yield "\n"
 
 
 def _float(x: float) -> str:
@@ -131,8 +151,10 @@ def _key(key) -> str:
     return _string(text)
 
 
-def _value(o, newline: str) -> str:
-    """``o`` as JSON whose nested lines start with ``newline``."""
+def _flat(o, newline: str) -> str | None:
+    """``o`` as JSON whose nested lines start with ``newline``, if it is a
+    str, None, bool, int, float, empty container or all-float list or
+    tuple; else None."""
     if isinstance(o, str):
         return _string(o)
     if o is None:
@@ -145,28 +167,66 @@ def _value(o, newline: str) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float(o)
-    inner = newline + _INDENT
-    separator = "," + inner
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        inner = newline + _INDENT
         try:  # float.__repr__ takes floats and their subclasses only
-            body = separator.join(map(float.__repr__, o))
+            body = ("," + inner).join(map(float.__repr__, o))
         except TypeError:
-            body = separator.join([_value(v, inner) for v in o])
-        else:
-            if "n" in body:  # a nan or an inf: raise as for a lone float
-                for v in o:
-                    _float(v)
+            return None
+        if "n" in body:  # a nan or an inf: raise as for a lone float
+            for v in o:
+                _float(v)
         return "[" + inner + body + newline + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = separator.join(
-            [_key(k) + ": " + _value(v, inner) for k, v in sorted(o.items())]
-        )
-        return "{" + inner + body + newline + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if isinstance(o, dict) and not o:
+        return "{}"
+    return None
+
+
+def _pieces(o, newline: str) -> Iterator[str]:
+    """``o`` as JSON whose nested lines start with ``newline``, in pieces."""
+    text = _flat(o, newline)
+    if text is None:
+        yield from _nested(o, newline)
+    else:
+        yield text
+
+
+def _nested(o, newline: str) -> Iterator[str]:
+    """The pieces of ``o``, which :func:`_flat` did not write."""
+    if isinstance(o, (list, tuple)):
+        yield from _entries("[", (("", v) for v in o), "]", newline)
+    elif isinstance(o, dict):
+        keys = sorted(o)  # keys are distinct, so this is the order of the items
+        yield from _entries("{", ((_key(k) + ": ", o[k]) for k in keys), "}", newline)
+    else:
+        numpy = sys.modules.get("numpy")  # no array exists unless numpy is loaded
+        if numpy is None or not isinstance(o, numpy.ndarray) or not o.ndim:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if o.ndim == 1:
+            yield from _pieces(o.tolist(), newline)
+        elif len(o):
+            # a row at a time: each row's list is made, written and dropped
+            yield from _entries("[", (("", row.tolist()) for row in o), "]", newline)
+        else:
+            yield "[]"
+
+
+def _entries(opener: str, entries: Iterable, closer: str, newline: str) -> Iterator[str]:
+    """A non-empty container of ``(head, value)`` entries, a head being a
+    dict entry's key and colon or ``""``, between ``opener`` and ``closer``."""
+    inner = newline + _INDENT
+    before = opener + inner
+    for head, v in entries:
+        text = _flat(v, inner)
+        if text is None:
+            yield before + head
+            yield from _nested(v, inner)
+        else:
+            yield before + head + text
+        before = "," + inner
+    yield newline + closer
 
 
 def csv_text(header, rows) -> str:

@@ -26,10 +26,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from ._jsontext import InputError, csv_text, json_text, parse_json, read_text, write_text
+from ._jsontext import (
+    InputError,
+    csv_text,
+    json_pieces,
+    json_text,
+    parse_json,
+    read_text,
+    write_text,
+)
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
 from .corpus import Corpus, _LayoutReader, read_corpus
 from .evaluation import PRF, F1Report, _sum_counts, count_matches, f1_report
@@ -64,9 +72,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a str or its pieces, to ``out``, or to stdout when
+    ``out`` is None: pieces are joined first, so that one refused by the
+    writer that makes them leaves nothing on stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else "".join(text))
     else:
         write_text(out, text)
 
@@ -188,10 +199,11 @@ def _cmd_train(args) -> None:
         result = train(args.arch, train_corpus, dev_corpus, config)
     except _RefusedCorpus as exc:
         raise InputError(args.dev if exc.corpus == "dev" else args.train, str(exc)) from None
-    obj = model_to_dict(result.model)
+    # the model's own arrays, written a row at a time as each is encoded
+    obj = model_to_dict(result.model, _arrays=True)
     obj["training_log"] = [dataclasses.asdict(r) for r in result.log]
     obj["stopped_early"] = result.stopped_early
-    _write_or_print(json_text(obj), args.out)
+    _write_or_print(json_pieces(obj), args.out)
 
 
 # ---------------------------------------------------------------------------

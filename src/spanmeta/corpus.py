@@ -123,6 +123,9 @@ OUTSIDE = "O"
 _FORMATS = ("jsonl", "conll_tsv")
 _DECODE_MODES = ("strict", "lenient")
 
+#: The feature bag of every token with no features: one set, not one per token.
+_NO_FEATURES: frozenset[str] = frozenset()
+
 
 class CorpusFormatError(InputError):
     """A corpus file does not parse under the declared format.
@@ -137,23 +140,28 @@ class Token:
     """A single token: a surface form plus a bag of named features.
 
     The surface must be non-empty, and so must every feature name; the
-    feature bag may be empty.
+    feature bag may be empty, and every empty one is the same set.
     """
 
     surface: str
-    features: frozenset[str] = frozenset()
+    features: frozenset[str] = _NO_FEATURES
 
     def __post_init__(self) -> None:
         if not isinstance(self.surface, str) or not self.surface:
             raise ValueError("token surface must be a non-empty string")
         message = "feature names must be non-empty strings"
-        if not isinstance(self.features, frozenset):
+        features = self.features
+        if not isinstance(features, frozenset):
             try:
-                object.__setattr__(self, "features", frozenset(self.features))
+                features = frozenset(features)
             except TypeError:  # an unhashable entry, such as a list
                 raise ValueError(message) from None
-        if any(not isinstance(f, str) or not f for f in self.features):
+        if not features:
+            features = _NO_FEATURES
+        elif any(not isinstance(f, str) or not f for f in features):
             raise ValueError(message)
+        if features is not self.features:
+            object.__setattr__(self, "features", features)
 
 
 @dataclass(frozen=True)

@@ -582,16 +582,32 @@ _PARAMETERS = {
 }
 
 
-def model_to_dict(model: "TokenClassifierModel | LinearChainCrfModel") -> dict:
+def model_to_dict(
+    model: "TokenClassifierModel | LinearChainCrfModel", *, _arrays: bool = False
+) -> dict:
+    """The model as plain JSON values: what ``json.loads`` gives back for
+    the model part of a model file that ``spanmeta train`` writes.
+
+    Labels become a list, the feature ids a new dict and each parameter
+    block nested lists of floats; :func:`model_from_dict` rebuilds the
+    model from it. With ``_arrays``, for the CLI's model file, the values
+    are the model's own labels tuple, feature-id map and parameter arrays,
+    uncopied, which ``_jsontext.json_pieces`` writes to the same text a
+    row at a time, with no nested-list copy of the weights.
+    """
     obj: dict = {
         "arch": model.arch,
-        "labels": list(model.labels),
-        "feature_ids": dict(model.feature_index.ids),
+        "labels": model.labels,
+        "feature_ids": model.feature_index.ids,
     }
-    for key, p in zip(_PARAMETERS[model.arch], model.parameters()):
-        obj[key] = p.tolist()
+    obj.update(zip(_PARAMETERS[model.arch], model.parameters()))
     if isinstance(model, LinearChainCrfModel):
         obj["masked"] = model.masked
+    if not _arrays:
+        obj["labels"] = list(model.labels)
+        obj["feature_ids"] = dict(model.feature_index.ids)
+        for key in _PARAMETERS[model.arch]:
+            obj[key] = obj[key].tolist()
     return obj
 
 

@@ -12,11 +12,13 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -51,8 +53,10 @@ from spanmeta._jsontext import json_text
 from spanmeta.cli import build_parser, main
 from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
+import spanmeta.seqlab
+from spanmeta.seqlab import FeatureIndex, TokenClassifierModel, TrainResult
 from spanmeta.seqlab import training as training_mod
-from spanmeta.seqlab.models import model_from_dict
+from spanmeta.seqlab.models import model_from_dict, model_to_dict
 from spanmeta.svgplot import scatter_svg
 
 from helpers import make_doc
@@ -714,6 +718,34 @@ class TestTrain:
         assert err.startswith(f"spanmeta: error: {cfg}: line 2: option {option}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "value, masked", [("off", False), ("no", False), ("0", False), ("on", True)]
+    )
+    def test_a_boolean_option_is_read_from_the_config_file(
+        self, files, tmp_path, capsys, value, masked
+    ):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"mask_invalid_transitions = {value}\n")
+        argv = ["train", "--arch", "crf", "--train", files["train"], "--max-epochs", "1"]
+        code, with_config, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert json.loads(with_config)["masked"] is masked
+        if not masked:  # the default, so the same file as with no config
+            assert run_cli(argv, capsys)[1] == with_config
+
+    @pytest.mark.parametrize("line", ["max_epochs 3", "= 3", "  =", "seed"])
+    def test_a_config_line_with_no_key_and_value_is_refused_with_its_line(
+        self, files, tmp_path, capsys, line
+    ):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        out = tmp_path / "model.json"
+        argv = ["train", "--arch", "baseline", "--train", files["train"], "--config", str(cfg)]
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"spanmeta: error: {cfg}: line 2: expected key=value\n"
+        assert not out.exists()
+
     def test_negative_seed_fails_before_reading_corpora(self, capsys):
         argv = ["train", "--arch", "crf", "--train", "/nonexistent.jsonl", "--seed", "-1"]
         code, _, err = run_cli(argv, capsys)
@@ -802,6 +834,107 @@ class TestTrain:
 
 # ---------------------------------------------------------------------------
 # eval
+
+
+class TestModelFile:
+    """``train`` writes its model file from the model's own arrays, a row at
+    a time, with the bytes of ``json_text`` over ``model_to_dict``."""
+
+    @staticmethod
+    def _trained(monkeypatch) -> list[TrainResult]:
+        """Where each ``train`` call's result goes, ``train`` itself kept."""
+        results, train = [], spanmeta.seqlab.train
+
+        def keep(*args):
+            results.append(train(*args))
+            return results[-1]
+
+        monkeypatch.setattr(spanmeta.seqlab, "train", keep)
+        return results
+
+    @staticmethod
+    def _returning(monkeypatch, model) -> dict:
+        """Make ``train`` return ``model``; the dict gets the bytes traced
+        and their peak since the return, once ``main`` has returned."""
+        traced: dict = {}
+
+        def train(*args):
+            tracemalloc.reset_peak()
+            traced["held"] = tracemalloc.get_traced_memory()[0]
+            return TrainResult(model, (), False)
+
+        monkeypatch.setattr(spanmeta.seqlab, "train", train)
+        return traced
+
+    @pytest.mark.parametrize(
+        "arch, config, epochs",
+        [
+            ("baseline", "", "2"),
+            ("crf", "", "2"),
+            ("crf", "mask_invalid_transitions = true\n", "2"),
+            ("baseline", "", "0"),
+            ("crf", "", "0"),
+        ],
+        ids=["baseline", "crf", "masked-crf", "baseline-no-epoch", "crf-no-epoch"],
+    )
+    def test_the_file_is_json_text_of_model_to_dict(
+        self, files, tmp_path, capsys, monkeypatch, arch, config, epochs
+    ):
+        cfg, out = tmp_path / "train.cfg", tmp_path / "model.json"
+        cfg.write_text(config)
+        results = self._trained(monkeypatch)
+        argv = ["train", "--arch", arch, "--train", files["train"], "--dev", files["dev"],
+                "--config", str(cfg), "--seed", "5", "--max-epochs", epochs]
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        [result, again] = results
+        expected = {
+            **model_to_dict(result.model),
+            "training_log": [dataclasses.asdict(r) for r in result.log],
+            "stopped_early": result.stopped_early,
+        }
+        assert out.read_bytes() == json_text(expected).encode()
+        assert stdout == json_text(expected)
+        assert len(result.log) == int(epochs)
+        assert model_to_dict(again.model) == model_to_dict(result.model)
+
+    def test_writing_holds_no_copy_of_the_weights(self, files, tmp_path, capsys, monkeypatch):
+        labels = ("O", *(f"{bio}-t{i}" for i in range(18) for bio in "BI"))
+        index = FeatureIndex({f"w={i}": i for i in range(19_999)})
+        weights = np.random.default_rng(3).normal(size=(index.num_features + 1, len(labels)))
+        assert weights.shape == (20_001, 37)
+        traced = self._returning(monkeypatch, TokenClassifierModel(index, labels, weights))
+        out = tmp_path / "model.json"
+        argv = ["train", "--arch", "baseline", "--train", files["train"], "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv, capsys)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # writing the joined text of nested lists peaked near 15 times the array
+        assert peak - traced["held"] < weights.nbytes / 4
+        assert json.loads(out.read_text())["weights"] == weights.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_weight_is_refused_and_writes_nothing(
+        self, files, tmp_path, capsys, monkeypatch, bad
+    ):
+        labels = ("O", "B-p", "I-p")
+        index = FeatureIndex({f"w={i}": i for i in range(50)})
+        weights = np.ones((index.num_features + 1, len(labels)))
+        weights[40, 1] = bad
+        self._returning(monkeypatch, TokenClassifierModel(index, labels, weights))
+        out = tmp_path / "model.json"
+        out.write_bytes(b"an earlier model\n")
+        argv = ["train", "--arch", "baseline", "--train", files["train"]]
+        message = f"spanmeta: error: Out of range float values are not JSON compliant: {bad}\n"
+        assert run_cli(argv + ["--out", str(out)], capsys) == (1, "", message)
+        assert out.read_bytes() == b"an earlier model\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        # without --out, not a byte of the model reaches stdout
+        assert run_cli(argv, capsys) == (1, "", message)
 
 
 class TestEval:

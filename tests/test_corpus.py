@@ -68,6 +68,13 @@ class TestDataModel:
         assert dataclasses.asdict(Token("a")) == {"surface": "a", "features": frozenset()}
         assert repr(Token("a")) == "Token(surface='a', features=frozenset())"
 
+    def test_every_empty_feature_bag_is_one_set(self):
+        tokens = [Token("a"), Token("b", []), Token("c", frozenset()), Token("d", ())]
+        assert all(t.features is corpus_mod._NO_FEATURES for t in tokens)
+        assert Token("a", []) == Token("a", frozenset()) == Token("a")
+        assert hash(Token("a", [])) == hash(("a", frozenset()))
+        assert Token("a", ["f"]).features is not corpus_mod._NO_FEATURES
+
     def test_token_pickles_and_copies_to_an_equal_token(self):
         token = Token("naïve", frozenset({"cap", "x"}))
         back = pickle.loads(pickle.dumps(token))
@@ -1220,6 +1227,23 @@ class TestSharedTokenTable:
         assert second.documents == read_corpus(pred_path, format=fmt).documents
         for g, p in zip(first.documents, second.documents):
             assert all(a is b for a, b in zip(g.tokens, p.tokens))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_featureless_tokens_share_one_empty_bag(self, tmp_path, fmt):
+        def corpus(surfaces):
+            doc = Document("d", tuple(Token(s, ["cap"] if s == "X" else []) for s in surfaces))
+            return Corpus((doc,), ())
+
+        paths = tmp_path / "first", tmp_path / "second"
+        write_corpus(corpus(["a", "b", "X", "c"]), paths[0], format=fmt)
+        write_corpus(corpus(["d", "a", "e"]), paths[1], format=fmt)
+        table = corpus_mod._LayoutReader()
+        reads = [read_corpus(path, format=fmt, _tokens=table) for path in paths]
+        [a, b, x, c], [d, a2, e] = (r.documents[0].tokens for r in reads)
+        assert a2 is a
+        # within one read, and for new texts of a second read through the table
+        assert all(t.features is a.features for t in (b, c, d, e))
+        assert a.features == frozenset() and x.features == frozenset({"cap"})
 
     @settings(max_examples=100, deadline=None)
     @given(_corpora(_LAYOUT_NAMES), _corpora(_LAYOUT_NAMES), st.data())

@@ -14,12 +14,14 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanmeta._jsontext import (
     InputError,
+    json_pieces,
     json_text,
     parse_json,
     read_lines,
@@ -132,6 +134,72 @@ def test_other_types_raise_type_error(value, message):
     with pytest.raises(TypeError, match=message):
         json_text(value)
     with pytest.raises(TypeError, match=message):
+        _reference(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUES)
+def test_the_pieces_join_to_the_text(value):
+    assert "".join(json_pieces(value)) == json_text(value)
+
+
+_ARRAYS = {
+    "rows": np.arange(12.0).reshape(4, 3) / 7 - 0.5,
+    "vector": np.array([0.1, -0.0, 1e16, 5e-324]),
+    "one row": np.array([[2.5, -1.0]]),
+    "no rows": np.zeros((0, 3)),
+    "empty vector": np.zeros(0),
+    "three dimensions": np.arange(24.0).reshape(2, 3, 4) / 3,
+    "integers": np.arange(6).reshape(2, 3),
+    "float32": np.array([[0.1, 0.2]], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("array", _ARRAYS.values(), ids=_ARRAYS.keys())
+def test_an_array_is_written_as_its_list(array):
+    obj = {"w": array, "labels": ("O", "B-p"), "n": 1}
+    plain = {"w": array.tolist(), "labels": ["O", "B-p"], "n": 1}
+    assert json_text(obj) == json_text(plain) == _reference(plain)
+
+
+def test_a_matrix_is_written_a_row_at_a_time():
+    weights = np.arange(300.0).reshape(100, 3) / 9
+    rows = [json_text(row.tolist())[:-1].replace("\n", "\n  ") for row in weights]
+    pieces = ["[\n  " + rows[0], *[",\n  " + row for row in rows[1:]], "\n]", "\n"]
+    assert list(json_pieces(weights)) == pieces
+    assert "".join(pieces) == _reference(weights.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(5,), (4, 3)], ids=["vector", "matrix"])
+def test_a_non_finite_array_value_is_refused_as_in_its_list(bad, shape):
+    array = np.ones(shape)
+    array.flat[-2] = bad
+    with pytest.raises(ValueError) as listed:
+        json_text(array.tolist())
+    with pytest.raises(ValueError) as arrayed:
+        json_text(array)
+    assert str(arrayed.value) == str(listed.value)
+    assert "not JSON compliant" in str(listed.value)
+
+
+def test_a_matrix_row_is_refused_before_it_is_yielded():
+    array = np.ones((3, 2))
+    array[1, 1] = math.nan
+    pieces = json_pieces(array)
+    written = []
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        for piece in pieces:
+            written.append(piece)
+    assert "".join(written) == "[\n  [\n    1.0,\n    1.0\n  ]"
+
+
+@pytest.mark.parametrize("value", [np.array(1.5), np.int64(3), [np.int32(1)]])
+def test_what_json_dumps_refuses_of_numpy_is_refused(value):
+    name = (value[0] if isinstance(value, list) else value).__class__.__name__
+    with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+        json_text(value)
+    with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
         _reference(value)
 
 

@@ -42,6 +42,7 @@ from spanmeta.meta import (
     INTERCEPT,
     MAIN_COLUMNS,
     PREDICTOR_SETS,
+    _beta_fraction,
     _factor,
     _shared,
     _t_pvalue,
@@ -401,6 +402,27 @@ class TestTPValue:
         assert _t_pvalue(math.inf, 5) == _t_pvalue(-math.inf, 5) == 0.0
         assert _t_pvalue(1e200, 5) == 0.0  # t^2 overflows
         assert math.isnan(_t_pvalue(math.nan, 5))
+
+
+class TestBetaFraction:
+    """The continued fraction's two guards, reached by calling it directly:
+    ``_t_pvalue`` sums it only where it converges fast (see CHANGES.md)."""
+
+    def test_a_ratio_that_cancels_to_zero_is_stood_in_for(self):
+        # at x = 12/17 the first odd step's ratio c = 1 + odd / c is exactly
+        # 0.0 in floating point, so c takes the value tiny
+        a, b, x = 3.0, 10.0, 12 / 17
+        got = _beta_fraction(a, b, x)
+        front = x**a * (1 - x) ** b / (a * special.beta(a, b))
+        assert abs(front * got - special.betainc(a, b, x)) <= 1e-12
+
+    def test_a_fraction_that_does_not_converge_is_refused(self):
+        # far above the point (a + 1) / (a + b + 2) where it converges fast
+        with pytest.raises(
+            ArithmeticError,
+            match=r"did not converge at a=0\.5, b=1000000000\.0",
+        ):
+            _beta_fraction(0.5, 1e9, 0.9)
 
 
 class TestElasticNet:
