@@ -17,13 +17,17 @@ file that the first one holds is not parsed or checked again.
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
 
-Reading and writing stream the file. ``read_corpus`` reads it one line at
-a time (``_jsontext.read_lines``) and parses each line as it comes, so it
-never holds the file's bytes, its text or its list of lines, and
+Reading and writing stream the file. ``_read_documents``, the one parse
+path of both formats, reads it one line at a time
+(``_jsontext.read_lines``) and yields each document as soon as its line,
+or its block of TSV rows, is parsed, so it never holds the file's bytes,
+its text or its list of lines; ``read_corpus`` gathers what it yields.
 ``write_corpus`` encodes and writes one document's line, or its block of
 TSV rows, at a time. So a command's memory follows the corpus, which holds
-each distinct token once, and not the size of the file. A file is refused
-at its first faulty line; the lines after it are not read.
+each distinct token once, and not the size of the file; ``spanmeta eval``
+walks the generator itself and drops each document once it is scored, so
+its memory follows its token table. A file is refused at its first faulty
+line; the lines after it are not read.
 
 Reading a JSONL file in the writer's layout, which is ``json.dumps``'s
 default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}``),
@@ -62,10 +66,11 @@ Neither fact depends on the file the key came from, and a read that
 fails leaves only such keys behind.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
-and builds the corpus. A parse allocates millions of small objects and no
-reference cycles; with the collector on, those allocations trigger full
-collections whose cost grows with the corpus, and none of them frees
-anything that reference counting does not. The collector is process-wide:
+and builds the corpus; ``_read_documents`` leaves it as it finds it, and
+``spanmeta eval`` pauses it for its own walk. A parse allocates millions
+of small objects and no reference cycles; with the collector on, those
+allocations trigger full collections whose cost grows with the corpus,
+and none of them frees anything that reference counting does not. The collector is process-wide:
 another thread may see it paused for the length of a parse. It is switched
 back on when the read ends, by return or by error, and only if it was on
 when the read began, so a caller that disabled it keeps it disabled.
@@ -91,6 +96,7 @@ import gc
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from json.decoder import JSONDecoder, scanstring
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
@@ -424,6 +430,11 @@ def read_corpus(
 ) -> Corpus:
     """Parse a corpus file.
 
+    The corpus holds the documents that ``_read_documents`` yields, one
+    per JSONL line or TSV block as each is parsed: that generator is the
+    one parse path of both formats, and ``spanmeta eval`` walks it itself,
+    so that it holds no whole corpus.
+
     Document ids are strings and span offsets are ints; both are checked
     when each ``Document`` and ``Span`` is built, as every other invariant
     of the data model is. The span-type inventory is always derived, in
@@ -452,16 +463,30 @@ def read_corpus(
             decode, the line of its document's first row. Span errors also
             carry the document id.
     """
+    table = _LayoutReader() if _tokens is None else _tokens
+    with _gc_paused():
+        docs = tuple(_read_documents(path, format, table, decode_mode))
+        return Corpus(docs, _derive_inventory(docs), partition)
+
+
+def _read_documents(
+    path: str | Path, format: str, table: _LayoutReader, decode_mode: str = "strict"
+) -> Iterator[Document]:
+    """The documents of the corpus file at ``path``, each yielded as soon as
+    its JSONL line or TSV block is parsed, through the token table ``table``.
+
+    This is ``read_corpus``'s one parse path: it refuses what
+    ``read_corpus`` refuses, at the same line, once the documents before
+    that line are yielded. It leaves the collector as it finds it.
+    """
     if format not in _FORMATS:
         raise ValueError(f"corpus format must be one of {_FORMATS}, got {format!r}")
-    table = _LayoutReader() if _tokens is None else _tokens
     try:
-        with closing(read_lines(path)) as lines, _gc_paused():
+        with closing(read_lines(path)) as lines:
             if format == "jsonl":
-                docs = _parse_jsonl(lines, path, table)
+                yield from _parse_jsonl(lines, path, table)
             else:
-                docs = _parse_conll_tsv(lines, path, decode_mode, table.seen)
-            return Corpus(tuple(docs), _derive_inventory(docs), partition)
+                yield from _parse_conll_tsv(lines, path, decode_mode, table.seen)
     except CorpusFormatError:
         raise
     except InputError as e:  # bytes that are not UTF-8
@@ -636,8 +661,7 @@ def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
     return _tokens_from_objs([tk], seen, None)[0]
 
 
-def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> list[Document]:
-    docs: list[Document] = []
+def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> Iterator[Document]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -647,8 +671,7 @@ def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> list[Docum
                 doc = _document_from_obj(parse_json(line), table.seen)
             except ValueError as e:
                 raise CorpusFormatError(path, str(e), lineno) from e
-        docs.append(doc)
-    return docs
+        yield doc
 
 
 def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
@@ -739,27 +762,20 @@ def _to_conll_tsv(corpus: Corpus) -> Iterator[str]:
 
 def _parse_conll_tsv(
     lines: Iterable[str], path, decode_mode: str, seen: dict[tuple, Token]
-) -> list[Document]:
-    docs: list[Document] = []
+) -> Iterator[Document]:
     rows: list[tuple[Token, str]] = []
-    first_row_line = 0
-
-    def flush() -> None:
-        nonlocal rows
-        if not rows:
-            return
-        tokens = tuple(tok for tok, _ in rows)
-        labels = [lab for _, lab in rows]
-        try:
-            spans = bio_decode(labels, mode=decode_mode)
-        except ValueError as e:
-            raise CorpusFormatError(path, str(e), first_row_line) from None
-        docs.append(Document(f"doc-{len(docs)}", tokens, tuple(spans)))
-        rows = []
-
-    for lineno, line in enumerate(lines, start=1):
+    number = first_row_line = 0
+    # a blank line after the last ends the last block
+    for lineno, line in enumerate(chain(lines, [""]), start=1):
         if not line.strip():
-            flush()
+            if rows:
+                try:
+                    spans = bio_decode([lab for _, lab in rows], mode=decode_mode)
+                except ValueError as e:
+                    raise CorpusFormatError(path, str(e), first_row_line) from None
+                yield Document(f"doc-{number}", tuple(tok for tok, _ in rows), tuple(spans))
+                number += 1
+                rows = []
             continue
         cols = line.split("\t")
         if len(cols) < 2:
@@ -773,5 +789,3 @@ def _parse_conll_tsv(
         except ValueError as e:
             raise CorpusFormatError(path, str(e), lineno) from None
         rows.append((token, cols[1]))
-    flush()
-    return docs

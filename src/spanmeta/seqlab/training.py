@@ -75,8 +75,21 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+#: Elements of an array that ``Adam.step`` updates at a time.
+_ADAM_BLOCK = 8192
+
+
 class Adam:
-    """Diagonal Adam with bias correction, updating arrays in place."""
+    """Diagonal Adam with bias correction, updating arrays in place.
+
+    A step walks each array a block of rows at a time, about
+    ``_ADAM_BLOCK`` elements, through two scratch buffers of a block's
+    size, so it holds no temporary the size of the array. Each element
+    goes through the textbook expressions in their order of evaluation,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, so the result is bit for
+    bit what whole-array arithmetic gives.
+    """
 
     def __init__(self, params: Sequence[np.ndarray], config: TrainConfig):
         self.params = list(params)
@@ -89,14 +102,30 @@ class Adam:
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         self.t += 1
+        c1 = 1 - self.b1**self.t
+        c2 = 1 - self.b2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            m_hat = m / (1 - self.b1**self.t)
-            v_hat = v / (1 - self.b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.size:
+                continue
+            rows = max(1, _ADAM_BLOCK * len(p) // p.size)
+            a = np.empty((min(rows, len(p)), *p.shape[1:]), dtype=m.dtype)
+            b = np.empty_like(a)
+            for lo in range(0, len(p), rows):
+                blk = slice(lo, lo + rows)
+                pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+                ab, bb = a[: len(pb)], b[: len(pb)]
+                mb *= self.b1
+                mb += np.multiply(gb, 1 - self.b1, out=ab)
+                vb *= self.b2
+                np.multiply(gb, 1 - self.b2, out=ab)
+                vb += np.multiply(ab, gb, out=ab)
+                np.divide(mb, c1, out=ab)  # m_hat
+                ab *= self.lr
+                np.divide(vb, c2, out=bb)  # v_hat
+                np.sqrt(bb, out=bb)
+                bb += self.eps
+                ab /= bb
+                pb -= ab
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from spanmeta import (
 from spanmeta import cli
 from spanmeta._jsontext import json_text
 from spanmeta.cli import build_parser, main
+from spanmeta.corpus import _LayoutReader
 from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
 import spanmeta.seqlab
@@ -253,6 +254,11 @@ def _random_spans(rng, n: int, types) -> list[Span]:
             pos += length
         pos += 1
     return spans
+
+
+def _doc_line(doc_id: str, n_tokens: int) -> str:
+    tokens = [{"surface": "u", "features": []}] * n_tokens
+    return json.dumps({"id": doc_id, "tokens": tokens, "spans": []}) + "\n"
 
 
 def _random_gold_and_pred(root: Path, fmt: str) -> tuple[str, str]:
@@ -528,6 +534,12 @@ class TestProfile:
         code, _, err = run_cli(["profile", files["two_types"], "--type", "zz"], capsys)
         assert code == 1
         assert "has no spans" in err
+
+    def test_an_empty_type_name_is_refused(self, files, capsys):
+        # not read as "no --type", which would profile every type
+        argv = ["profile", files["two_types"], "--type", ""]
+        message = "spanmeta: error: --type: a span type name cannot be empty\n"
+        assert run_cli(argv, capsys) == (1, "", message)
 
     def test_spanless_corpus_fails(self, files, capsys):
         code, _, err = run_cli(["profile", files["spanless"]], capsys)
@@ -994,12 +1006,12 @@ class TestEval:
         argv = ["eval", "--gold", gold, "--pred", pred, "--input-format", fmt, *extra]
         shared = run_cli(argv, capsys)
         assert shared[0] == 0
-        fresh = cli.read_corpus
+        fresh = cli._read_documents
 
-        def read_alone(*args, _tokens, **kwargs):  # each read with a table of its own
-            return fresh(*args, **kwargs)
+        def read_alone(path, format, table, *args):  # each read with a table of its own
+            return fresh(path, format, _LayoutReader(), *args)
 
-        monkeypatch.setattr(cli, "read_corpus", read_alone)
+        monkeypatch.setattr(cli, "_read_documents", read_alone)
         assert run_cli(argv, capsys) == shared
 
     @pytest.mark.parametrize("command", ["eval", "train"])
@@ -1007,13 +1019,22 @@ class TestEval:
         self, files, capsys, monkeypatch, command
     ):
         tables = []
-        read = cli.read_corpus
+        if command == "eval":  # eval walks its two files' documents as they are read
+            read = cli._read_documents
 
-        def noting_tables(*args, _tokens, **kwargs):
-            tables.append(_tokens)
-            return read(*args, _tokens=_tokens, **kwargs)
+            def noting_tables(path, format, table, *args):
+                tables.append(table)
+                return read(path, format, table, *args)
 
-        monkeypatch.setattr(cli, "read_corpus", noting_tables)
+            monkeypatch.setattr(cli, "_read_documents", noting_tables)
+        else:
+            read = cli.read_corpus
+
+            def noting_tables(*args, _tokens, **kwargs):
+                tables.append(_tokens)
+                return read(*args, _tokens=_tokens, **kwargs)
+
+            monkeypatch.setattr(cli, "read_corpus", noting_tables)
         argv = {
             "eval": ["eval", "--gold", files["gold"], "--pred", files["pred"]],
             "train": ["train", "--arch", "baseline", "--train", files["train"],
@@ -1133,6 +1154,127 @@ class TestEval:
         )
         assert code == 1
         assert "duplicate" in err
+
+    @pytest.mark.parametrize("types", [[""], ["p", ""]], ids=["alone", "among-others"])
+    def test_an_empty_type_name_is_refused(self, files, capsys, types):
+        # no span can have it, so it would print a row that is always zero
+        argv = ["eval", "--gold", files["gold"], "--pred", files["pred"], "--types", *types]
+        message = "spanmeta: error: --types: a span type name cannot be empty\n"
+        assert run_cli(argv, capsys) == (1, "", message)
+        # before either file is read
+        assert run_cli([*argv[:2], "missing.jsonl", *argv[3:]], capsys) == (1, "", message)
+
+    @pytest.mark.parametrize("step", [1, 7, cli._EVAL_STEP])  # documents read from each file
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    @pytest.mark.parametrize("layout", ["default", "compact"])
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--format", "csv"], ["--types", "e", "a", "b"],
+         ["--format", "csv", "--types", "e", "a", "b"]],
+        ids=["json", "csv", "json-types", "csv-types"],
+    )  # fmt: skip
+    def test_predictions_in_another_order_print_the_same_bytes(
+        self, tmp_path, capsys, monkeypatch, step, order, layout, extra
+    ):
+        monkeypatch.setattr(cli, "_EVAL_STEP", step)
+        gold, pred = _random_gold_and_pred(tmp_path, "jsonl")
+        lines = Path(pred).read_text().splitlines(keepends=True)
+        if layout == "compact":  # read through json.loads
+            lines = [json.dumps(json.loads(s), separators=(",", ":")) + "\n" for s in lines]
+        Path(pred).write_text("".join(lines))
+        argv = ["eval", "--gold", gold, "--pred", pred, *extra]
+        in_order = run_cli(argv, capsys)
+        assert in_order[0] == 0 and in_order[1]
+        if order == "reversed":
+            lines.reverse()
+        else:
+            random.Random(11).shuffle(lines)
+        Path(pred).write_text("".join(lines))
+        assert run_cli(argv, capsys) == in_order
+
+    @pytest.mark.parametrize(
+        "gold, pred, code, reason",
+        [
+            # gold is read to its end before pred is judged
+            (_doc_line("a", 2) * 2 + "{oops\n", "{oops\n", 1, "gold: line 3: invalid JSON: "),
+            (_doc_line("a", 2) + "{oops\n", None, 1, "gold: line 2: invalid JSON: "),
+            (_doc_line("a", 2) * 2, None, 2, "i/o error: "),
+            (_doc_line("a", 2) * 2, _doc_line("a", 2) + "{oops\n", 1,
+             "pred: line 2: invalid JSON: "),
+            # then duplicates, gold's first, each file's first in its own order
+            (_doc_line("a", 2) + _doc_line("b", 2) + _doc_line("c", 2) + _doc_line("b", 2)
+             + _doc_line("a", 2),
+             _doc_line("a", 2) * 2 + _doc_line("b", 2) + _doc_line("c", 2), 1,
+             "gold: duplicate document id 'b' in gold corpus"),
+            (_doc_line("a", 2) + _doc_line("b", 2),
+             _doc_line("x", 2) + _doc_line("y", 2) * 2 + _doc_line("x", 2), 1,
+             "pred: duplicate document id 'y' in pred corpus"),
+            ((_doc_line("a", 2) + _doc_line("b", 2)) * 2,
+             (_doc_line("a", 2) + _doc_line("b", 2)) * 2, 1,
+             "gold: duplicate document id 'a' in gold corpus"),
+            (_doc_line("a", 2) * 2, _doc_line("a", 2) * 2, 1,
+             "gold: duplicate document id 'a' in gold corpus"),
+            (_doc_line("a", 2) + _doc_line("b", 2),
+             _doc_line("a", 3) + _doc_line("b", 2) * 2, 1,
+             "pred: duplicate document id 'b' in pred corpus"),
+            # then ids, then token counts, the first in gold order
+            (_doc_line("a", 2) + _doc_line("b", 2),
+             _doc_line("a", 3) + _doc_line("c", 2), 1,
+             "pred: gold and pred corpora do not cover the same documents; "
+             "first differences: ['b', 'c']"),
+            ("".join(_doc_line(f"g{i}", 1) for i in range(8)),
+             "".join(_doc_line(f"p{i}", 1) for i in range(7, -1, -1)), 1,
+             "pred: gold and pred corpora do not cover the same documents; "
+             "first differences: ['g0', 'g1', 'g2', 'g3', 'g4']"),
+            (_doc_line("a", 2) + _doc_line("b", 2) + _doc_line("c", 2) + _doc_line("d", 2),
+             _doc_line("d", 1) + _doc_line("c", 2) + _doc_line("b", 3) + _doc_line("a", 2), 1,
+             "pred: document 'b': 2 gold tokens vs 3 predicted"),
+        ],
+        ids=["gold-syntax-beats-earlier-pred-syntax", "gold-syntax-beats-missing-pred",
+             "missing-pred-beats-gold-duplicate", "pred-syntax-beats-gold-duplicate",
+             "gold-duplicate-beats-earlier-pred-duplicate", "duplicate-beats-id-mismatch",
+             "duplicates-in-step", "duplicate-twice-in-step",
+             "duplicate-beats-token-count", "id-mismatch-beats-token-count",
+             "id-mismatch-lists-five", "first-token-count-in-gold-order"],
+    )  # fmt: skip
+    @pytest.mark.parametrize("step", [1, 2, cli._EVAL_STEP])  # documents read from each file
+    def test_of_two_faults_the_one_found_first_reading_gold_then_pred_is_named(
+        self, tmp_path, capsys, monkeypatch, step, gold, pred, code, reason
+    ):
+        monkeypatch.setattr(cli, "_EVAL_STEP", step)
+        paths = {"gold": tmp_path / "gold", "pred": tmp_path / "pred"}
+        paths["gold"].write_text(gold)
+        if pred is not None:
+            paths["pred"].write_text(pred)
+        argv = ["eval", "--gold", str(paths["gold"]), "--pred", str(paths["pred"])]
+        got, out, err = run_cli(argv, capsys)
+        assert (got, out) == (code, "")
+        expected = f"spanmeta: {reason}" if code == 2 else f"spanmeta: error: {tmp_path}/{reason}"
+        assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n")
+        if not expected.endswith(": "):  # the whole line, not just its start
+            assert err == expected + "\n"
+
+    def test_eval_holds_its_token_table_not_its_two_corpora(self, tmp_path, capsys):
+        words = [f"w{i}" for i in range(50)]
+        docs = tuple(
+            make_doc(f"d{i}", [words[(7 * i + j) % 50] for j in range(25)], [Span("t", 1, 3)])
+            for i in range(2_000)
+        )
+        path = tmp_path / "gold.jsonl"
+        write_corpus(Corpus(docs, ("t",)), path)
+        argv = ["eval", "--gold", str(path), "--pred", str(path)]
+        first = run_cli(argv, capsys)
+        assert first[0] == 0
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert run_cli(argv, capsys) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding both corpora at once peaked above the file's size; what is
+        # left is the token table and each file's ids
+        assert peak - held < path.stat().st_size / 2
 
 
 # ---------------------------------------------------------------------------
@@ -1466,11 +1608,6 @@ _DEV_Q = (
     '{"id": "v0", "tokens": [{"surface": "per", "features": []}], '
     '"spans": [{"type": "q", "start": 0, "end": 1}]}\n'
 )
-
-
-def _doc_line(doc_id: str, n_tokens: int) -> str:
-    tokens = [{"surface": "u", "features": []}] * n_tokens
-    return json.dumps({"id": doc_id, "tokens": tokens, "spans": []}) + "\n"
 
 
 class TestInputFiles:

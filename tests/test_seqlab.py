@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1111,6 +1112,51 @@ class TestAdam:
         opt.step([np.ones(2)])
         assert ref is opt.params[0]
         assert not np.array_equal(ref, np.ones(2))
+
+    @staticmethod
+    def _textbook(p, g, m, v, t, config):
+        """One step of whole-array arithmetic, as Adam was first written."""
+        b1, b2 = config.betas
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+    @pytest.mark.parametrize(
+        "shape", [(1194, 37), (37, 37), (37,), (20_001, 37), (3, 9000), (0, 37)]
+    )
+    def test_steps_are_bitwise_the_textbook_arithmetic(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        config = TrainConfig(learning_rate=0.05)
+        start = rng.normal(size=shape)
+        p, expected = start.copy(), start.copy()
+        opt = Adam([p], config)
+        m, v = np.zeros(shape), np.zeros(shape)
+        for t in range(1, 6):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+            if len(g):
+                g[len(g) // 2] = 0.0  # a row no document touched
+            opt.step([g])
+            self._textbook(expected, g, m, v, t, config)
+            for got, want in ((p, expected), (opt.m[0], m), (opt.v[0], v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_step_holds_no_temporary_the_size_of_the_array(self):
+        p = np.random.default_rng(1).normal(size=(20_001, 37))
+        g = np.random.default_rng(2).normal(size=p.shape)
+        opt = Adam([p], TrainConfig())
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            opt.step([g])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-array arithmetic peaked at four times the array
+        assert peak - held < p.nbytes / 10
 
 
 class TestTrainConfig:
