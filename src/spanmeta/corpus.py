@@ -67,13 +67,14 @@ fails leaves only such keys behind.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus; ``_read_documents`` leaves it as it finds it, and
-``spanmeta eval`` pauses it for its own walk. A parse allocates millions
-of small objects and no reference cycles; with the collector on, those
-allocations trigger full collections whose cost grows with the corpus,
-and none of them frees anything that reference counting does not. The collector is process-wide:
-another thread may see it paused for the length of a parse. It is switched
-back on when the read ends, by return or by error, and only if it was on
-when the read began, so a caller that disabled it keeps it disabled.
+``spanmeta eval`` pauses it while it reads and scores its two files. A
+parse allocates millions of small objects and no reference cycles; with
+the collector on, those allocations trigger full collections whose cost
+grows with the corpus, and none of them frees anything that reference
+counting does not. The collector is process-wide: another thread may
+see it paused for the length of a parse. It is switched back on when the
+read ends, by return or by error, and only if it was on when the read
+began, so a caller that disabled it keeps it disabled.
 
 A ``Corpus`` indexes its spans by type on first use (``Corpus._spans_by_type``),
 so the per-type measurements in ``metrics`` cost time by the spans of one

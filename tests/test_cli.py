@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -1253,6 +1254,59 @@ class TestEval:
         assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n")
         if not expected.endswith(": "):  # the whole line, not just its start
             assert err == expected + "\n"
+
+    @pytest.mark.parametrize("outcome", ["report", "refusal", "scorer-raises"])
+    def test_the_collector_is_paused_while_eval_reads_and_scores_and_no_longer(
+        self, files, tmp_path, capsys, monkeypatch, outcome
+    ):
+        read, score = cli._read_documents, cli.count_matches
+        paused = []  # for each document read and each pair scored, whether it was off
+
+        def noting_reads(*args):
+            for doc in read(*args):
+                paused.append(not gc.isenabled())
+                yield doc
+
+        def noting_scores(gold, pred):
+            paused.append(not gc.isenabled())
+            if outcome == "scorer-raises":
+                raise RuntimeError("scorer failed")
+            return score(gold, pred)
+
+        monkeypatch.setattr(cli, "_read_documents", noting_reads)
+        monkeypatch.setattr(cli, "count_matches", noting_scores)
+        pred = files["pred"]
+        if outcome == "refusal":  # e0 is scored, then e1 is refused for its token count
+            pred = tmp_path / "pred.jsonl"
+            pred.write_text(Path(files["gold"]).read_text().splitlines()[0] + "\n"
+                            + _doc_line("e1", 2))  # fmt: skip
+        argv = ["eval", "--gold", files["gold"], "--pred", str(pred), "--types", "p"]
+        assert gc.isenabled()
+        if outcome == "scorer-raises":
+            with pytest.raises(RuntimeError, match="scorer failed"):
+                main(argv)
+        else:
+            assert run_cli(argv, capsys)[0] == (1 if outcome == "refusal" else 0)
+        assert paused and all(paused)
+        assert gc.isenabled()
+
+    def test_the_walk_leaves_the_collector_as_it_finds_it(self, files, monkeypatch):
+        read = cli._read_documents
+        paused = []
+
+        def noting(*args):
+            for doc in read(*args):
+                paused.append(not gc.isenabled())
+                yield doc
+
+        monkeypatch.setattr(cli, "_read_documents", noting)
+        args = argparse.Namespace(gold=files["gold"], pred=files["pred"], input_format="jsonl")
+        assert gc.isenabled()
+        pairs = cli._eval_pairs(args, ({}, {}))
+        next(pairs)
+        assert paused and not any(paused)
+        assert gc.isenabled()
+        pairs.close()
 
     def test_eval_holds_its_token_table_not_its_two_corpora(self, tmp_path, capsys):
         words = [f"w{i}" for i in range(50)]
