@@ -9,11 +9,16 @@ checks what a token, span or document may hold, so readers and writers
 rely on it rather than checking again. ``read_corpus`` builds and checks
 each distinct token once: equal tokens of one read share one immutable
 ``Token`` object, whatever the order or repetition of their feature
-names, so a corpus costs memory by its distinct tokens. A command that
-reads two files, such as ``spanmeta eval`` (gold, then predictions) or
-``spanmeta train --dev``, reads both through one token table, so equal
-tokens of its two files are one object too, and a token of the second
-file that the first one holds is not parsed or checked again.
+names. Tokens with equal feature bags share one bag too: the read's
+token table keeps each distinct bag, and its name strings, once, and a
+new token whose raw feature names the table has filed gets that bag
+without a ``frozenset`` being built. So a corpus costs memory by its
+distinct tokens, and its bags once each; a bag of five names costs about
+as much as the rest of a token. A command that reads two files, such as
+``spanmeta eval`` (gold, then predictions) or ``spanmeta train --dev``,
+reads both through one token table, so equal tokens and bags of its two
+files are one object too, and a token of the second file that the first
+one holds is not parsed or checked again.
 ``write_corpus`` likewise encodes and checks each distinct token once per
 call, so writing costs time by the distinct tokens, not the token count.
 
@@ -61,9 +66,12 @@ holds its gold file's.
 
 Sharing a table cannot change what a read returns or refuses: a memo key
 is a piece the scanner consumed whole as one token object that passed
-the token checks, and a ``seen`` key a token that was built and checked.
-Neither fact depends on the file the key came from, and a read that
-fails leaves only such keys behind.
+the token checks, a ``seen`` key a token that was built and checked, and
+a filed bag a tuple of names that passed the checks of a token's bag,
+which do not depend on its surface; a bag is immutable, so the tokens
+that hold it cannot tell it from a bag of their own. None of these facts
+depends on the file the key came from, and a read that fails leaves only
+such keys behind.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus; ``_read_documents`` leaves it as it finds it, and
@@ -147,7 +155,10 @@ class Token:
     """A single token: a surface form plus a bag of named features.
 
     The surface must be non-empty, and so must every feature name; the
-    feature bag may be empty, and every empty one is the same set.
+    feature bag may be empty, and every empty one is the same set. The
+    bag is a collection of names: a string is refused, not read as a bag
+    of its letters. Tokens may share one bag object, as the tokens of one
+    read with equal bags do, since a bag is immutable.
     """
 
     surface: str
@@ -159,6 +170,8 @@ class Token:
         message = "feature names must be non-empty strings"
         features = self.features
         if not isinstance(features, frozenset):
+            if isinstance(features, str):
+                raise ValueError("token features must be a collection of names, not a string")
             try:
                 features = frozenset(features)
             except TypeError:  # an unhashable entry, such as a list
@@ -487,7 +500,7 @@ def _read_documents(
             if format == "jsonl":
                 yield from _parse_jsonl(lines, path, table)
             else:
-                yield from _parse_conll_tsv(lines, path, decode_mode, table.seen)
+                yield from _parse_conll_tsv(lines, path, decode_mode, table.tokens)
     except CorpusFormatError:
         raise
     except InputError as e:  # bytes that are not UTF-8
@@ -563,27 +576,65 @@ def _to_jsonl(corpus: Corpus) -> Iterator[str]:
         )
 
 
-def _token(seen: dict[tuple, Token], surface: str, features: list) -> Token:
+class _TokenTable:
+    """Each distinct token and feature bag of one command's reads.
+
+    ``seen`` maps each raw ``(surface, *features)`` key to its token (see
+    ``_token``). ``bags`` maps each raw tuple of feature names to a triple:
+    those names as the table files them, the bag's sorted names, and the
+    bag, all made of the bag's own name strings, so that every token of
+    the table with an equal bag holds that one ``frozenset`` and its keys
+    hold its strings. Only a bag that passed ``Token``'s checks is filed.
+    """
+
+    __slots__ = ("seen", "bags")
+
+    def __init__(self) -> None:
+        self.seen: dict[tuple, Token] = {}
+        self.bags: dict[tuple, tuple[tuple, tuple, frozenset[str]]] = {}
+
+    def file_bag(self, raw: tuple, bag: frozenset[str]) -> tuple[tuple, tuple, frozenset[str]]:
+        """File the checked bag ``bag`` of the raw names ``raw``, under both
+        ``raw`` and its sorted names, and return its triple: an equal bag
+        filed before is the one that both keys share."""
+        canonical = tuple(sorted(bag))
+        shared = self.bags.get(canonical)
+        if shared is None:
+            shared = self.bags[canonical] = (canonical, canonical, bag)
+        if raw == canonical:
+            return shared
+        own = {name: name for name in shared[2]}
+        filed = self.bags[raw] = (tuple(map(own.__getitem__, raw)), shared[1], shared[2])
+        return filed
+
+
+def _token(table: _TokenTable, surface: str, features: list) -> Token:
     """The token with this surface and these features, built and checked
     on first sight; later sightings through the same table reuse that object.
 
-    ``seen`` maps each raw ``(surface, *features)`` key to its token. A new
-    token is also filed under its key with sorted, distinct features, so
-    raw keys that differ only in the order or repetition of feature names
-    share one object, and a key that is already in that form, as the
-    writers write it, takes one entry."""
+    A new token is filed under its raw key and under its key with sorted,
+    distinct features, so raw keys that differ only in the order or
+    repetition of feature names share one object, and a key that is
+    already in that form, as the writers write it, takes one entry. Its
+    bag is the table's, found by its raw names, so that a bag seen before
+    costs no ``frozenset``; a bag not seen before is checked, with the
+    surface, as ``Token`` checks any, and filed only if it passes."""
+    seen = table.seen
     key = (surface, *features)
     try:
         token = seen.get(key)
     except TypeError:  # an unhashable entry, such as a list: Token rejects it
         return Token(surface, features)
     if token is None:
-        token = Token(surface, features)
-        if len(features) > 1:  # one feature name or none: the key is in that form
-            canonical = (surface, *sorted(token.features))
-            if canonical != key:
-                token = seen.setdefault(canonical, token)
-        seen[key] = token
+        raw = key[1:]
+        filed = table.bags.get(raw)
+        if filed is None:
+            filed = table.file_bag(raw, Token(surface, features).features)
+        names, canonical, bag = filed
+        token = Token(surface, bag)
+        if canonical is not names:
+            token = seen.setdefault((surface, *canonical), token)
+        seen[(surface, *names)] = token
     return token
 
 
@@ -602,16 +653,17 @@ class _LayoutReader:
     ``_to_jsonl``'s layout, each distinct token text once; ``read`` returns
     None for any line it cannot read.
 
-    ``seen`` maps each raw token key to its token (see ``_token``), for
-    both formats. ``texts`` maps each token's text between the separators,
-    such as ``"surface": "w1", "features": []``, to its token.
+    ``tokens`` holds each distinct token and feature bag (see
+    ``_TokenTable``), for both formats. ``texts`` maps each token's text
+    between the separators, such as ``"surface": "w1", "features": []``,
+    to its token.
     """
 
     def __init__(self) -> None:
-        self.seen: dict[tuple, Token] = {}
+        self.tokens = _TokenTable()
         # not a bound method, so that the table is in no reference cycle
         # and is freed as soon as its command lets go of it
-        self.texts = _Memo(partial(_piece_token, self.seen))
+        self.texts = _Memo(partial(_piece_token, self.tokens))
 
     def read(self, line: str) -> Document | None:
         try:
@@ -648,7 +700,7 @@ class _LayoutReader:
         return doc if sum(map(len, spans)) == 3 * len(spans) else None
 
 
-def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
+def _piece_token(table: _TokenTable, text: str) -> Token:
     """The token whose object is ``{`` + ``text`` + ``}``, checked as
     ``_document_from_obj`` checks a token; ValueError for any other text."""
     try:
@@ -659,7 +711,7 @@ def _piece_token(seen: dict[tuple, Token], text: str) -> Token:
     # a deep value goes to parse_json, which alone decides how deep is too deep
     if end != len(text) + 2 or not tk.keys() <= _TOKEN_KEYS:
         raise ValueError("not one token object in the layout")
-    return _tokens_from_objs([tk], seen, None)[0]
+    return _tokens_from_objs([tk], table, None)[0]
 
 
 def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> Iterator[Document]:
@@ -669,23 +721,23 @@ def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> Iterator[D
         doc = table.read(line)
         if doc is None:
             try:
-                doc = _document_from_obj(parse_json(line), table.seen)
+                doc = _document_from_obj(parse_json(line), table.tokens)
             except ValueError as e:
                 raise CorpusFormatError(path, str(e), lineno) from e
         yield doc
 
 
-def _document_from_obj(obj: object, seen: dict[tuple, Token]) -> Document:
+def _document_from_obj(obj: object, table: _TokenTable) -> Document:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object per line")
     doc_id = obj.get("id")
     raw_tokens = obj.get("tokens")
     if not isinstance(raw_tokens, list):
         raise ValueError(f"document {doc_id!r}: missing or non-list 'tokens'")
-    return _document(doc_id, _tokens_from_objs(raw_tokens, seen, doc_id), obj)
+    return _document(doc_id, _tokens_from_objs(raw_tokens, table, doc_id), obj)
 
 
-def _tokens_from_objs(entries: list, seen: dict[tuple, Token], doc_id) -> list[Token]:
+def _tokens_from_objs(entries: list, table: _TokenTable, doc_id) -> list[Token]:
     """The tokens of parsed token entries of document ``doc_id``, each
     checked as both JSONL readers check an entry."""
     tokens = []
@@ -693,9 +745,9 @@ def _tokens_from_objs(entries: list, seen: dict[tuple, Token], doc_id) -> list[T
         if not isinstance(tk, dict):
             raise ValueError(f"document {doc_id!r}: malformed token entry")
         feats = tk.get("features", [])
-        if not isinstance(feats, list):  # a string would pass as a bag of letters
+        if not isinstance(feats, list):  # an object would pass as the bag of its keys
             raise ValueError(f"document {doc_id!r}: malformed feature list")
-        tokens.append(_token(seen, tk.get("surface"), feats))
+        tokens.append(_token(table, tk.get("surface"), feats))
     return tokens
 
 
@@ -762,7 +814,7 @@ def _to_conll_tsv(corpus: Corpus) -> Iterator[str]:
 
 
 def _parse_conll_tsv(
-    lines: Iterable[str], path, decode_mode: str, seen: dict[tuple, Token]
+    lines: Iterable[str], path, decode_mode: str, table: _TokenTable
 ) -> Iterator[Document]:
     rows: list[tuple[Token, str]] = []
     number = first_row_line = 0
@@ -786,7 +838,7 @@ def _parse_conll_tsv(
         if not rows:
             first_row_line = lineno
         try:
-            token = _token(seen, cols[0], cols[2:])
+            token = _token(table, cols[0], cols[2:])
         except ValueError as e:
             raise CorpusFormatError(path, str(e), lineno) from None
         rows.append((token, cols[1]))

@@ -65,14 +65,29 @@ class EvalCounts:
 
 
 def count_matches(gold: Sequence[Span], pred: Sequence[Span]) -> EvalCounts:
-    """Count exact (type, start, end) matches between two span lists."""
-    types = {s.type_id for s in gold} | {s.type_id for s in pred}
+    """Count exact (type, start, end) matches between two span lists.
+
+    One pass counts each list's spans per type, and one intersection of
+    the two lists' ``(type, start, end)`` sets finds the matches, so the
+    time does not grow with the number of types. Types come in sorted
+    order.
+    """
+    n_gold: dict[str, int] = {}
+    for s in gold:
+        n_gold[s.type_id] = n_gold.get(s.type_id, 0) + 1
+    n_pred: dict[str, int] = {}
+    for s in pred:
+        n_pred[s.type_id] = n_pred.get(s.type_id, 0) + 1
+    tps: dict[str, int] = {}
+    matched = {(s.type_id, s.start, s.end) for s in gold} & {
+        (s.type_id, s.start, s.end) for s in pred
+    }
+    for t, _, _ in matched:
+        tps[t] = tps.get(t, 0) + 1
     per_type: dict[str, TypeCounts] = {}
-    for t in sorted(types):
-        g = [s for s in gold if s.type_id == t]
-        p = [s for s in pred if s.type_id == t]
-        tp = len({(s.start, s.end) for s in g} & {(s.start, s.end) for s in p})
-        per_type[t] = TypeCounts(tp=tp, fp=len(p) - tp, fn=len(g) - tp)
+    for t in sorted(n_gold.keys() | n_pred.keys()):
+        tp = tps.get(t, 0)
+        per_type[t] = TypeCounts(tp, n_pred.get(t, 0) - tp, n_gold.get(t, 0) - tp)
     return EvalCounts(per_type)
 
 

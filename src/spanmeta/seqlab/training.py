@@ -313,6 +313,9 @@ def train(
                 for g in grads:
                     g /= len(picks)
                 optimizer.step(grads)
+                # so that this batch's gradients are freed before the next
+                # batch's are built, or a checkpoint is cloned
+                del grads, g
         if not all(np.isfinite(p).all() for p in model.parameters()):
             raise _diverged(config, f"epoch {epoch}", "a weight")
 

@@ -53,6 +53,13 @@ class TestDataModel:
         with pytest.raises(ValueError, match="non-empty strings"):
             Token("a", ["f", feature])
 
+    @pytest.mark.parametrize("bag", ["cap", ""])
+    def test_token_rejects_a_string_bag(self, bag):
+        # frozenset("cap") would be the bag {"c", "a", "p"}
+        message = "^token features must be a collection of names, not a string$"
+        with pytest.raises(ValueError, match=message):
+            Token("a", bag)
+
     def test_token_features_coerced_to_frozenset(self):
         assert Token("a", ["f2", "f1"]).features == frozenset({"f1", "f2"})
 
@@ -493,6 +500,7 @@ class TestReadErrors:
         "features,message",
         [
             ('"f"', "malformed feature list"),
+            ('{"f": 1}', "malformed feature list"),
             ('["f", 3]', "non-empty strings"),
             ('[""]', "non-empty strings"),
             ('[["f"]]', "non-empty strings"),
@@ -998,13 +1006,13 @@ def _read(path) -> tuple[Document, ...] | str:
 def _read_with_json_loads(path) -> tuple[Document, ...] | str:
     """What ``json.loads`` and the checks of ``_document_from_obj`` make of
     each line of ``path``: the documents, or the first refusal."""
-    seen: dict = {}
+    table = corpus_mod._TokenTable()
     docs = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            docs.append(corpus_mod._document_from_obj(parse_json(line), seen))
+            docs.append(corpus_mod._document_from_obj(parse_json(line), table))
         except ValueError as e:
             return f"{path}: line {lineno}: {e}"
     return tuple(docs)
@@ -1327,6 +1335,135 @@ class TestSharedTokenTable:
         # the refused token left nothing behind that a later read could take
         assert _read_through(table, broken, format=fmt) == str(refused.value)
         assert _read_through(table, good, format=fmt) == read_corpus(good, format=fmt).documents
+
+
+def _bags(*reads: Corpus) -> list[frozenset]:
+    """The feature bags of the tokens of ``reads``, empty ones left out."""
+    return [t.features for c in reads for d in c.documents for t in d.tokens if t.features]
+
+
+def _one_object_per_bag(bags: list[frozenset]) -> bool:
+    return len({id(b) for b in bags}) == len(set(bags))
+
+
+_RICH_BAGS = (["pos=NN", "suf=ed"], ["cap", "pos=NN", "suf=ed"], ["cap"], ["pos=VB", "suf=ed"])
+
+
+def _rich_corpus(doc_id: str, n: int) -> Corpus:
+    """``n`` distinct surfaces, each with one of a few bags that differ in
+    some names but not all."""
+    tokens = tuple(
+        Token(f"{doc_id}.{i}", _RICH_BAGS[i % len(_RICH_BAGS)] if i % 5 else ()) for i in range(n)
+    )
+    return Corpus((Document(doc_id, tokens, (Span("t", 0, 2),)),), ("t",))
+
+
+class TestSharedBags:
+    """A token table keeps each distinct feature bag once: its tokens with
+    equal bags hold one ``frozenset``, in every layout and format, and in
+    both files of a command."""
+
+    # the writer's layout takes the layout path, the other two json.loads
+    @pytest.mark.parametrize(
+        "gold_layout, layout",
+        [
+            ("default", "default"),
+            ("default", "compact"),
+            ("default", "spans-first"),
+            ("compact", "default"),
+            ("spans-first", "compact"),
+            ("conll_tsv", "conll_tsv"),
+        ],
+    )
+    def test_equal_bags_of_two_files_are_one_object(self, tmp_path, gold_layout, layout):
+        fmt = "conll_tsv" if layout == "conll_tsv" else "jsonl"
+        paths = []
+        for name, corpus, how in (
+            ("gold", _rich_corpus("g", 40), gold_layout),
+            ("pred", _rich_corpus("p", 30), layout),
+        ):
+            paths.append(tmp_path / name)
+            if fmt == "jsonl":
+                paths[-1].write_text(_layouts(corpus)[how], encoding="utf-8")
+            else:
+                write_corpus(corpus, paths[-1], format=fmt)
+        table = corpus_mod._LayoutReader()
+        gold = read_corpus(paths[0], format=fmt, _tokens=table)
+        pred = read_corpus(paths[1], format=fmt, _tokens=table)
+        assert _one_object_per_bag(_bags(gold))
+        assert _one_object_per_bag(_bags(gold, pred))
+        assert len(set(_bags(gold, pred))) == len(_RICH_BAGS)
+        assert pred.documents[0].tokens == _rich_corpus("p", 30).documents[0].tokens
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_names_in_another_order_or_repeated_are_one_bag(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        rows = [("x", ["b", "a"]), ("y", ["a", "b"]), ("z", ["a", "b", "a"]), ("x", ["a", "b"]),
+                ("w", ["b", "b", "a"]), ("x", ["a", "b", "b"])]  # fmt: skip
+        if fmt == "jsonl":
+            path.write_text(_jsonl_line("d", rows) + "\n")
+        else:
+            path.write_text("".join(_tsv_row(s, f) + "\n" for s, f in rows))
+        x1, y, z, x2, w, x3 = read_corpus(path, format=fmt).documents[0].tokens
+        assert x1 is x2 is x3
+        assert x1 == Token("x", ["a", "b"]) and y == Token("y", ["a", "b"])
+        assert x1.features is y.features is z.features is w.features
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_two_tables_never_share_a_bag(self, tmp_path, fmt):
+        path = tmp_path / "c"
+        write_corpus(_rich_corpus("d", 20), path, format=fmt)
+        first, second = read_corpus(path, format=fmt), read_corpus(path, format=fmt)
+        assert first.documents == second.documents
+        assert not {id(b) for b in _bags(first)} & {id(b) for b in _bags(second)}
+
+    @pytest.mark.parametrize(
+        "fmt, surface, features",
+        [
+            ("jsonl", "", ["new", "bag"]),
+            ("jsonl", "z", ["new", ""]),
+            ("jsonl", "z", ["new", 3]),
+            ("jsonl", "z", ["new", None]),
+            ("conll_tsv", "", ["new", "bag"]),
+            ("conll_tsv", "z", ["new", ""]),
+        ],
+        ids=[
+            "jsonl-surface", "jsonl-empty", "jsonl-int", "jsonl-null", "tsv-surface", "tsv-empty"
+        ],
+    )
+    def test_a_refused_line_files_no_bag(self, tmp_path, fmt, surface, features):
+        if fmt == "jsonl":
+            good, bad = _jsonl_line("a", [("x", ["f"])]), _jsonl_line("b", [(surface, features)])
+        else:
+            good, bad = _tsv_row("x", ["f"]), _tsv_row(surface, features)
+        path = tmp_path / "c"
+        path.write_text(good + "\n\n" + bad + "\n")
+        refusal = _read_through(corpus_mod._LayoutReader(), path, format=fmt)
+        assert refusal.startswith(f"{path}: line 3: ")
+        table = corpus_mod._LayoutReader()
+        assert _read_through(table, path, format=fmt) == refusal
+        assert list(table.tokens.bags) == [("f",)]
+        assert _read_through(table, path, format=fmt) == refusal
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
+    def test_a_read_holds_a_few_hundred_bytes_per_distinct_token(self, tmp_path, fmt):
+        # 20,000 distinct surfaces, each with one of 8 bags of 5 names
+        names = [f"feature-{i}" for i in range(12)]
+        bags = [names[i : i + 5] for i in range(8)]
+        docs = tuple(
+            Document(
+                f"d{d}",
+                tuple(Token(f"w{25 * d + i}", bags[(7 * d + i) % 8]) for i in range(25)),
+            )
+            for d in range(800)
+        )
+        path = tmp_path / "c"
+        write_corpus(Corpus(docs, ()), path, format=fmt)
+        del docs
+        before, back, after, _ = _traced(lambda: read_corpus(path, format=fmt))
+        assert len(back.documents) == 800
+        # about 170 bytes; each token with a bag of its own held about 1,190
+        assert (after - before) / 20_000 < 400
 
 
 _GOOD = {"jsonl": _jsonl_line("a", [("w", [])], [("t", 0, 1)]), "conll_tsv": "w\tB-t\n"}

@@ -70,6 +70,44 @@ class TestCountMatches:
             assert (f.tp, f.fp, f.fn) == (b.tp, b.fn, b.fp)
 
 
+def _per_type_matches(gold, pred) -> EvalCounts:
+    """The per-type algorithm ``count_matches`` replaced, which rescans
+    both lists for every type: the oracle of its one-pass count."""
+    types = {s.type_id for s in gold} | {s.type_id for s in pred}
+    per_type = {}
+    for t in sorted(types):
+        g = [s for s in gold if s.type_id == t]
+        p = [s for s in pred if s.type_id == t]
+        tp = len({(s.start, s.end) for s in g} & {(s.start, s.end) for s in p})
+        per_type[t] = TypeCounts(tp=tp, fp=len(p) - tp, fn=len(g) - tp)
+    return EvalCounts(per_type)
+
+
+# few types and offsets, so that lists often repeat a span and share some
+_SPAN_LISTS = st.lists(
+    st.builds(
+        lambda t, a, n: Span(t, a, a + n),
+        st.sampled_from(["t", "u", "b", "a"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=2),
+    ),
+    max_size=10,
+)
+
+
+class TestCountMatchesOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(_SPAN_LISTS, _SPAN_LISTS, st.data())
+    def test_equals_the_per_type_count_with_repeated_spans(self, gold, pred, data):
+        # a repeated span on either side, as well as what the lists drew
+        for side in (gold, pred):
+            if side and data.draw(st.booleans()):
+                side.append(data.draw(st.sampled_from(side)))
+        got = count_matches(gold, pred)
+        want = _per_type_matches(gold, pred)
+        assert list(got.per_type.items()) == list(want.per_type.items())
+
+
 class TestF1Report:
     def test_half_right(self):
         counts = EvalCounts({"t": TypeCounts(1, 1, 1)})

@@ -1230,6 +1230,34 @@ def _recomputed_dev_f1(model, dev_corpus):
 
 
 class TestTraining:
+    def test_a_wide_baseline_holds_one_gradient_at_a_time(self):
+        # 200 documents of 25 texts that never repeat: the weight array
+        # (4,501 x 37 once a tenth is held out) and the baseline's one
+        # gradient of its size set the peak
+        types = "abcdefghijklmnopqr"
+        docs = tuple(
+            make_doc(
+                f"d{d}",
+                [f"w{25 * d + i}" for i in range(25)],
+                [Span(types[(d + j) % 18], 10 * j + 2, 10 * j + 4) for j in range(2)],
+            )
+            for d in range(200)
+        )
+        config = TrainConfig(max_epochs=2, seed=1, learning_rate=0.5)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            result = train("baseline", Corpus(docs, tuple(types)), None, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = result.model.parameters()[0].nbytes
+        # the weights, Adam's m and v, the best checkpoint and one gradient,
+        # plus the index and encodings: about 6.1 times the weights. A last
+        # gradient kept alive into the next batch and the checkpoint clone
+        # made it about 7.1 times
+        assert peak - held < 6.6 * weights
+
     def test_rejects_unknown_architecture(self):
         train_c, dev_c = _toy_corpora(2, 1)
         with pytest.raises(ValueError, match="architecture"):
