@@ -41,7 +41,7 @@ from ._jsontext import (
     write_text,
 )
 from ._options import ARCHITECTURES, DEFAULT_ALPHA, PREDICTOR_SETS
-from .corpus import Document, _gc_paused, _LayoutReader, _read_documents, read_corpus
+from .corpus import Document, _gc_paused, _read_documents, _TokenTable, read_corpus
 from .evaluation import PRF, F1Report, _sum_counts, count_matches, f1_report
 from .metrics import (
     DatasetMetrics,
@@ -191,14 +191,14 @@ def _cmd_train(args) -> None:
     from .seqlab.training import _RefusedCorpus
 
     config = _train_config(args)
-    tokens = _LayoutReader()  # one token table for both reads
-    train_corpus = read_corpus(args.train, format=args.input_format, _tokens=tokens)
+    table = _TokenTable()  # one token table for both reads
+    train_corpus = read_corpus(args.train, format=args.input_format, _tokens=table)
     dev_corpus = None
     if args.dev:
         dev_corpus = read_corpus(
-            args.dev, format=args.input_format, partition="dev", _tokens=tokens
+            args.dev, format=args.input_format, partition="dev", _tokens=table
         )
-    del tokens  # training needs the corpora, not the table
+    del table  # training needs the corpora, not the table
     try:
         result = train(args.arch, train_corpus, dev_corpus, config)
     except _RefusedCorpus as exc:
@@ -241,7 +241,7 @@ def _eval_pairs(args, types: tuple[dict, dict]) -> Iterator[tuple[Document, Docu
     pred, a duplicate id in gold, then in pred, ids that differ, and the
     first document in gold order whose token counts differ.
     """
-    table = _LayoutReader()  # one token table for both reads
+    table = _TokenTable()  # one token table for both reads
     gold = _read_documents(args.gold, args.input_format, table)
     # model output may contain stray continuation labels
     pred = _read_documents(args.pred, args.input_format, table, "lenient")

@@ -39,12 +39,13 @@ default for its keys (``{"id": "…", "tokens": [{…}, {…}], "spans": […]}`
 costs time by its distinct token texts as well. Such a line is read
 without ``json.loads`` over its tokens. The id is scanned as a JSON
 string, and the token array is split at the writer's ``}, {`` separator.
-Each piece is looked up in the token table's memo; a piece not seen
-before is parsed as the object ``"{" + piece + "}"`` by json's own
-scanner and checked as any token is. The members after the array are
-scanned as ``"{" + rest``. This is sound because a memo key is only ever a piece
-whose ``"{" + piece + "}"`` the scanner consumed whole as one JSON
-object, and JSON objects are self-delimiting: if every piece of
+Each piece is looked up in the token table, which is itself the memo
+of pieces; a piece not seen before is parsed as the object
+``"{" + piece + "}"`` by json's own scanner and checked as any token
+is. The members after the array are scanned as ``"{" + rest``. This
+is sound because a memo key is only ever a piece whose
+``"{" + piece + "}"`` the scanner consumed whole as one JSON object,
+and JSON objects are self-delimiting: if every piece of
 ``[{p1}, {p2}, …]`` is such a text, that text is an array of exactly
 those objects, and a parser that starts at its ``[`` stops at its ``]``.
 A string that holds ``}, {`` or ``}]`` only cuts pieces into texts that
@@ -66,12 +67,12 @@ holds its gold file's.
 
 Sharing a table cannot change what a read returns or refuses: a memo key
 is a piece the scanner consumed whole as one token object that passed
-the token checks, a ``seen`` key a token that was built and checked, and
-a filed bag a tuple of names that passed the checks of a token's bag,
-which do not depend on its surface; a bag is immutable, so the tokens
-that hold it cannot tell it from a bag of their own. None of these facts
-depends on the file the key came from, and a read that fails leaves only
-such keys behind.
+the token checks, a ``seen`` key the ``(surface, bag)`` of a token that
+was built and checked, and a filed bag a tuple of names that passed the
+checks of a token's bag, which do not depend on its surface; a bag is
+immutable, so the tokens that hold it cannot tell it from a bag of their
+own. None of these facts depends on the file the key came from, and a
+read that fails leaves only such keys behind.
 
 ``read_corpus`` pauses Python's cyclic garbage collector while it parses
 and builds the corpus; ``_read_documents`` leaves it as it finds it, and
@@ -104,7 +105,7 @@ from __future__ import annotations
 import gc
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from json.decoder import JSONDecoder, scanstring
 from json.encoder import encode_basestring
@@ -440,7 +441,7 @@ def read_corpus(
     *,
     partition: str = "train",
     decode_mode: str = "strict",
-    _tokens: _LayoutReader | None = None,
+    _tokens: _TokenTable | None = None,
 ) -> Corpus:
     """Parse a corpus file.
 
@@ -466,9 +467,10 @@ def read_corpus(
         format: ``jsonl`` or ``conll_tsv``.
         partition: partition tag for the returned corpus.
         decode_mode: BIO decode mode for the TSV label column.
-        _tokens: private; the token table of an earlier read of the same
-            command, so that equal tokens across its reads are one object,
-            each parsed and checked once. A fresh table by default.
+        _tokens: private; the ``_TokenTable`` of an earlier read of the
+            same command, so that equal tokens and bags across its reads
+            are one object each, each token parsed and checked once. A
+            fresh table by default.
 
     Raises:
         CorpusFormatError: at the first faulty line, the lines after it
@@ -477,14 +479,14 @@ def read_corpus(
             decode, the line of its document's first row. Span errors also
             carry the document id.
     """
-    table = _LayoutReader() if _tokens is None else _tokens
+    table = _TokenTable() if _tokens is None else _tokens
     with _gc_paused():
         docs = tuple(_read_documents(path, format, table, decode_mode))
         return Corpus(docs, _derive_inventory(docs), partition)
 
 
 def _read_documents(
-    path: str | Path, format: str, table: _LayoutReader, decode_mode: str = "strict"
+    path: str | Path, format: str, table: _TokenTable, decode_mode: str = "strict"
 ) -> Iterator[Document]:
     """The documents of the corpus file at ``path``, each yielded as soon as
     its JSONL line or TSV block is parsed, through the token table ``table``.
@@ -500,7 +502,7 @@ def _read_documents(
             if format == "jsonl":
                 yield from _parse_jsonl(lines, path, table)
             else:
-                yield from _parse_conll_tsv(lines, path, decode_mode, table.tokens)
+                yield from _parse_conll_tsv(lines, path, decode_mode, table)
     except CorpusFormatError:
         raise
     except InputError as e:  # bytes that are not UTF-8
@@ -544,7 +546,7 @@ class _Memo(dict):
 
 
 # The JSONL layout: ``json.dumps``'s default for these keys, written by
-# ``_to_jsonl`` and read without ``json.loads`` by ``_LayoutReader``.
+# ``_to_jsonl`` and read without ``json.loads`` by ``_TokenTable``.
 _JSONL_ID = '{"id": '
 _JSONL_TOKENS = ', "tokens": ['
 _JSONL_SPANS = '"spans": ['
@@ -576,68 +578,6 @@ def _to_jsonl(corpus: Corpus) -> Iterator[str]:
         )
 
 
-class _TokenTable:
-    """Each distinct token and feature bag of one command's reads.
-
-    ``seen`` maps each raw ``(surface, *features)`` key to its token (see
-    ``_token``). ``bags`` maps each raw tuple of feature names to a triple:
-    those names as the table files them, the bag's sorted names, and the
-    bag, all made of the bag's own name strings, so that every token of
-    the table with an equal bag holds that one ``frozenset`` and its keys
-    hold its strings. Only a bag that passed ``Token``'s checks is filed.
-    """
-
-    __slots__ = ("seen", "bags")
-
-    def __init__(self) -> None:
-        self.seen: dict[tuple, Token] = {}
-        self.bags: dict[tuple, tuple[tuple, tuple, frozenset[str]]] = {}
-
-    def file_bag(self, raw: tuple, bag: frozenset[str]) -> tuple[tuple, tuple, frozenset[str]]:
-        """File the checked bag ``bag`` of the raw names ``raw``, under both
-        ``raw`` and its sorted names, and return its triple: an equal bag
-        filed before is the one that both keys share."""
-        canonical = tuple(sorted(bag))
-        shared = self.bags.get(canonical)
-        if shared is None:
-            shared = self.bags[canonical] = (canonical, canonical, bag)
-        if raw == canonical:
-            return shared
-        own = {name: name for name in shared[2]}
-        filed = self.bags[raw] = (tuple(map(own.__getitem__, raw)), shared[1], shared[2])
-        return filed
-
-
-def _token(table: _TokenTable, surface: str, features: list) -> Token:
-    """The token with this surface and these features, built and checked
-    on first sight; later sightings through the same table reuse that object.
-
-    A new token is filed under its raw key and under its key with sorted,
-    distinct features, so raw keys that differ only in the order or
-    repetition of feature names share one object, and a key that is
-    already in that form, as the writers write it, takes one entry. Its
-    bag is the table's, found by its raw names, so that a bag seen before
-    costs no ``frozenset``; a bag not seen before is checked, with the
-    surface, as ``Token`` checks any, and filed only if it passes."""
-    seen = table.seen
-    key = (surface, *features)
-    try:
-        token = seen.get(key)
-    except TypeError:  # an unhashable entry, such as a list: Token rejects it
-        return Token(surface, features)
-    if token is None:
-        raw = key[1:]
-        filed = table.bags.get(raw)
-        if filed is None:
-            filed = table.file_bag(raw, Token(surface, features).features)
-        names, canonical, bag = filed
-        token = Token(surface, bag)
-        if canonical is not names:
-            token = seen.setdefault((surface, *canonical), token)
-        seen[(surface, *names)] = token
-    return token
-
-
 # the token array's item separator, its end, and the opening of the id string
 _TOKEN_SPLIT = "}" + _JSONL_ITEMS + "{"
 _TOKENS_END = "}]" + _JSONL_ITEMS
@@ -648,22 +588,34 @@ _TOKEN_KEYS = frozenset({"surface", "features"})
 _scan_once = make_scanner(JSONDecoder())
 
 
-class _LayoutReader:
-    """The token table of one command's reads, which reads lines in
-    ``_to_jsonl``'s layout, each distinct token text once; ``read`` returns
-    None for any line it cannot read.
+class _TokenTable(dict):
+    """The token table of one command's reads, for both formats: each
+    distinct token and feature bag, and each distinct token text of
+    ``_to_jsonl``'s layout. ``read`` reads a line in that layout, each
+    distinct token text once, and returns None for any line it cannot read.
 
-    ``tokens`` holds each distinct token and feature bag (see
-    ``_TokenTable``), for both formats. ``texts`` maps each token's text
-    between the separators, such as ``"surface": "w1", "features": []``,
-    to its token.
+    As a dict, the table maps each token's text between the layout's
+    separators, such as ``"surface": "w1", "features": []``, to its token;
+    a text not seen before is parsed and checked by ``_piece_token``. The
+    table holds no reference to itself, so it is freed as soon as its
+    command lets go of it. ``seen`` maps each ``(surface, bag)`` to its
+    token, one entry per distinct token. ``bags`` maps each raw tuple of
+    feature names, and each bag's sorted names, to the table's one bag of
+    those names, so that every token of the table with an equal bag holds
+    that one ``frozenset``. Only a bag that passed ``Token``'s checks is
+    filed.
     """
 
+    __slots__ = ("seen", "bags")
+
     def __init__(self) -> None:
-        self.tokens = _TokenTable()
-        # not a bound method, so that the table is in no reference cycle
-        # and is freed as soon as its command lets go of it
-        self.texts = _Memo(partial(_piece_token, self.tokens))
+        super().__init__()
+        self.seen: dict[tuple[str, frozenset[str]], Token] = {}
+        self.bags: dict[tuple, frozenset[str]] = {}
+
+    def __missing__(self, text: str) -> Token:
+        token = self[text] = _piece_token(self, text)
+        return token
 
     def read(self, line: str) -> Document | None:
         try:
@@ -686,7 +638,7 @@ class _LayoutReader:
             if end < 0 or not line.startswith("{", at):
                 return None
             texts = line[at + 1 : end].split(_TOKEN_SPLIT)
-            tokens = tuple(map(self.texts.__getitem__, texts))
+            tokens = tuple(map(self.__getitem__, texts))
             at = end + len(_TOKENS_END)
         # the members after the array, as an object of their own: the one
         # member the writer writes, since "{}" would parse where ", }" does not
@@ -698,6 +650,33 @@ class _LayoutReader:
         # and nothing else
         spans = rest["spans"]
         return doc if sum(map(len, spans)) == 3 * len(spans) else None
+
+
+def _token(table: _TokenTable, surface: str, features: list) -> Token:
+    """The token with this surface and these features, built and checked
+    on first sight; later sightings through the same table reuse that object.
+
+    The bag is the table's, found by the raw names, so that a bag seen
+    before costs no ``frozenset``; a bag not seen before is checked, with
+    the surface, as ``Token`` checks any, and filed only if it passes. The
+    token is then found by its surface and bag, so names in another order
+    or repeated give the same object."""
+    bags = table.bags
+    try:
+        bag = bags.get(raw := tuple(features))
+    except TypeError:  # an unhashable entry, such as a list: Token rejects it
+        return Token(surface, features)
+    if bag is None:
+        bag = Token(surface, features).features
+        bag = bags[raw] = bags.setdefault(tuple(sorted(bag)), bag)
+    seen = table.seen
+    try:
+        token = seen.get(key := (surface, bag))
+    except TypeError:  # an unhashable surface: Token rejects it
+        return Token(surface, bag)
+    if token is None:
+        token = seen[key] = Token(surface, bag)
+    return token
 
 
 def _piece_token(table: _TokenTable, text: str) -> Token:
@@ -714,14 +693,14 @@ def _piece_token(table: _TokenTable, text: str) -> Token:
     return _tokens_from_objs([tk], table, None)[0]
 
 
-def _parse_jsonl(lines: Iterable[str], path, table: _LayoutReader) -> Iterator[Document]:
+def _parse_jsonl(lines: Iterable[str], path, table: _TokenTable) -> Iterator[Document]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         doc = table.read(line)
         if doc is None:
             try:
-                doc = _document_from_obj(parse_json(line), table.tokens)
+                doc = _document_from_obj(parse_json(line), table)
             except ValueError as e:
                 raise CorpusFormatError(path, str(e), lineno) from e
         yield doc

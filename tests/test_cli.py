@@ -52,7 +52,7 @@ from spanmeta import (
 from spanmeta import cli
 from spanmeta._jsontext import json_text
 from spanmeta.cli import build_parser, main
-from spanmeta.corpus import _LayoutReader
+from spanmeta.corpus import _TokenTable
 from spanmeta.meta import meta_model_to_dict, observations_to_csv
 from spanmeta.report import build_reproduction_report
 import spanmeta.seqlab
@@ -1010,7 +1010,7 @@ class TestEval:
         fresh = cli._read_documents
 
         def read_alone(path, format, table, *args):  # each read with a table of its own
-            return fresh(path, format, _LayoutReader(), *args)
+            return fresh(path, format, _TokenTable(), *args)
 
         monkeypatch.setattr(cli, "_read_documents", read_alone)
         assert run_cli(argv, capsys) == shared

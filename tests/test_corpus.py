@@ -766,6 +766,29 @@ class TestInterning:
         assert len({hash(t) for t in tokens}) == 1
         assert tokens[0] is tokens[1] is tokens[2]
 
+    def test_a_table_files_each_distinct_token_once(self, tmp_path):
+        # the same tokens with their names in three orders and repeated, in
+        # the writer's layout, in compact JSONL and in TSV, through one table
+        orders = (["b", "a", "c"], ["c", "b", "a"], ["a", "c", "b"], ["a", "b", "c", "a"])
+        rows = [(s, f) for s in "xyz" for f in orders]
+        rows += [("x", ["b"]), ("y", []), ("x", ["b", "b"]), ("y", [])]
+        line = _jsonl_line("d", rows)
+        compact = json.dumps(json.loads(line), separators=(",", ":"))
+        files = {
+            tmp_path / "layout": ("jsonl", line + "\n"),
+            tmp_path / "compact": ("jsonl", compact + "\n"),
+            tmp_path / "tsv": ("conll_tsv", "".join(_tsv_row(s, f) + "\n" for s, f in rows)),
+        }
+        table = corpus_mod._TokenTable()
+        tokens = []
+        for path, (fmt, text) in files.items():
+            path.write_text(text)
+            tokens += read_corpus(path, format=fmt, _tokens=table).documents[0].tokens
+        distinct = {Token(s, f) for s, f in rows}
+        assert len(distinct) == 5
+        assert set(tokens) == distinct and len(set(map(id, tokens))) == len(distinct)
+        assert len(table.seen) == len(distinct)
+
     def test_one_object_whichever_path_reads_the_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         layout = _jsonl_line("a", [("x", ["x", "y"]), ("x", ["y", "x"])])
@@ -1133,7 +1156,7 @@ class TestJsonlLayouts:
             path.write_text(good + "\n" + line + "\n")
             with pytest.MonkeyPatch.context() as monkeypatch:
                 if not layout:
-                    monkeypatch.setattr(corpus_mod._LayoutReader, "read", lambda self, line: None)
+                    monkeypatch.setattr(corpus_mod._TokenTable, "read", lambda self, line: None)
                 return _read(path)
 
         # the least depth json.loads refuses
@@ -1229,7 +1252,7 @@ class TestSharedTokenTable:
             pred_path.write_text(_layouts(pred)[layout], encoding="utf-8")
         else:
             write_corpus(pred, pred_path, format=fmt)
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         first = read_corpus(gold_path, format=fmt, _tokens=table)
         second = read_corpus(pred_path, format=fmt, _tokens=table, decode_mode="lenient")
         assert second.documents == read_corpus(pred_path, format=fmt).documents
@@ -1245,7 +1268,7 @@ class TestSharedTokenTable:
         paths = tmp_path / "first", tmp_path / "second"
         write_corpus(corpus(["a", "b", "X", "c"]), paths[0], format=fmt)
         write_corpus(corpus(["d", "a", "e"]), paths[1], format=fmt)
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         reads = [read_corpus(path, format=fmt, _tokens=table) for path in paths]
         [a, b, x, c], [d, a2, e] = (r.documents[0].tokens for r in reads)
         assert a2 is a
@@ -1271,7 +1294,7 @@ class TestSharedTokenTable:
             paths[-1].write_text(
                 data.draw(st.sampled_from(sorted(texts.values()))), encoding="utf-8"
             )
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         gold = read_corpus(paths[0], _tokens=table).documents
         docs = _read_through(table, paths[1])
         assert docs == _read(paths[1]) == second.documents
@@ -1294,7 +1317,7 @@ class TestSharedTokenTable:
         gold, pred = tmp_path / "gold", tmp_path / "pred"
         gold.write_text(good + "\n")
         pred.write_text(good + "\n" + mutate(good) + "\n")
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         read_corpus(gold, _tokens=table)
         refusal = _read(pred)
         assert isinstance(refusal, str) and refusal.startswith(f"{pred}: line 2: ")
@@ -1311,10 +1334,33 @@ class TestSharedTokenTable:
         )
         refusal = f"{bad}: line 1: invalid JSON: Expecting value: line 1 column 70 (char 69)"
         assert _read(bad) == refusal
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         read_corpus(gold, _tokens=table)
-        assert '"surface": "x", "features": []' in table.texts
+        assert '"surface": "x", "features": []' in table
         assert _read_through(table, bad) == refusal
+
+    def test_a_table_is_freed_by_reference_counting(self, tmp_path):
+        # a file for each path: the writer's layout, json.loads and TSV
+        corpus = _rich_corpus("d", 40)
+        reads = {tmp_path / "default": "jsonl", tmp_path / "compact": "jsonl"}
+        reads[tmp_path / "tsv"] = "conll_tsv"
+        for layout in ("default", "compact"):
+            (tmp_path / layout).write_text(_layouts(corpus)[layout], encoding="utf-8")
+        write_corpus(corpus, tmp_path / "tsv", format="conll_tsv")
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            table = corpus_mod._TokenTable()
+            for path, fmt in reads.items():
+                back = read_corpus(path, format=fmt, _tokens=table)
+                assert back.documents[0].tokens == corpus.documents[0].tokens
+            assert table.seen and table.bags
+            del table, back
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
     def test_a_failed_read_leaves_the_table_usable(self, tmp_path, fmt):
@@ -1328,7 +1374,7 @@ class TestSharedTokenTable:
         gold.write_text(rows[0] + "\n")
         broken.write_text(rows[1] + "\n" + bad + "\n")
         good.write_text("\n".join(rows) + "\n")
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         read_corpus(gold, format=fmt, _tokens=table)
         with pytest.raises(CorpusFormatError) as refused:
             read_corpus(broken, format=fmt, _tokens=table)
@@ -1387,7 +1433,7 @@ class TestSharedBags:
                 paths[-1].write_text(_layouts(corpus)[how], encoding="utf-8")
             else:
                 write_corpus(corpus, paths[-1], format=fmt)
-        table = corpus_mod._LayoutReader()
+        table = corpus_mod._TokenTable()
         gold = read_corpus(paths[0], format=fmt, _tokens=table)
         pred = read_corpus(paths[1], format=fmt, _tokens=table)
         assert _one_object_per_bag(_bags(gold))
@@ -1426,10 +1472,14 @@ class TestSharedBags:
             ("jsonl", "z", ["new", None]),
             ("conll_tsv", "", ["new", "bag"]),
             ("conll_tsv", "z", ["new", ""]),
+            # the bag of the good line, filed before the refused token
+            ("jsonl", "", ["f"]),
+            ("jsonl", ["x"], ["f"]),
         ],
         ids=[
-            "jsonl-surface", "jsonl-empty", "jsonl-int", "jsonl-null", "tsv-surface", "tsv-empty"
-        ],
+            "jsonl-surface", "jsonl-empty", "jsonl-int", "jsonl-null", "tsv-surface", "tsv-empty",
+            "jsonl-surface-filed-bag", "jsonl-list-surface-filed-bag",
+        ],  # fmt: skip
     )
     def test_a_refused_line_files_no_bag(self, tmp_path, fmt, surface, features):
         if fmt == "jsonl":
@@ -1438,11 +1488,15 @@ class TestSharedBags:
             good, bad = _tsv_row("x", ["f"]), _tsv_row(surface, features)
         path = tmp_path / "c"
         path.write_text(good + "\n\n" + bad + "\n")
-        refusal = _read_through(corpus_mod._LayoutReader(), path, format=fmt)
-        assert refusal.startswith(f"{path}: line 3: ")
-        table = corpus_mod._LayoutReader()
+        reason = "feature names must be non-empty strings"
+        if surface in ("", ["x"]):
+            reason = "token surface must be a non-empty string"
+        refusal = _read_through(corpus_mod._TokenTable(), path, format=fmt)
+        assert refusal == f"{path}: line 3: {reason}"
+        table = corpus_mod._TokenTable()
         assert _read_through(table, path, format=fmt) == refusal
-        assert list(table.tokens.bags) == [("f",)]
+        assert list(table.bags) == [("f",)]
+        assert list(table.seen) == [("x", frozenset({"f"}))]
         assert _read_through(table, path, format=fmt) == refusal
 
     @pytest.mark.parametrize("fmt", ["jsonl", "conll_tsv"])
